@@ -423,11 +423,11 @@ let validate () =
     (String.concat ", " (List.map (Printf.sprintf "%.3f") ratios))
 
 (* -------------------------------------------------------------------- *)
-(* Ablation: GA design choices (mutation schemes, crossover)            *)
+(* Ablation: GA design choices (mutation schemes)                       *)
 
 let ablation () =
   section_banner "ablation"
-    "GA design choices on ResNet18-M-16: mutation schemes and crossover";
+    "GA design choices on ResNet18-M-16: mutation schemes";
   let model = Compass_nn.Models.resnet18 () in
   let chip = Compass_arch.Config.by_label "M" in
   let units = Unit_gen.generate model chip in
@@ -454,7 +454,6 @@ let ablation () =
           ( Printf.sprintf "without %s" (Ga.scheme_name s),
             { base with Ga.schemes = List.filter (fun x -> x <> s) [ Ga.Merge; Ga.Split; Ga.Move; Ga.Fixed_random ] } ))
         [ Ga.Merge; Ga.Split; Ga.Move; Ga.Fixed_random ]
-    @ [ ("with crossover 0.3 (extension)", { base with Ga.crossover_rate = 0.3 }) ]
   in
   let table =
     Table.create

@@ -1,20 +1,11 @@
 (* compass — command-line front end for the COMPASS compiler framework.
-
-   Subcommands:
-     info      hardware presets and model zoo summaries
-     compile   run one scheme on one workload, print the plan
-     verify    independently re-check an archived plan's legality
-     validity  render a partition validity map (paper Fig. 5)
-     sweep     compare compass/greedy/layerwise across workloads (Fig. 6)
-     gap       optimality gap of every scheme against the exact DP bound
-     infer     host functional inference throughput (im2col/GEMM engine)
-     serve     long-lived request daemon (admission control, deadlines,
-               circuit breaker, graceful drain; wire format in FORMATS.md)
+   Each subcommand's [Cmd.info] documents it; `compass --help` lists them.
 
    Exit codes (documented in README.md):
      0  success
      1  verify: the plan violates at least one invariant
-     2  user error (unknown names, malformed files, infeasible scenarios)
+     2  user error (unknown names, bad flag values, malformed files,
+        unwritable output paths, infeasible scenarios)
      3  internal error — a compass bug, with a bug-report hint on stderr  *)
 
 open Cmdliner
@@ -69,17 +60,6 @@ let seed_arg =
   let doc = "GA random seed." in
   Arg.(value & opt int Ga.default_params.Ga.seed & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let jobs_arg =
-  let doc =
-    "Worker domains for GA candidate evaluation (default: the COMPASS_JOBS \
-     environment variable, else 1; 0 picks the machine's recommended domain \
-     count).  The compiled plan is bit-identical for every value."
-  in
-  Arg.(
-    value
-    & opt int (Compass_util.Pool.default_jobs ())
-    & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
 let simulate_arg =
   let doc = "Also lower to instructions, simulate, and replay the DRAM trace." in
   Arg.(value & flag & info [ "simulate" ] ~doc)
@@ -92,93 +72,40 @@ let tech_arg =
   let doc = "IMC technology: sram, reram or mram (paper Sec. V-B)." in
   Arg.(value & opt string "sram" & info [ "tech" ] ~docv:"TECH" ~doc)
 
-let lookup_tech name =
-  try Compass_arch.Technology.by_name name
-  with Not_found ->
-    Printf.eprintf "unknown technology %s (try sram, reram, mram)\n" name;
-    exit 2
+(* Flags shared across subcommands: each is declared once and reused by
+   every subcommand that takes it. *)
 
-let retarget ~tech chip =
-  if tech.Compass_arch.Technology.name = "sram" then chip
-  else Compass_arch.Technology.chip tech chip
-
-let lookup_model name =
-  try Compass_nn.Models.by_name name
-  with Not_found ->
-    Printf.eprintf "unknown model %s (try: %s)\n" name
-      (String.concat ", " Compass_nn.Models.all_names);
-    exit 2
-
-let lookup_chip label =
-  try Compass_arch.Config.by_label label
-  with Not_found ->
-    Printf.eprintf "unknown chip %s (try S, M, L)\n" label;
-    exit 2
-
-(* Misuse (unknown scheme names, bad fault specs, malformed artifact
-   files, infeasible fault scenarios, ...) surfaces as Invalid_argument /
-   Load_error / Sys_error from the library: one-line diagnostic, exit 2.
-   Injected chaos (--failpoints / COMPASS_FAILPOINTS) counts as an
-   environment failure, not a bug: Failpoint.Injected and simulated
-   syscall errors also exit 2, as does a supervised pool task that
-   exhausted its retries on one of those.  Anything else escaping the
-   library is a compass bug: exit 3 with a bug-report hint.
-   COMPASS_INTERNAL_FAULT=1 injects a synthetic internal failure so the
-   exit-3 path itself is testable. *)
-let guard f =
-  let internal e =
-    Printf.eprintf
-      "compass: internal error: %s\n\
-       This is a bug in compass, not in your input.  Please report it together\n\
-       with the exact command line and any input files.\n"
-      (Printexc.to_string e);
-    exit 3
-  in
-  let user msg =
-    Printf.eprintf "compass: %s\n" msg;
-    exit 2
-  in
-  try
-    (match Sys.getenv_opt "COMPASS_INTERNAL_FAULT" with
-    | Some "1" -> failwith "synthetic internal fault (COMPASS_INTERNAL_FAULT=1)"
-    | Some _ | None -> ());
-    f ()
-  with
-  | Invalid_argument msg | Sys_error msg | Plan_text.Load_error msg -> user msg
-  | Compass_nn.Model_text.Parse_error (line, msg) ->
-    Printf.eprintf "compass: line %d: %s\n" line msg;
-    exit 2
-  | Compass_util.Failpoint.Injected site ->
-    user (Printf.sprintf "injected failpoint %s fired" site)
-  | Unix.Unix_error (e, fn, arg) ->
-    user
-      (Printf.sprintf "%s%s: %s" fn
-         (if arg = "" then "" else " " ^ arg)
-         (Unix.error_message e))
-  | Compass_util.Pool.Task_error { index; attempts; error; _ } -> (
-    let located msg =
-      user (Printf.sprintf "task %d failed after %d attempt(s): %s" index attempts msg)
-    in
-    match error with
-    | Invalid_argument msg | Sys_error msg | Plan_text.Load_error msg -> located msg
-    | Compass_util.Failpoint.Injected site ->
-      located (Printf.sprintf "injected failpoint %s fired" site)
-    | Unix.Unix_error (e, fn, arg) ->
-      located
-        (Printf.sprintf "%s%s: %s" fn
-           (if arg = "" then "" else " " ^ arg)
-           (Unix.error_message e))
-    | e -> internal e)
-  | e -> internal e
-
-let failpoints_arg =
+let jobs_arg =
   let doc =
-    "Arm a deterministic failpoint schedule for this run (chaos drills), e.g. \
-     'artifact.write.mid=raise@once' or 'pool.task=raise@nth:3'.  Grammar and \
-     site catalogue in docs/FORMATS.md; also settable via the \
-     COMPASS_FAILPOINTS environment variable."
+    "Worker domains for GA candidate evaluation and for the samples of an \
+     inference batch (default: the COMPASS_JOBS environment variable, else 1; \
+     0 picks the machine's recommended domain count).  Results are \
+     bit-identical for every value."
   in
-  Arg.(value & opt (some string) None & info [ "failpoints" ] ~docv:"SPEC" ~doc)
+  let jobs =
+    let parse s =
+      Result.bind (Arg.conv_parser Arg.int s) (fun n ->
+          try Ok (Compass_util.Pool.resolve_jobs n)
+          with Invalid_argument msg -> Error (`Msg msg))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  Arg.(
+    value
+    & opt jobs (Compass_util.Pool.default_jobs ())
+    & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
+let deadline_arg =
+  let doc =
+    "Wall-clock budget in seconds.  For a compile or explore search it makes \
+     the search anytime: when the deadline expires the search stops and the \
+     plan is the best candidate found so far (overrunning by at most one \
+     evaluation wave).  For serve it is the default per-request deadline, \
+     applied when a request carries no $(b,deadline) line: expired compiles \
+     return best-so-far plans marked $(b,degraded); expired inferences are \
+     cancelled between layers and answered $(b,timeout)."
+  in
+  Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS" ~doc)
 
 let task_retries_arg =
   let doc =
@@ -189,9 +116,170 @@ let task_retries_arg =
   in
   Arg.(value & opt int 0 & info [ "task-retries" ] ~docv:"N" ~doc)
 
-let arm_failpoints = function
-  | None -> ()
-  | Some spec -> Compass_util.Failpoint.set spec  (* Invalid_argument -> exit 2 *)
+(* The GA configuration of every subcommand that searches. *)
+let ga_params_arg =
+  let ga_params quick seed jobs =
+    let base = if quick then Ga.quick_params else Ga.default_params in
+    { base with Ga.seed; jobs }
+  in
+  Term.(const ga_params $ quick_arg $ seed_arg $ jobs_arg)
+
+(* The harness of every subcommand that runs compiler or inference work:
+   observability and chaos drills.  [with_harness] honours all three
+   flags, so no subcommand body reads them. *)
+type harness = {
+  trace : string option;
+  metrics : bool;
+  failpoints : string option;
+}
+
+let no_harness = { trace = None; metrics = false; failpoints = None }
+
+let harness_arg =
+  let trace =
+    let doc =
+      "Record a structured trace of the run and write it to $(docv) as Chrome \
+       trace_event JSON (open in Perfetto or chrome://tracing)."
+    in
+    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
+  in
+  let metrics =
+    let doc =
+      "Collect typed counters and gauges during the run and print the merged \
+       metrics table (plus a span summary when tracing is on) afterwards."
+    in
+    Arg.(value & flag & info [ "metrics" ] ~doc)
+  in
+  let failpoints =
+    let doc =
+      "Arm a deterministic failpoint schedule for this run (chaos drills), e.g. \
+       'artifact.write.mid=raise@once' or 'pool.task=raise@nth:3'.  Grammar and \
+       site catalogue in docs/FORMATS.md; also settable via the \
+       COMPASS_FAILPOINTS environment variable."
+    in
+    Arg.(value & opt (some string) None & info [ "failpoints" ] ~docv:"SPEC" ~doc)
+  in
+  Term.(
+    const (fun trace metrics failpoints -> { trace; metrics; failpoints })
+    $ trace $ metrics $ failpoints)
+
+let lookup what hint find name =
+  try find name
+  with Not_found -> invalid_arg (Printf.sprintf "unknown %s %s (try %s)" what name hint)
+
+let lookup_tech = lookup "technology" "sram, reram, mram" Compass_arch.Technology.by_name
+
+let lookup_model =
+  let names = String.concat ", " Compass_nn.Models.all_names in
+  lookup "model" names Compass_nn.Models.by_name
+
+let lookup_chip = lookup "chip" "S, M, L" Compass_arch.Config.by_label
+
+let retarget ~tech chip =
+  if tech.Compass_arch.Technology.name = "sram" then chip
+  else Compass_arch.Technology.chip tech chip
+
+(* Misuse (unknown names, bad fault specs, malformed artifact files,
+   infeasible fault scenarios, ...) surfaces as Invalid_argument /
+   Load_error / Parse_error / Sys_error from the library: a one-line
+   diagnostic, exit 2.  Injected chaos (--failpoints / COMPASS_FAILPOINTS)
+   counts as an environment failure, not a bug: Failpoint.Injected and
+   simulated syscall errors also exit 2, as does a supervised pool task
+   that exhausted its retries on one of those.  [input] is the file a
+   subcommand reads, named in its parse errors.  Anything else (None) is a
+   compass bug. *)
+let rec diagnosis ?input = function
+  | Invalid_argument msg | Sys_error msg -> Some msg
+  | Plan_text.Load_error msg -> (
+    match input with Some file -> Some (file ^ ": " ^ msg) | None -> Some msg)
+  | Compass_nn.Model_text.Parse_error (line, msg) -> (
+    match input with
+    | Some file -> Some (Printf.sprintf "%s:%d: %s" file line msg)
+    | None -> Some (Printf.sprintf "line %d: %s" line msg))
+  | Compass_util.Failpoint.Injected site ->
+    Some (Printf.sprintf "injected failpoint %s fired" site)
+  | Unix.Unix_error (e, fn, arg) ->
+    Some
+      (Printf.sprintf "%s%s: %s" fn
+         (if arg = "" then "" else " " ^ arg)
+         (Unix.error_message e))
+  | Compass_util.Pool.Task_error { index; attempts; error; _ } ->
+    Option.map
+      (Printf.sprintf "task %d failed after %d attempt(s): %s" index attempts)
+      (diagnosis ?input error)
+  | _ -> None
+
+(* Output paths are validated before any compilation work starts, so a
+   typo'd --trace/--checkpoint path fails in milliseconds with a located
+   diagnostic (exit 2) instead of surfacing as a bare Sys_error after the
+   search has already run. *)
+let ensure_writable ~flag path =
+  let fail fmt = Printf.ksprintf invalid_arg fmt in
+  let dir = Filename.dirname path in
+  if not (Sys.file_exists dir) then
+    fail "%s %s: directory %s does not exist" flag path dir
+  else if not (Sys.is_directory dir) then fail "%s %s: %s is not a directory" flag path dir
+  else if Sys.file_exists path && Sys.is_directory path then
+    fail "%s %s: is a directory" flag path
+  else
+    let probe = if Sys.file_exists path then path else dir in
+    match Unix.access probe [ Unix.W_OK ] with
+    | () -> ()
+    | exception Unix.Unix_error _ -> fail "%s %s: permission denied" flag path
+
+(* A compass bug, as opposed to a user error: exit 3 with a bug-report hint. *)
+let bug fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf
+        "compass: %s\n\
+         This is a bug in compass, not in your input.  Please report it together\n\
+         with the exact command line and any input files.\n"
+        msg;
+      exit 3)
+    fmt
+
+(* The run wrapper of every subcommand.  In order: map escaping
+   exceptions to exit codes ([diagnosis]: 2, else 3 with a bug-report
+   hint), arm failpoints, check the output paths ([outputs] pairs a flag
+   with its optional path), enable observability, run [body], then export
+   the trace and metrics.  Returns [body]'s result so a caller can exit
+   on it after the trace is written.  COMPASS_INTERNAL_FAULT=1 injects a
+   synthetic internal failure so the exit-3 path itself is testable. *)
+let with_harness ?(harness = no_harness) ?input ?(outputs = []) body =
+  try
+    (match Sys.getenv_opt "COMPASS_INTERNAL_FAULT" with
+    | Some "1" -> failwith "synthetic internal fault (COMPASS_INTERNAL_FAULT=1)"
+    | Some _ | None -> ());
+    Option.iter Compass_util.Failpoint.set harness.failpoints;
+    List.iter
+      (fun (flag, path) -> Option.iter (ensure_writable ~flag) path)
+      (outputs @ [ ("--trace", harness.trace) ]);
+    if harness.trace <> None then Compass_util.Trace.enable ();
+    if harness.metrics then Compass_util.Metrics.enable ();
+    let result = body () in
+    (match harness.trace with
+    | Some path ->
+      Compass_util.Trace.save_chrome path;
+      Printf.printf "wrote trace to %s (open in Perfetto / chrome://tracing)\n" path
+    | None -> ());
+    if harness.metrics then begin
+      print_newline ();
+      print_endline "metrics:";
+      Compass_util.Table.print (Report.profile_table ());
+      if Compass_util.Trace.enabled () then begin
+        print_newline ();
+        print_endline "span summary:";
+        Compass_util.Table.print (Compass_util.Trace.summary_table ())
+      end
+    end;
+    result
+  with e -> (
+    match diagnosis ?input e with
+    | Some msg ->
+      Printf.eprintf "compass: %s\n" msg;
+      exit 2
+    | None -> bug "internal error: %s" (Printexc.to_string e))
 
 let supervision_of ?watchdog retries =
   if retries < 0 then invalid_arg "--task-retries: must be >= 0"
@@ -216,81 +304,25 @@ let load_checkpoint_salvaging path =
     | exception Plan_text.Load_error _ ->
       raise (Plan_text.Load_error (Printf.sprintf "%s: %s" path msg)))
 
-(* Output paths are validated before any compilation work starts, so a
-   typo'd --trace/--checkpoint path fails in milliseconds with a located
-   diagnostic (exit 2) instead of surfacing as a bare Sys_error after the
-   search has already run. *)
-let ensure_writable ~flag path =
-  let fail fmt = Printf.ksprintf invalid_arg fmt in
-  let dir = Filename.dirname path in
-  if not (Sys.file_exists dir) then
-    fail "%s %s: directory %s does not exist" flag path dir
-  else if not (Sys.is_directory dir) then fail "%s %s: %s is not a directory" flag path dir
-  else if Sys.file_exists path && Sys.is_directory path then
-    fail "%s %s: is a directory" flag path
-  else
-    let probe = if Sys.file_exists path then path else dir in
-    match Unix.access probe [ Unix.W_OK ] with
-    | () -> ()
-    | exception Unix.Unix_error _ -> fail "%s %s: permission denied" flag path
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let trace_arg =
-  let doc =
-    "Record a structured trace of the run and write it to $(docv) as Chrome \
-     trace_event JSON (open in Perfetto or chrome://tracing)."
-  in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
-let metrics_arg =
-  let doc =
-    "Collect typed counters and gauges during the run and print the merged \
-     metrics table (plus a span summary when tracing is on) afterwards."
-  in
-  Arg.(value & flag & info [ "metrics" ] ~doc)
-
-(* Validate output paths, enable collection, run, then export.  Returns
-   [f]'s result so callers can exit on it after the trace is written. *)
-let with_observability ~trace ~metrics f =
-  Option.iter (fun path -> ensure_writable ~flag:"--trace" path) trace;
-  if trace <> None then Compass_util.Trace.enable ();
-  if metrics then Compass_util.Metrics.enable ();
-  let result = f () in
-  (match trace with
-  | Some path ->
-    Compass_util.Trace.save_chrome path;
-    Printf.printf "wrote trace to %s (open in Perfetto / chrome://tracing)\n" path
-  | None -> ());
-  if metrics then begin
-    print_newline ();
-    print_endline "metrics:";
-    Compass_util.Table.print (Report.profile_table ());
-    if Compass_util.Trace.enabled () then begin
-      print_newline ();
-      print_endline "span summary:";
-      Compass_util.Table.print (Compass_util.Trace.summary_table ())
-    end
-  end;
-  result
-
+(* The realized scenario is printed before any work that depends on it. *)
 let realize_faults spec ~seed chip =
   let f =
     Compass_arch.Fault.of_string spec ~seed ~cores:chip.Compass_arch.Config.cores
       ~macros_per_core:chip.Compass_arch.Config.core.Compass_arch.Config.macros_per_core
   in
-  if Compass_arch.Fault.is_trivial f then None else Some f
-
-let ga_params ~quick ~seed ~jobs =
-  let base = if quick then Ga.quick_params else Ga.default_params in
-  let jobs =
-    if jobs <= 0 then min 128 (max 1 (Domain.recommended_domain_count ()))
-    else min 128 jobs
-  in
-  { base with Ga.seed; Ga.jobs = jobs }
+  if Compass_arch.Fault.is_trivial f then None
+  else begin
+    Format.printf "%a@." Compass_arch.Fault.pp f;
+    Some f
+  end
 
 (* info *)
 
 let info_cmd =
   let run () =
+    with_harness @@ fun () ->
     print_endline "Hardware presets (paper Table I):";
     Compass_util.Table.print (Compass_arch.Config.table1 ());
     print_newline ();
@@ -308,14 +340,6 @@ let info_cmd =
     Term.(const run $ const ())
 
 (* compile *)
-
-let deadline_arg =
-  let doc =
-    "Wall-clock search budget in seconds.  The GA/DP search becomes anytime: \
-     when the deadline expires it stops and the plan is the best candidate \
-     found so far (overrunning by at most one evaluation wave)."
-  in
-  Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS" ~doc)
 
 let recover_arg =
   let doc =
@@ -365,22 +389,16 @@ let compile_cmd =
             "Re-check the compiled plan with the independent verifier; a \
              violation here is a compass bug and exits 3.")
   in
-  let run model chip batch scheme objective seed jobs simulate quick save tech faults
-      fault_seed warm_start deadline checkpoint resume verify recover fault_at trace
-      metrics failpoints task_retries =
-   guard @@ fun () ->
-    arm_failpoints failpoints;
-    Option.iter (fun path -> ensure_writable ~flag:"--checkpoint" path) checkpoint;
-    Option.iter (fun path -> ensure_writable ~flag:"--save" path) save;
-    with_observability ~trace ~metrics @@ fun () ->
+  let run model chip batch scheme objective ga_params simulate save tech faults
+      fault_seed warm_start deadline checkpoint resume verify recover fault_at harness
+      task_retries =
+    with_harness ~harness ~outputs:[ ("--checkpoint", checkpoint); ("--save", save) ]
+    @@ fun () ->
     let model = lookup_model model in
     let chip = retarget ~tech:(lookup_tech tech) (lookup_chip chip) in
     let scheme = Compiler.scheme_of_string scheme in
     let objective = Fitness.objective_of_string objective in
     let faults = realize_faults faults ~seed:fault_seed chip in
-    (match faults with
-    | Some f -> Format.printf "%a@." Compass_arch.Fault.pp f
-    | None -> ());
     let budget = Option.map (fun s -> Compass_util.Budget.of_deadline s) deadline in
     let supervision = supervision_of ?watchdog:budget task_retries in
     let resume = Option.map load_checkpoint_salvaging resume in
@@ -388,10 +406,8 @@ let compile_cmd =
       Option.map (fun path ck -> Plan_text.save_checkpoint path ck) checkpoint
     in
     let plan =
-      Compiler.compile ~objective
-        ~ga_params:(ga_params ~quick ~seed ~jobs)
-        ~warm_start ?faults ?budget ?supervision ?resume ?on_checkpoint ~model ~chip
-        ~batch scheme
+      Compiler.compile ~objective ~ga_params ~warm_start ?faults ?budget ?supervision
+        ?resume ?on_checkpoint ~model ~chip ~batch scheme
     in
     if plan.Compiler.budget_exhausted then
       Format.printf
@@ -400,10 +416,7 @@ let compile_cmd =
       match Verify.check plan with
       | [] -> Format.printf "verified: plan satisfies all verifier invariants@."
       | violations ->
-        Printf.eprintf "compass: the compiled plan fails its own verifier:\n%s\n%s\n"
-          (Verify.render violations)
-          "This is a bug in compass; please report it with the exact command line.";
-        exit 3
+        bug "the compiled plan fails its own verifier:\n%s" (Verify.render violations)
     end;
     Format.printf "%a" Compiler.pp_plan plan;
     (match plan.Compiler.ga with
@@ -476,56 +489,40 @@ let compile_cmd =
   Cmd.v (Cmd.info "compile" ~doc:"Compile one workload with one scheme")
     Term.(
       const run $ model_arg $ chip_arg $ batch_arg $ scheme_arg $ objective_arg
-      $ seed_arg $ jobs_arg $ simulate_arg $ quick_arg $ save_arg $ tech_arg
-      $ faults_arg $ fault_seed_arg $ warm_start_arg $ deadline_arg $ checkpoint_arg
-      $ resume_arg $ verify_flag $ recover_arg $ fault_at_arg $ trace_arg $ metrics_arg
-      $ failpoints_arg $ task_retries_arg)
+      $ ga_params_arg $ simulate_arg $ save_arg $ tech_arg $ faults_arg $ fault_seed_arg
+      $ warm_start_arg $ deadline_arg $ checkpoint_arg $ resume_arg $ verify_flag
+      $ recover_arg $ fault_at_arg $ harness_arg $ task_retries_arg)
 
 (* plan: reload an archived plan *)
 
+let plan_file_arg =
+  Arg.(
+    required
+    & pos 0 (some non_dir_file) None
+    & info [] ~docv:"FILE" ~doc:"Archived plan (written by compile --save).")
+
 let plan_cmd =
-  let file_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"Archived plan (written by compile --save).")
-  in
   let layers_arg =
     Arg.(value & flag & info [ "layers" ] ~doc:"Also print the per-layer table.")
   in
   let run file layers =
-    match Plan_text.load file with
-    | plan ->
-      Format.printf "%a" Compiler.pp_plan plan;
-      if layers then Compass_util.Table.print (Report.plan_layer_table plan)
-    | exception Plan_text.Load_error msg ->
-      Printf.eprintf "compass: %s: %s\n" file msg;
-      exit 2
+    with_harness ~input:file @@ fun () ->
+    let plan = Plan_text.load file in
+    Format.printf "%a" Compiler.pp_plan plan;
+    if layers then Compass_util.Table.print (Report.plan_layer_table plan)
   in
   Cmd.v (Cmd.info "plan" ~doc:"Reload and re-estimate an archived plan")
-    Term.(const run $ file_arg $ layers_arg)
+    Term.(const run $ plan_file_arg $ layers_arg)
 
 (* verify: independent re-check of an archived plan *)
 
 let verify_cmd =
-  let file_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"Archived plan (written by compile --save).")
-  in
-  let run file trace metrics =
-   guard @@ fun () ->
+  let run file harness =
     let violations =
-      with_observability ~trace ~metrics @@ fun () ->
-      match Plan_text.load file with
-      | plan ->
-        let violations = Verify.check plan in
-        print_endline (Verify.render violations);
-        violations
-      | exception Plan_text.Load_error msg ->
-        Printf.eprintf "compass: %s: %s\n" file msg;
-        exit 2
+      with_harness ~harness ~input:file @@ fun () ->
+      let violations = Verify.check (Plan_text.load file) in
+      print_endline (Verify.render violations);
+      violations
     in
     if violations <> [] then exit 1
   in
@@ -536,7 +533,7 @@ let verify_cmd =
           invariant (coverage, capacity, replication, dataflow, endurance).  \
           Exit 0 when clean, 1 when violations are found, 2 when the file \
           cannot be read.")
-    Term.(const run $ file_arg $ trace_arg $ metrics_arg)
+    Term.(const run $ plan_file_arg $ harness_arg)
 
 (* validity *)
 
@@ -544,20 +541,19 @@ let validity_cmd =
   let cells_arg =
     Arg.(value & opt int 32 & info [ "cells" ] ~docv:"N" ~doc:"Heat-map resolution.")
   in
-  let run model chip cells faults fault_seed =
-   guard @@ fun () ->
+  let run model chip cells faults fault_seed harness =
+    with_harness ~harness @@ fun () ->
     let model = lookup_model model in
     let chip = lookup_chip chip in
     let faults = realize_faults faults ~seed:fault_seed chip in
-    (match faults with
-    | Some f -> Format.printf "%a@." Compass_arch.Fault.pp f
-    | None -> ());
     let units = Unit_gen.generate model chip in
     let v = Validity.build ?faults units in
     print_endline (Validity.render ~cells v)
   in
   Cmd.v (Cmd.info "validity" ~doc:"Render the partition validity map (Fig. 5)")
-    Term.(const run $ model_arg $ chip_arg $ cells_arg $ faults_arg $ fault_seed_arg)
+    Term.(
+      const run $ model_arg $ chip_arg $ cells_arg $ faults_arg $ fault_seed_arg
+      $ harness_arg)
 
 (* schedule *)
 
@@ -565,16 +561,12 @@ let schedule_cmd =
   let listing_arg =
     Arg.(value & flag & info [ "listing" ] ~doc:"Dump the per-core instruction listings.")
   in
-  let run model chip batch scheme seed jobs quick listing =
-   guard @@ fun () ->
+  let run model chip batch scheme ga_params listing harness =
+    with_harness ~harness @@ fun () ->
     let model = lookup_model model in
     let chip = lookup_chip chip in
     let scheme = Compiler.scheme_of_string scheme in
-    let plan =
-      Compiler.compile
-        ~ga_params:(ga_params ~quick ~seed ~jobs)
-        ~model ~chip ~batch scheme
-    in
+    let plan = Compiler.compile ~ga_params ~model ~chip ~batch scheme in
     let m = Compiler.measure plan in
     Format.printf "%s (%s): %d instructions, weights %s, activations peak %s@."
       (Compiler.label plan)
@@ -600,8 +592,8 @@ let schedule_cmd =
   Cmd.v
     (Cmd.info "schedule" ~doc:"Lower a plan to instructions, simulate, show the timeline")
     Term.(
-      const run $ model_arg $ chip_arg $ batch_arg $ scheme_arg $ seed_arg $ jobs_arg
-      $ quick_arg $ listing_arg)
+      const run $ model_arg $ chip_arg $ batch_arg $ scheme_arg $ ga_params_arg
+      $ listing_arg $ harness_arg)
 
 (* model *)
 
@@ -609,7 +601,7 @@ let model_cmd =
   let file_arg =
     Arg.(
       required
-      & pos 0 (some file) None
+      & pos 0 (some non_dir_file) None
       & info [] ~docv:"FILE" ~doc:"Textual model description (.model).")
   in
   let dot_arg =
@@ -618,20 +610,15 @@ let model_cmd =
       & info [ "dot" ] ~docv:"PATH" ~doc:"Also write a Graphviz rendering.")
   in
   let run file dot =
-    match Compass_nn.Model_text.parse_file file with
-    | g -> (
-      Format.printf "%a" Compass_nn.Graph.pp_summary g;
-      Compass_util.Table.print (Compass_nn.Summary.table2 [ g ]);
-      match dot with
-      | Some path ->
-        let oc = open_out path in
-        output_string oc (Compass_nn.Graph.to_dot g);
-        close_out oc;
-        Printf.printf "wrote %s\n" path
-      | None -> ())
-    | exception Compass_nn.Model_text.Parse_error (line, msg) ->
-      Printf.eprintf "compass: %s:%d: %s\n" file line msg;
-      exit 2
+    with_harness ~input:file ~outputs:[ ("--dot", dot) ] @@ fun () ->
+    let g = Compass_nn.Model_text.parse_file file in
+    Format.printf "%a" Compass_nn.Graph.pp_summary g;
+    Compass_util.Table.print (Compass_nn.Summary.table2 [ g ]);
+    match dot with
+    | Some path ->
+      Compass_util.Artifact.write_atomic path (Compass_nn.Graph.to_dot g);
+      Printf.printf "wrote %s\n" path
+    | None -> ()
   in
   Cmd.v (Cmd.info "model" ~doc:"Parse and summarize a textual model description")
     Term.(const run $ file_arg $ dot_arg)
@@ -644,15 +631,13 @@ let explore_cmd =
       value & opt (some float) None
       & info [ "target" ] ~docv:"INF/S" ~doc:"Find the smallest chip meeting this throughput.")
   in
-  let run model seed jobs quick target deadline =
-   guard @@ fun () ->
+  let run model ga_params target deadline harness =
+    with_harness ~harness @@ fun () ->
     let model = lookup_model model in
     let chips = List.map snd Compass_arch.Config.presets in
     let budget = Option.map (fun s -> Compass_util.Budget.of_deadline s) deadline in
     let points =
-      Explore.sweep ?budget
-        ~ga_params:(ga_params ~quick ~seed ~jobs)
-        ~model ~chips ~batches:[ 1; 4; 16 ] ()
+      Explore.sweep ?budget ~ga_params ~model ~chips ~batches:[ 1; 4; 16 ] ()
     in
     (match budget with
     | Some b when Compass_util.Budget.exhausted b ->
@@ -673,8 +658,7 @@ let explore_cmd =
   in
   Cmd.v (Cmd.info "explore" ~doc:"Sweep chips and batches; print the Pareto frontier")
     Term.(
-      const run $ model_arg $ seed_arg $ jobs_arg $ quick_arg $ target_arg
-      $ deadline_arg)
+      const run $ model_arg $ ga_params_arg $ target_arg $ deadline_arg $ harness_arg)
 
 (* sweep *)
 
@@ -696,8 +680,8 @@ let sweep_cmd =
       value & opt (some string) None
       & info [ "csv" ] ~docv:"PATH" ~doc:"Also write the rows as CSV.")
   in
-  let run models chips batch seed jobs quick csv =
-   guard @@ fun () ->
+  let run models chips batch ga_params csv harness =
+    with_harness ~harness ~outputs:[ ("--csv", csv) ] @@ fun () ->
     let rows = ref [] in
     List.iter
       (fun mname ->
@@ -705,11 +689,7 @@ let sweep_cmd =
           (fun clabel ->
             let model = lookup_model mname in
             let chip = lookup_chip clabel in
-            rows :=
-              !rows
-              @ Report.compare_schemes
-                  ~ga_params:(ga_params ~quick ~seed ~jobs)
-                  ~model ~chip ~batch ())
+            rows := !rows @ Report.compare_schemes ~ga_params ~model ~chip ~batch ())
           chips)
       models;
     Compass_util.Table.print (Report.rows_table !rows);
@@ -721,8 +701,8 @@ let sweep_cmd =
   in
   Cmd.v (Cmd.info "sweep" ~doc:"Compare schemes across workloads (Fig. 6)")
     Term.(
-      const run $ models_arg $ chips_arg $ batch_arg $ seed_arg $ jobs_arg $ quick_arg
-      $ csv_arg)
+      const run $ models_arg $ chips_arg $ batch_arg $ ga_params_arg $ csv_arg
+      $ harness_arg)
 
 (* infer: host functional inference with the im2col/GEMM engine *)
 
@@ -749,23 +729,9 @@ let infer_cmd =
     let doc = "Samples per layer traversal (fanned across --jobs domains)." in
     Arg.(value & opt int 1 & info [ "b"; "batch" ] ~docv:"N" ~doc)
   in
-  let infer_jobs_arg =
-    let doc =
-      "Worker domains the batch is fanned across (default: COMPASS_JOBS, else \
-       1; 0 picks the machine's recommended domain count).  Outputs are \
-       bit-identical for every value."
-    in
-    Arg.(
-      value
-      & opt int (Compass_util.Pool.default_jobs ())
-      & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-  in
-  let run model batch engine rounds check seed jobs trace metrics failpoints
-      task_retries =
-   guard @@ fun () ->
-    arm_failpoints failpoints;
+  let run model batch engine rounds check seed jobs harness task_retries =
+    with_harness ~harness @@ fun () ->
     let supervision = supervision_of task_retries in
-    with_observability ~trace ~metrics @@ fun () ->
     let model = lookup_model model in
     let engine =
       match Compass_nn.Executor.engine_of_string engine with
@@ -774,10 +740,6 @@ let infer_cmd =
     in
     if batch < 1 then invalid_arg "infer: batch must be >= 1";
     if rounds < 1 then invalid_arg "infer: rounds must be >= 1";
-    let jobs =
-      if jobs <= 0 then min 128 (max 1 (Domain.recommended_domain_count ()))
-      else min 128 jobs
-    in
     let weights = Compass_nn.Executor.random_weights ~seed model in
     let inputs =
       Array.init batch (fun i ->
@@ -811,23 +773,14 @@ let infer_cmd =
       (float_of_int images /. elapsed_s)
       (1000. *. elapsed_s /. float_of_int images);
     if check then begin
-      let reference =
-        Compass_nn.Executor.output ~engine:Compass_nn.Executor.Naive model weights
-          inputs.(0)
-      in
-      let fast =
-        Compass_nn.Executor.output ~engine:Compass_nn.Executor.Gemm model weights
-          inputs.(0)
-      in
+      let first engine = Compass_nn.Executor.output ~engine model weights inputs.(0) in
+      let reference = first Compass_nn.Executor.Naive in
+      let fast = first Compass_nn.Executor.Gemm in
       if Compass_nn.Tensor.equal ~eps:0. reference fast then
         print_endline "check: gemm output is bit-identical to the naive reference"
-      else begin
-        Printf.eprintf
-          "compass: gemm and naive engines disagree (max diff %g)\n\
-           This is a bug in compass; please report it with the exact command line.\n"
-          (Compass_nn.Tensor.max_abs_diff reference fast);
-        exit 3
-      end
+      else
+        bug "gemm and naive engines disagree (max diff %g)"
+          (Compass_nn.Tensor.max_abs_diff reference fast)
     end
   in
   Cmd.v
@@ -839,23 +792,17 @@ let infer_cmd =
           deterministically.")
     Term.(
       const run $ model_arg $ infer_batch_arg $ engine_arg $ rounds_arg $ check_arg
-      $ seed_arg $ infer_jobs_arg $ trace_arg $ metrics_arg $ failpoints_arg
-      $ task_retries_arg)
+      $ seed_arg $ jobs_arg $ harness_arg $ task_retries_arg)
 
 (* gap: how far each scheme lands from the DP's certified bound *)
 
 let gap_cmd =
-  let run model chip batch objective seed jobs quick trace metrics =
-   guard @@ fun () ->
-    with_observability ~trace ~metrics @@ fun () ->
+  let run model chip batch objective ga_params harness =
+    with_harness ~harness @@ fun () ->
     let model = lookup_model model in
     let chip = lookup_chip chip in
     let objective = Fitness.objective_of_string objective in
-    let dp, rows =
-      Report.optimality_gap ~objective
-        ~ga_params:(ga_params ~quick ~seed ~jobs)
-        ~model ~chip ~batch ()
-    in
+    let dp, rows = Report.optimality_gap ~objective ~ga_params ~model ~chip ~batch () in
     Compass_util.Table.print (Report.optimality_gap_table ~objective (dp, rows));
     Format.printf "%a" Optimal.pp dp
   in
@@ -863,8 +810,8 @@ let gap_cmd =
     (Cmd.info "gap"
        ~doc:"Optimality gap of every scheme against the exact DP bound")
     Term.(
-      const run $ model_arg $ chip_arg $ batch_arg $ objective_arg $ seed_arg
-      $ jobs_arg $ quick_arg $ trace_arg $ metrics_arg)
+      const run $ model_arg $ chip_arg $ batch_arg $ objective_arg $ ga_params_arg
+      $ harness_arg)
 
 (* serve: the resilient long-lived daemon (lib/serve).  Stdio by default
    — stdout is the protocol channel, banners go to stderr — or a unix
@@ -876,11 +823,8 @@ let serve_cmd =
   let module Server = Compass_serve.Server in
   let module Protocol = Compass_serve.Protocol in
   let run socket deadline queue_high queue_low retries backoff breaker_threshold
-      breaker_cooldown seed jobs trace metrics failpoints =
-   guard @@ fun () ->
-    arm_failpoints failpoints;
-    Option.iter (fun path -> ensure_writable ~flag:"--socket" path) socket;
-    with_observability ~trace ~metrics @@ fun () ->
+      breaker_cooldown seed jobs harness =
+    with_harness ~harness ~outputs:[ ("--socket", socket) ] @@ fun () ->
     let stop = ref false in
     let handler signal =
       if !stop then begin
@@ -899,10 +843,6 @@ let serve_cmd =
         output_string !out (Protocol.response_to_string resp);
         Stdlib.flush !out
       with Sys_error _ -> ()
-    in
-    let jobs =
-      if jobs <= 0 then min 128 (max 1 (Domain.recommended_domain_count ()))
-      else min 128 jobs
     in
     let config =
       {
@@ -932,7 +872,7 @@ let serve_cmd =
       let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Fun.protect
         ~finally:(fun () ->
-          (try Unix.close sock with Unix.Unix_error _ -> ());
+          close_quietly sock;
           if Sys.file_exists path then Sys.remove path)
       @@ fun () ->
       Unix.bind sock (Unix.ADDR_UNIX path);
@@ -953,7 +893,7 @@ let serve_cmd =
             while Server.step server do () done;
             (try Stdlib.flush ch with Sys_error _ -> ());
             out := Stdlib.stdout;
-            (try Unix.close conn with Unix.Unix_error _ -> ());
+            close_quietly conn;
             (match outcome with `Eof -> accept_loop () | `Stopped -> ())
           | _ -> accept_loop ()
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
@@ -970,15 +910,6 @@ let serve_cmd =
        unlinked on exit."
     in
     Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
-  in
-  let deadline_arg =
-    let doc =
-      "Default per-request deadline in seconds, applied when a request carries \
-       no $(b,deadline) line.  Expired compiles return best-so-far plans marked \
-       $(b,degraded); expired inferences are cancelled between layers and \
-       answered $(b,timeout)."
-    in
-    Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECS" ~doc)
   in
   let queue_high_arg =
     let doc =
@@ -1028,7 +959,7 @@ let serve_cmd =
     Term.(
       const run $ socket_arg $ deadline_arg $ queue_high_arg $ queue_low_arg
       $ retries_arg $ backoff_arg $ breaker_threshold_arg $ breaker_cooldown_arg
-      $ seed_arg $ jobs_arg $ trace_arg $ metrics_arg $ failpoints_arg)
+      $ seed_arg $ jobs_arg $ harness_arg)
 
 (* doctor: self-check of the chaos machinery — supervision, crash
    consistency, salvage.  Runs entirely against temp files and a tiny
@@ -1036,6 +967,7 @@ let serve_cmd =
 
 let doctor_cmd =
   let run () =
+    with_harness @@ fun () ->
     let failures = ref 0 in
     let checks = ref 0 in
     let expect cond fmt =
@@ -1157,21 +1089,19 @@ let doctor_cmd =
         let path = Filename.concat dir "compass.sock" in
         let srv = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
         Fun.protect
-          ~finally:(fun () -> try Unix.close srv with Unix.Unix_error _ -> ())
+          ~finally:(fun () -> close_quietly srv)
           (fun () ->
             Unix.bind srv (Unix.ADDR_UNIX path);
             Unix.listen srv 1;
             expect (Sys.file_exists path) "bind did not create the socket file";
             let client = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
             Fun.protect
-              ~finally:(fun () ->
-                try Unix.close client with Unix.Unix_error _ -> ())
+              ~finally:(fun () -> close_quietly client)
               (fun () ->
                 Unix.connect client (Unix.ADDR_UNIX path);
                 let conn, _ = Unix.accept srv in
                 Fun.protect
-                  ~finally:(fun () ->
-                    try Unix.close conn with Unix.Unix_error _ -> ())
+                  ~finally:(fun () -> close_quietly conn)
                   (fun () ->
                     let msg = "request doctor-1 ping\nend\n" in
                     let n = Unix.write_substring client msg 0 (String.length msg) in
@@ -1223,12 +1153,20 @@ let doctor_cmd =
 let () =
   let doc = "COMPASS: compiler for resource-constrained crossbar PIM accelerators" in
   let default = Term.(ret (const (`Help (`Pager, None)))) in
+  let status =
+    Cmd.eval
+      (Cmd.group ~default
+         (Cmd.info "compass" ~version:"1.0.0" ~doc)
+         [
+           info_cmd; compile_cmd; validity_cmd; sweep_cmd; gap_cmd; schedule_cmd;
+           model_cmd; explore_cmd; plan_cmd; verify_cmd; infer_cmd; serve_cmd;
+           doctor_cmd;
+         ])
+  in
+  (* cmdliner reports a usage error (a bad flag value, an unknown option)
+     as 124 and an exception it caught as 125; the documented contract is
+     2 and 3. *)
   exit
-    (Cmd.eval
-       (Cmd.group ~default
-          (Cmd.info "compass" ~version:"1.0.0" ~doc)
-          [
-            info_cmd; compile_cmd; validity_cmd; sweep_cmd; gap_cmd; schedule_cmd;
-            model_cmd; explore_cmd; plan_cmd; verify_cmd; infer_cmd; serve_cmd;
-            doctor_cmd;
-          ]))
+    (if status = Cmd.Exit.cli_error then 2
+     else if status = Cmd.Exit.internal_error then 3
+     else status)

@@ -22,7 +22,6 @@ type params = {
   early_stop_patience : int;
   mutation_retries : int;
   schemes : mutation_scheme list;
-  crossover_rate : float;
   seed : int;
   jobs : int;
   warm_start : Partition.t list;
@@ -37,7 +36,6 @@ let default_params =
     early_stop_patience = 10;
     mutation_retries = 5;
     schemes = all_schemes;
-    crossover_rate = 0.;
     seed = 0xC0FFEE;
     jobs = Pool.default_jobs ();
     warm_start = [];
@@ -52,7 +50,6 @@ let quick_params =
     early_stop_patience = 5;
     mutation_retries = 5;
     schemes = all_schemes;
-    crossover_rate = 0.;
     seed = 0xC0FFEE;
     jobs = Pool.default_jobs ();
     warm_start = [];
@@ -151,17 +148,6 @@ let mutate_move rng scores group =
   let delta = if Rng.bool rng then 1 else -1 in
   Partition.move group boundary ~delta
 
-(* Single-point crossover (extension): keep parent A's cuts before one of
-   parent B's interior cuts, then B's cuts from there on.  The bridging
-   span is the only new gene and must be validity-checked by the caller. *)
-let crossover rng a b =
-  let cuts_b = Partition.cuts b in
-  if Array.length cuts_b < 3 then invalid_arg "crossover: parent B has no interior cut";
-  let point = cuts_b.(Rng.int_in rng 1 (Array.length cuts_b - 2)) in
-  let left = List.filter (fun c -> c < point) (Array.to_list (Partition.cuts a)) in
-  let right = List.filter (fun c -> c >= point) (Array.to_list cuts_b) in
-  Partition.of_cuts (Array.of_list (left @ right))
-
 let mutate_fixed_random rng validity scores group =
   let keep = argmin_by (fun x -> x) scores in
   let span = Partition.span_at group keep in
@@ -206,8 +192,6 @@ let optimize ?(params = default_params) ?(objective = Fitness.Latency)
     invalid_arg "Ga.optimize: bad n_sel";
   if params.n_mut < 0 then invalid_arg "Ga.optimize: bad n_mut";
   if params.schemes = [] then invalid_arg "Ga.optimize: no mutation schemes";
-  if params.crossover_rate < 0. || params.crossover_rate > 1. then
-    invalid_arg "Ga.optimize: crossover_rate out of range";
   if params.jobs < 1 then invalid_arg "Ga.optimize: jobs < 1";
   let scheme_array = Array.of_list params.schemes in
   let rng =
@@ -386,16 +370,7 @@ let optimize ?(params = default_params) ?(objective = Fitness.Latency)
           draw count never shifts its siblings' randomness. *)
        let propose_offspring () =
          let crng = Rng.split rng in
-         if params.crossover_rate > 0. && Rng.float crng 1. < params.crossover_rate then begin
-           let a = Rng.pick_array crng selected in
-           let b = Rng.pick_array crng selected in
-           match crossover crng a.group b.group with
-           | child when Validity.group_valid validity child -> child
-           | _ -> propose_mutation crng (Rng.pick_array crng selected)
-           | exception Invalid_argument _ ->
-             propose_mutation crng (Rng.pick_array crng selected)
-         end
-         else propose_mutation crng (Rng.pick_array crng selected)
+         propose_mutation crng (Rng.pick_array crng selected)
        in
        let candidates = Array.init params.n_mut (fun _ -> propose_offspring ()) in
        let mutants = evaluate_partial candidates in

@@ -37,10 +37,6 @@ type params = {
   schemes : mutation_scheme list;
       (** Enabled mutation schemes, drawn with equal probability (the paper
           uses all four); restricting the list supports ablation studies. *)
-  crossover_rate : float;
-      (** Probability that an offspring comes from single-point crossover of
-          two survivors instead of mutation.  The paper's GA is
-          mutation-only; this is an extension, disabled (0.0) by default. *)
   seed : int;
   jobs : int;
       (** Worker-domain count for candidate evaluation (the [-j] knob).

@@ -221,7 +221,6 @@ let checkpoint_to_string (ck : Ga.checkpoint) =
   add "early-stop-patience %d" p.Ga.early_stop_patience;
   add "mutation-retries %d" p.Ga.mutation_retries;
   add "schemes %s" (String.concat "," (List.map Ga.scheme_name p.Ga.schemes));
-  add "crossover-rate %s" (float_token p.Ga.crossover_rate);
   add "seed %d" p.Ga.seed;
   add "jobs %d" p.Ga.jobs;
   add "warm-start %d" (List.length p.Ga.warm_start);
@@ -315,7 +314,14 @@ let checkpoint_of_string text =
     | [] -> fail_at line "no mutation schemes listed"
     | names -> List.map (scheme_of_name line) names
   in
-  let _, crossover_rate = float_field "crossover-rate" in
+  (* Checkpoints written while the GA still had a crossover extension
+     carry its rate here; the inert rate 0 resumes bit-identically. *)
+  (match !cursor with
+  | (_, l) :: _ when String.starts_with ~prefix:"crossover-rate " l ->
+    let line, rate = float_field "crossover-rate" in
+    if rate <> 0. then
+      fail_at line "crossover-rate %g is no longer supported (only 0 resumes)" rate
+  | _ -> ());
   let _, seed = int_field "seed" in
   let _, jobs = int_field "jobs" in
   let _, nwarm = int_field "warm-start" in
@@ -353,7 +359,6 @@ let checkpoint_of_string text =
         early_stop_patience;
         mutation_retries;
         schemes;
-        crossover_rate;
         seed;
         jobs;
         warm_start;

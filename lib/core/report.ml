@@ -120,10 +120,7 @@ let rows_to_csv rows =
   in
   String.concat "\n" (header :: List.map line rows) ^ "\n"
 
-let write_csv path rows =
-  let oc = open_out path in
-  output_string oc (rows_to_csv rows);
-  close_out oc
+let write_csv path rows = Compass_util.Artifact.write_atomic path (rows_to_csv rows)
 
 let support_table models chip =
   let open Compass_util in

@@ -60,7 +60,8 @@ val rows_to_csv : row list -> string
 (** Header plus one line per row; numeric fields in SI units. *)
 
 val write_csv : string -> row list -> unit
-(** [write_csv path rows] writes [rows_to_csv] to a file. *)
+(** [write_csv path rows] writes [rows_to_csv] to a file atomically
+    ({!Compass_util.Artifact.write_atomic}). *)
 
 val support_table : Compass_nn.Graph.t list -> Compass_arch.Config.chip -> Compass_util.Table.t
 (** Table II's support matrix against one chip: model sizes plus

@@ -1,12 +1,16 @@
 let max_jobs = 128
 
+let resolve_jobs jobs =
+  if jobs < 0 then invalid_arg (Printf.sprintf "jobs must be >= 0, got %d" jobs)
+  else if jobs = 0 then min max_jobs (Domain.recommended_domain_count ())
+  else min max_jobs jobs
+
 let default_jobs () =
   match Sys.getenv_opt "COMPASS_JOBS" with
   | None -> 1
   | Some s -> (
     match int_of_string_opt (String.trim s) with
-    | Some 0 -> min max_jobs (Domain.recommended_domain_count ())
-    | Some j when j >= 1 -> min max_jobs j
+    | Some j when j >= 0 -> resolve_jobs j
     | Some _ | None -> 1)
 
 exception

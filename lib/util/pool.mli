@@ -53,11 +53,15 @@ val supervision : ?retries:int -> ?watchdog:Budget.t -> unit -> supervision
     [Invalid_argument] on negative [retries]; [retries:0] just converts
     worker crashes into located {!Task_error}s without re-execution. *)
 
+val resolve_jobs : int -> int
+(** [resolve_jobs n] turns a requested worker count into a usable one:
+    [0] means [Domain.recommended_domain_count ()], and every count is
+    clamped to at most 128.  Raises [Invalid_argument] when [n < 0]. *)
+
 val default_jobs : unit -> int
-(** The worker count selected by the environment: [COMPASS_JOBS] parsed
-    as a positive integer (clamped to [\[1, 128\]]), [0] meaning
-    [Domain.recommended_domain_count ()], and [1] when unset or
-    malformed.  Read on every call. *)
+(** The worker count selected by the environment: [COMPASS_JOBS] passed
+    through {!resolve_jobs}, and [1] when unset, negative or malformed.
+    Read on every call. *)
 
 val create : jobs:int -> t
 (** [create ~jobs] spawns [jobs - 1] worker domains.  Raises

@@ -185,6 +185,37 @@ let test_corrupt_loads () =
   check_load_error (corrupt_field "schemes" "merge,warp") "unknown mutation scheme";
   check_load_error (text ^ "surplus line\n") "trailing content"
 
+(* Checkpoints written while the GA still had a crossover extension
+   carry a [crossover-rate 0] line right after [schemes].  They keep
+   loading and resume to the uninterrupted run; a nonzero legacy rate is
+   a located load error rather than a silently different search. *)
+let test_legacy_crossover_line () =
+  let _, v, ctx = setup "lenet5" Config.chip_s in
+  let captured = ref None in
+  let full =
+    Ga.optimize ~params
+      ~on_checkpoint:(fun ck -> if ck.Ga.ck_generation = 2 then captured := Some ck)
+      ctx v ~batch:4
+  in
+  let text = Plan_text.checkpoint_to_string (Option.get !captured) in
+  let legacy rate =
+    String.split_on_char '\n' text
+    |> List.concat_map (fun l ->
+           if String.starts_with ~prefix:"schemes " l then [ l; "crossover-rate " ^ rate ]
+           else [ l ])
+    |> String.concat "\n"
+  in
+  let ck = Plan_text.checkpoint_of_string (legacy "0") in
+  Alcotest.(check string) "rewritten without the legacy line" text
+    (Plan_text.checkpoint_to_string ck);
+  let resumed = Ga.optimize ~params ~resume:ck ctx v ~batch:4 in
+  Alcotest.(check bool) "same best group" true
+    (Partition.equal full.Ga.best.Ga.group resumed.Ga.best.Ga.group);
+  Alcotest.(check (float 0.)) "same best fitness" full.Ga.best.Ga.fitness
+    resumed.Ga.best.Ga.fitness;
+  Alcotest.check history_testable "same history" full.Ga.history resumed.Ga.history;
+  check_load_error (legacy "0.3") "crossover-rate 0.3 is no longer supported"
+
 let test_resume_rejects_wrong_model () =
   (* A checkpoint carries partitions for one validity map; resuming it
      against another model must be refused, not silently mis-searched. *)
@@ -269,6 +300,8 @@ let () =
             test_roundtrip_fixed_point;
           Alcotest.test_case "atomic save" `Quick test_save_is_atomic;
           Alcotest.test_case "corrupt loads diagnosed" `Quick test_corrupt_loads;
+          Alcotest.test_case "legacy crossover-rate line" `Quick
+            test_legacy_crossover_line;
         ] );
       ( "anytime",
         [

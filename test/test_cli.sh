@@ -94,6 +94,56 @@ echo "garbage" >"$TMP/bad.ck"
 expect_exit 2 "corrupt checkpoint resume" "$CLI" compile -m lenet5 --quick \
   --resume "$TMP/bad.ck"
 
+# --- exit 2: usage errors (cmdliner's own 124 is remapped) ---
+expect_exit 2 "bad flag value" "$CLI" compile -b notanint
+expect_exit 2 "-j -1" "$CLI" compile -m lenet5 --quick -j -1
+expect_exit 2 "negative --jobs" "$CLI" compile -m lenet5 --quick --jobs=-1
+grep -q "jobs must be >= 0" "$TMP/err" || {
+  echo "FAIL: negative --jobs not diagnosed" >&2
+  fails=$((fails + 1))
+}
+expect_exit 2 "plan on a directory" "$CLI" plan "$TMP"
+
+# --- model, --dot and --csv follow the artifact policy ---
+printf 'model tiny\ninput in 3x8x8\nconv c from in out=4 kernel=3\nrelu r from c\n' \
+  >"$TMP/tiny.model"
+expect_exit 0 "model with --dot" "$CLI" model "$TMP/tiny.model" --dot "$TMP/tiny.dot"
+grep -q "digraph" "$TMP/tiny.dot" || {
+  echo "FAIL: model --dot wrote no Graphviz file" >&2
+  fails=$((fails + 1))
+}
+expect_exit 2 "unwritable --dot" "$CLI" model "$TMP/tiny.model" --dot /nonexistent/x.dot
+expect_stderr_line_count "unwritable --dot"
+expect_exit 2 "unwritable --csv" "$CLI" sweep --models lenet5 --chips S --quick \
+  --csv /nonexistent/x.csv
+expect_stderr_line_count "unwritable --csv"
+[ ! -s "$TMP/out" ] || {
+  echo "FAIL: sweep printed its table before rejecting an unwritable --csv" >&2
+  fails=$((fails + 1))
+}
+
+# --- wiring: every subcommand's help renders, and every subcommand that
+#     runs compiler or inference work takes the shared harness flags ---
+subcommands=$("$CLI" --help=plain | awk '/^COMMANDS/ { on = 1; next }
+  /^[A-Z]/ { on = 0 } on && /^       [a-z]/ { print $1 }')
+[ -n "$subcommands" ] || {
+  echo "FAIL: no subcommands listed by compass --help" >&2
+  fails=$((fails + 1))
+}
+for cmd in $subcommands; do
+  expect_exit 0 "$cmd --help" "$CLI" "$cmd" --help=plain
+  case "$cmd" in
+  compile | verify | validity | schedule | explore | sweep | gap | infer | serve)
+    for flag in --trace --metrics --failpoints; do
+      grep -qE -- "^ +$flag(=|\$)" "$TMP/out" || {
+        echo "FAIL: $cmd does not take the shared $flag flag" >&2
+        fails=$((fails + 1))
+      }
+    done
+    ;;
+  esac
+done
+
 # --- observability: --trace / --metrics ---
 expect_exit 0 "compile with trace+metrics" "$CLI" compile -m lenet5 -c S -b 4 --quick \
   --simulate --trace "$TMP/trace.json" --metrics

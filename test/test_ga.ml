@@ -232,26 +232,11 @@ let test_ga_scheme_subsets () =
         (Validity.group_valid v r.Ga.best.Ga.group))
     [ Ga.Merge; Ga.Split; Ga.Move; Ga.Fixed_random ]
 
-let test_ga_crossover_enabled () =
-  let _, v, ctx = setup "resnet18" Config.chip_s in
-  let params = { (quick 12) with Ga.crossover_rate = 0.5 } in
-  let r1 = Ga.optimize ~params ctx v ~batch:16 in
-  let r2 = Ga.optimize ~params ctx v ~batch:16 in
-  Alcotest.(check bool) "valid" true (Validity.group_valid v r1.Ga.best.Ga.group);
-  Alcotest.(check bool) "still deterministic" true
-    (Partition.equal r1.Ga.best.Ga.group r2.Ga.best.Ga.group)
-
 let test_ga_bad_scheme_params () =
   let _, v, ctx = setup "lenet5" Config.chip_s in
   Alcotest.(check bool) "empty schemes rejected" true
     (try
        ignore (Ga.optimize ~params:{ (quick 1) with Ga.schemes = [] } ctx v ~batch:1);
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "bad crossover rate rejected" true
-    (try
-       ignore
-         (Ga.optimize ~params:{ (quick 1) with Ga.crossover_rate = 1.5 } ctx v ~batch:1);
        false
      with Invalid_argument _ -> true)
 
@@ -333,7 +318,6 @@ let () =
           Alcotest.test_case "objectives differ" `Quick test_ga_objectives_differ;
           Alcotest.test_case "invalid params" `Quick test_ga_invalid_params;
           Alcotest.test_case "scheme subsets" `Quick test_ga_scheme_subsets;
-          Alcotest.test_case "crossover enabled" `Quick test_ga_crossover_enabled;
           Alcotest.test_case "bad scheme params" `Quick test_ga_bad_scheme_params;
           Alcotest.test_case "history sane" `Quick test_ga_history_partitions_positive;
           Alcotest.test_case "evaluation count" `Quick test_ga_evaluation_count;

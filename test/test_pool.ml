@@ -226,6 +226,18 @@ let test_default_jobs_env () =
   with_env (Some "100000") (fun () ->
       Alcotest.(check int) "clamped" 128 (Pool.default_jobs ()))
 
+let test_resolve_jobs () =
+  Alcotest.(check int) "positive kept" 3 (Pool.resolve_jobs 3);
+  Alcotest.(check int) "clamped" 128 (Pool.resolve_jobs 100000);
+  Alcotest.(check int) "0 -> recommended domain count"
+    (min 128 (Domain.recommended_domain_count ()))
+    (Pool.resolve_jobs 0);
+  Alcotest.(check bool) "negative rejected" true
+    (try
+       ignore (Pool.resolve_jobs (-1));
+       false
+     with Invalid_argument _ -> true)
+
 let prop_map_order_preserved =
   QCheck.Test.make ~name:"pool map preserves order" ~count:30
     QCheck.(pair (int_range 1 6) (list small_int))
@@ -254,6 +266,7 @@ let () =
             test_exception_lowest_index_wins;
           Alcotest.test_case "create guards" `Quick test_create_guards;
           Alcotest.test_case "COMPASS_JOBS parsing" `Quick test_default_jobs_env;
+          Alcotest.test_case "resolve_jobs" `Quick test_resolve_jobs;
         ] );
       ( "supervision",
         [
