@@ -158,9 +158,17 @@ let with_schedule spec f =
     ~finally:(fun () -> match previous with None -> clear () | Some s -> set s)
     f
 
-let hits site =
+(* [pattern] is an exact site, or a prefix ending in '*'. *)
+let matches pattern site =
+  pattern = site
+  || String.ends_with ~suffix:"*" pattern
+     && String.starts_with ~prefix:(String.sub pattern 0 (String.length pattern - 1)) site
+
+let hits pattern =
   Mutex.lock mutex;
-  let n = Option.value ~default:0 (Hashtbl.find_opt observed site) in
+  let n =
+    Hashtbl.fold (fun site k acc -> if matches pattern site then acc + k else acc) observed 0
+  in
   Mutex.unlock mutex;
   n
 
@@ -174,15 +182,6 @@ let fired () =
   Mutex.unlock mutex;
   fs
 
-let matches rule site =
-  rule.r_site = site
-  ||
-  let n = String.length rule.r_site in
-  n > 0
-  && rule.r_site.[n - 1] = '*'
-  && String.length site >= n - 1
-  && String.sub site 0 (n - 1) = String.sub rule.r_site 0 (n - 1)
-
 (* Decide, under the mutex, which action (if any) fires at [site]; the
    action itself (raise / sleep) runs outside the lock. *)
 let decide site =
@@ -192,7 +191,7 @@ let decide site =
   let fired_action =
     List.find_map
       (fun r ->
-        if not (matches r site) then None
+        if not (matches r.r_site site) then None
         else begin
           r.r_hits <- r.r_hits + 1;
           let fire =

@@ -73,8 +73,11 @@ val guard_write : string -> string -> string
     [payload] unchanged. *)
 
 val hits : string -> int
-(** Guard invocations observed at [site] since the schedule was armed
-    (counted whether or not any rule fired).  Always 0 while disarmed. *)
+(** [hits pattern] sums the guard invocations observed since the
+    schedule was armed (counted whether or not any rule fired) at every
+    site [pattern] names: an exact site, or a prefix ending in ['*'] as
+    in schedules ([hits "*"] counts every site).  Always 0 while
+    disarmed. *)
 
 val fired : unit -> (string * int) list
 (** Rules that fired at least once: [(rule site, fire count)]. *)

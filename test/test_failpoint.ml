@@ -71,6 +71,13 @@ let test_prefix_match () =
   Alcotest.(check bool) "other sites untouched" false
     (fires (fun () -> Failpoint.guard "pool.task"))
 
+let test_hits_pattern () =
+  Failpoint.with_schedule "zz=raise" @@ fun () ->
+  List.iter Failpoint.guard [ "ab"; "ab"; "ac"; "b" ];
+  Alcotest.(check int) "exact site" 2 (Failpoint.hits "ab");
+  Alcotest.(check int) "prefix sums its sites" 3 (Failpoint.hits "a*");
+  Alcotest.(check int) "'*' sums every site" 4 (Failpoint.hits "*")
+
 let test_first_matching_rule_wins () =
   Failpoint.with_schedule "a=raise@always;a=truncate:1@always" @@ fun () ->
   Alcotest.(check bool) "first rule fires" true (fires (fun () -> Failpoint.guard "a"))
@@ -125,6 +132,7 @@ let () =
           Alcotest.test_case "prob is seeded" `Quick test_trigger_prob_deterministic;
           Alcotest.test_case "actions" `Quick test_actions;
           Alcotest.test_case "prefix match" `Quick test_prefix_match;
+          Alcotest.test_case "hits pattern" `Quick test_hits_pattern;
           Alcotest.test_case "first rule wins" `Quick test_first_matching_rule_wins;
           Alcotest.test_case "with_schedule restores" `Quick test_with_schedule_restores;
           Alcotest.test_case "spec errors" `Quick test_spec_errors;
