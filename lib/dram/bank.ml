@@ -19,6 +19,8 @@ let open_row t = t.row
 
 let block_until t cycle = t.ready <- max t.ready cycle
 
+let set_ready t cycle = t.ready <- cycle
+
 let access t ~now ~row ~write =
   if row < 0 then invalid_arg "Bank.access: negative row";
   let g = t.timing in

@@ -27,3 +27,8 @@ val access : t -> now:int -> row:int -> write:bool -> outcome
 val block_until : t -> int -> unit
 (** [block_until bank cycle] prevents any command before [cycle] (used for
     refresh windows). *)
+
+val set_ready : t -> int -> unit
+(** [set_ready bank cycle] sets the earliest cycle of the next command:
+    the controller's closed-form replay of a run of row hits, which moves
+    the bank exactly as that many {!access} hits would. *)

@@ -120,21 +120,76 @@ let burst cur ~bank ~row ~write =
   (* Next command may issue while this data moves; banks stay the limiter. *)
   cur.now <- max cur.now outcome.Bank.issue_cycle
 
-let run ?(timing = Timing.lpddr3_1600) ?(energy = default_energy)
-    ?(mapping = Row_interleaved) records =
+(* After a [burst] step in [bank] that issued at [s = cur.now], the bank is
+   ready at [s + bc] and the data bus frees at [s + cas + bc] or later.  Each
+   further hit in the open row then issues [bc] cycles after the last and
+   waits the same [d = data_bus_free - bc - s - cas] cycles for the bus, so
+   up to [n] of them apply in one step: as many as issue before the next
+   refresh deadline.  Returns how many were applied. *)
+let hits cur bank ~write n =
+  let g = cur.timing in
+  let bc = Timing.burst_cycles g in
+  let s = cur.now in
+  let m = min n (max 0 ((cur.next_refresh - s + bc - 1) / bc)) in
+  if m > 0 then begin
+    let cas = if write then g.Timing.cwl else g.Timing.cl in
+    let d = cur.data_bus_free - bc - s - cas in
+    cur.now <- s + (bc * m);
+    cur.data_bus_free <- cur.data_bus_free + (bc * m);
+    cur.last_data_end <- max cur.last_data_end cur.data_bus_free;
+    cur.bus_stall_cycles <- cur.bus_stall_cycles + (m * d);
+    cur.row_hits <- cur.row_hits + m;
+    if write then cur.writes <- cur.writes + m else cur.reads <- cur.reads + m;
+    Bank.set_ready cur.banks.(bank) (cur.now + bc)
+  end;
+  m
+
+(* Last burst, up to [last], of the run starting at [b].  Under
+   [Bank_interleaved] the next burst moves to another bank (a one-bank
+   device gets runs of one, which are still exact). *)
+let run_end cur b last =
+  match cur.mapping with
+  | Row_interleaved ->
+    let g = cur.timing in
+    let row_bursts = g.Timing.row_bytes / Timing.burst_bytes g in
+    min last ((((b / row_bursts) + 1) * row_bursts) - 1)
+  | Bank_interleaved -> b
+
+(* Bursts [first..last] of one record, one run at a time: the run's first
+   burst, and any burst that finds a refresh due, take the [burst] step;
+   the hits between them take [hits]. *)
+let replay_runs cur ~write first last =
+  let b = ref first in
+  while !b <= last do
+    let e = run_end cur !b last in
+    let bank, row = locate cur !b in
+    burst cur ~bank ~row ~write;
+    incr b;
+    while !b <= e do
+      b := !b + hits cur bank ~write (e - !b + 1);
+      if !b <= e then begin
+        burst cur ~bank ~row ~write;
+        incr b
+      end
+    done
+  done
+
+let replay_bursts cur ~write first last =
+  for b = first to last do
+    let bank, row = locate cur b in
+    burst cur ~bank ~row ~write
+  done
+
+let replay step ~timing ~energy ~mapping records =
   let cur = create_cursor timing mapping in
   let burst_sz = Timing.burst_bytes timing in
-  let replay (r : Trace.record) =
+  let record (r : Trace.record) =
     if float_of_int (r.Trace.addr + r.Trace.bytes) > timing.Timing.capacity_bytes then
       invalid_arg "Controller.run: record beyond device capacity";
-    let first = r.Trace.addr / burst_sz in
-    let last = (r.Trace.addr + r.Trace.bytes - 1) / burst_sz in
-    for b = first to last do
-      let bank, row = locate cur b in
-      burst cur ~bank ~row ~write:(r.Trace.kind = Trace.Write)
-    done
+    step cur ~write:(r.Trace.kind = Trace.Write) (r.Trace.addr / burst_sz)
+      ((r.Trace.addr + r.Trace.bytes - 1) / burst_sz)
   in
-  List.iter replay records;
+  List.iter record records;
   let cycles = cur.last_data_end in
   let seconds = Timing.cycles_to_seconds timing cycles in
   let bytes = Trace.total_bytes records in
@@ -169,3 +224,11 @@ let run ?(timing = Timing.lpddr3_1600) ?(energy = default_energy)
     energy_j = dynamic +. background_j;
     background_j;
   }
+
+let run ?(timing = Timing.lpddr3_1600) ?(energy = default_energy)
+    ?(mapping = Row_interleaved) records =
+  replay replay_runs ~timing ~energy ~mapping records
+
+let run_reference ?(timing = Timing.lpddr3_1600) ?(energy = default_energy)
+    ?(mapping = Row_interleaved) records =
+  replay replay_bursts ~timing ~energy ~mapping records

@@ -1,6 +1,15 @@
-(** Memory controller: expands bulk trace records into bursts, drives the
-    per-bank state machines, arbitrates the shared data bus and schedules
-    refresh windows.
+(** Memory controller: replays bulk trace records against the per-bank
+    state machines, arbitrates the shared data bus and schedules refresh
+    windows.
+
+    Replay goes one row-buffer run at a time.  A run is a stretch of a
+    record's consecutive bursts in one (bank, row): the rest of the row, up
+    to [row_bytes / burst_bytes] bursts, under [Row_interleaved], and a
+    single burst under [Bank_interleaved].  The run's first burst takes the
+    full bank/bus/refresh step; the row hits after it share one issue
+    spacing and one data-bus stall, so they advance the cursor and every
+    counter in O(1), split only where a refresh falls due inside the run.  {!run_reference} keeps the
+    burst-by-burst loop as the oracle, and the two return equal {!stats}.
 
     The model is throughput-oriented: requests are replayed back-to-back
     (the queue is never empty), which matches how the compiler uses DRAM —
@@ -53,5 +62,15 @@ val run :
   ?mapping:address_mapping ->
   Trace.record list ->
   stats
-(** Replay a trace.  Raises [Invalid_argument] if a record exceeds the
-    device capacity. *)
+(** Replay a trace one row-buffer run at a time.  Raises
+    [Invalid_argument] if a record exceeds the device capacity. *)
+
+val run_reference :
+  ?timing:Timing.t ->
+  ?energy:energy_model ->
+  ?mapping:address_mapping ->
+  Trace.record list ->
+  stats
+(** The same replay one burst at a time: the reference {!run} is tested
+    against (equal [stats], floats bit-equal).  Its cost is linear in
+    bursts, so use {!run} everywhere else. *)

@@ -33,6 +33,11 @@ let make ?(tck_s = 1.25e-9) ?(burst_length = 8) ?(bus_width_bits = 32) ?(cl = 12
   positive "row_bytes" row_bytes;
   if bus_width_bits mod 8 <> 0 then invalid_arg "Timing.make: bus width must be bytes";
   if capacity_bytes <= 0. then invalid_arg "Timing.make: non-positive capacity";
+  (* The controller maps bursts to rows by [row_bytes / burst bytes]. *)
+  if row_bytes mod (bus_width_bits / 8 * burst_length) <> 0 then
+    invalid_arg "Timing.make: row size must be a multiple of the burst size";
+  (* Otherwise the device spends all its time refreshing. *)
+  if trfc >= trefi then invalid_arg "Timing.make: trfc must be below trefi";
   {
     tck_s;
     burst_length;

@@ -40,7 +40,9 @@ val make :
   ?capacity_bytes:float ->
   unit ->
   t
-(** Parameterized constructor with positivity checks. *)
+(** Parameterized constructor.  Raises [Invalid_argument] unless every
+    parameter is positive, the bus width is whole bytes, [row_bytes] is a
+    multiple of {!burst_bytes} and [trfc < trefi]. *)
 
 val burst_bytes : t -> int
 (** Bytes moved per burst ([bus_width/8 * burst_length] = 32). *)

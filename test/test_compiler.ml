@@ -205,6 +205,27 @@ let test_tiny_models_end_to_end () =
         (m.Compiler.sim.Compass_isa.Sim.makespan_s > 0.))
     [ "tiny_mlp"; "tiny_resnet"; "lenet5" ]
 
+let test_dram_replay_golden () =
+  (* The modeled DRAM result of a real plan's trace, pinned: a replay
+     change that moves any number fails here. *)
+  let plan =
+    Compiler.compile ~model:(Compass_nn.Models.resnet18 ()) ~chip:Config.chip_s
+      ~batch:16 Compiler.Optimal
+  in
+  let d = (Compiler.measure plan).Compiler.dram in
+  let open Compass_dram.Controller in
+  Alcotest.(check int) "cycles" 1003076 d.cycles;
+  Alcotest.(check int) "reads" 220115 d.reads;
+  Alcotest.(check int) "writes" 250 d.writes;
+  Alcotest.(check int) "row hits" 216889 d.row_hits;
+  Alcotest.(check int) "row misses" 3476 d.row_misses;
+  Alcotest.(check int) "activates" 3476 d.activates;
+  Alcotest.(check int) "refreshes" 321 d.refreshes;
+  Alcotest.(check int) "bus stall cycles" 4036 d.bus_stall_cycles;
+  Alcotest.(check int64) "energy bits"
+    (Int64.bits_of_float 0x1.176f6a3d82e4cp-9)
+    (Int64.bits_of_float d.energy_j)
+
 let () =
   Alcotest.run "compiler"
     [
@@ -224,6 +245,8 @@ let () =
           Alcotest.test_case "compass beats baselines" `Slow
             test_compass_beats_baselines_resnet;
           Alcotest.test_case "measure pipeline" `Quick test_measure_pipeline;
+          Alcotest.test_case "DRAM replay golden (resnet18-S-16 DP)" `Quick
+            test_dram_replay_golden;
           Alcotest.test_case "report tables" `Quick test_report_tables;
           Alcotest.test_case "speedup missing scheme" `Quick test_speedup_missing_scheme;
           Alcotest.test_case "tiny models end-to-end" `Quick test_tiny_models_end_to_end;

@@ -19,6 +19,27 @@ let test_timing_validation () =
     (try
        ignore (Timing.make ~banks:0 ());
        false
+     with Invalid_argument _ -> true);
+  (* [locate] divides by row_bytes / burst_bytes (32 B here). *)
+  Alcotest.(check bool) "row smaller than a burst" true
+    (try
+       ignore (Timing.make ~row_bytes:16 ());
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "row not a whole number of bursts" true
+    (try
+       ignore (Timing.make ~row_bytes:48 ());
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "refresh never finishes" true
+    (try
+       ignore (Timing.make ~trefi:50 ~trfc:100 ());
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "refresh fills the interval" true
+    (try
+       ignore (Timing.make ~trefi:100 ~trfc:100 ());
+       false
      with Invalid_argument _ -> true)
 
 (* Bank *)
@@ -248,6 +269,108 @@ let prop_hit_rate_bounded =
       let r = Controller.row_hit_rate stats in
       r >= 0. && r <= 1.)
 
+(* Run-at-a-time replay against the burst-by-burst oracle, on small and
+   refresh-heavy geometries so that runs, row changes, bus contention and
+   refresh deadlines all interleave. *)
+let stats_equal (a : Controller.stats) (b : Controller.stats) =
+  let f x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  a.Controller.cycles = b.Controller.cycles
+  && f a.Controller.seconds b.Controller.seconds
+  && f a.Controller.bytes b.Controller.bytes
+  && a.Controller.reads = b.Controller.reads
+  && a.Controller.writes = b.Controller.writes
+  && a.Controller.row_hits = b.Controller.row_hits
+  && a.Controller.row_misses = b.Controller.row_misses
+  && a.Controller.activates = b.Controller.activates
+  && a.Controller.refreshes = b.Controller.refreshes
+  && a.Controller.bus_stall_cycles = b.Controller.bus_stall_cycles
+  && f a.Controller.energy_j b.Controller.energy_j
+  && f a.Controller.background_j b.Controller.background_j
+
+type replay_case = {
+  timing : Timing.t;
+  mapping : Controller.address_mapping;
+  records : Trace.record list;
+}
+
+let gen_replay_case =
+  let open QCheck.Gen in
+  let* burst_length = oneofl [ 1; 2; 4; 8 ] in
+  let* bus_width_bits = oneofl [ 8; 16; 32 ] in
+  let burst = bus_width_bits / 8 * burst_length in
+  let* row_bursts = int_range 1 8 in
+  let* banks = int_range 1 8 in
+  let* cl = int_range 1 12 in
+  let* cwl = int_range 1 12 in
+  let* trcd = int_range 1 15 in
+  let* trp = int_range 1 15 in
+  let* tras = int_range 1 34 in
+  let* trefi = int_range 2 400 in
+  let* trfc = int_range 1 (trefi - 1) in
+  let timing =
+    Timing.make ~burst_length ~bus_width_bits ~cl ~cwl ~trcd ~trp ~tras ~trfc ~trefi
+      ~banks ~row_bytes:(row_bursts * burst) ()
+  in
+  let row_bytes = timing.Timing.row_bytes in
+  let* mapping = oneofl [ Controller.Row_interleaved; Controller.Bank_interleaved ] in
+  let record prev_end =
+    let* write = bool in
+    let* sequential = bool in
+    let* addr =
+      if sequential then return prev_end else int_range 0 (4 * banks * row_bytes)
+    in
+    let* bytes = int_range 1 ((3 * row_bytes) + burst) in
+    return
+      (if write then Trace.write ~addr ~bytes () else Trace.read ~addr ~bytes ())
+  in
+  let* n = int_range 0 12 in
+  let rec records n prev_end acc =
+    if n = 0 then return (List.rev acc)
+    else
+      let* r = record prev_end in
+      records (n - 1) (r.Trace.addr + r.Trace.bytes) (r :: acc)
+  in
+  let* records = records n 0 [] in
+  return { timing; mapping; records }
+
+let print_replay_case c =
+  let g = c.timing in
+  Printf.sprintf
+    "burst_length=%d bus=%d cl=%d cwl=%d trcd=%d trp=%d tras=%d trfc=%d trefi=%d \
+     banks=%d row_bytes=%d %s\n%s"
+    g.Timing.burst_length g.Timing.bus_width_bits g.Timing.cl g.Timing.cwl
+    g.Timing.trcd g.Timing.trp g.Timing.tras g.Timing.trfc g.Timing.trefi
+    g.Timing.banks g.Timing.row_bytes
+    (match c.mapping with
+    | Controller.Row_interleaved -> "row-interleaved"
+    | Controller.Bank_interleaved -> "bank-interleaved")
+    (Trace.to_lines c.records)
+
+let prop_run_matches_reference =
+  QCheck.Test.make ~name:"run = run_reference (floats bit-equal)" ~count:2000
+    (QCheck.make ~print:print_replay_case gen_replay_case)
+    (fun { timing; mapping; records } ->
+      stats_equal
+        (Controller.run ~timing ~mapping records)
+        (Controller.run_reference ~timing ~mapping records))
+
+let test_run_matches_reference_lpddr3 () =
+  (* The evaluation device on long streams: many refreshes inside runs. *)
+  let records =
+    [
+      Trace.read ~addr:0 ~bytes:(3 lsl 20) ();
+      Trace.write ~addr:(5 lsl 20) ~bytes:((1 lsl 20) + 17) ();
+      Trace.read ~addr:100 ~bytes:70000 ();
+    ]
+  in
+  List.iter
+    (fun mapping ->
+      Alcotest.(check bool) "equal stats" true
+        (stats_equal
+           (Controller.run ~mapping records)
+           (Controller.run_reference ~mapping records)))
+    [ Controller.Row_interleaved; Controller.Bank_interleaved ]
+
 let () =
   Alcotest.run "compass_dram"
     [
@@ -290,6 +413,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_latency_at_least_bandwidth_bound;
           QCheck_alcotest.to_alcotest prop_energy_monotone_in_bytes;
           QCheck_alcotest.to_alcotest prop_hit_rate_bounded;
+          Alcotest.test_case "run = reference on LPDDR3" `Quick
+            test_run_matches_reference_lpddr3;
+          QCheck_alcotest.to_alcotest prop_run_matches_reference;
         ] );
       ( "analytic",
         [
