@@ -271,38 +271,31 @@ let span_perf ?(options = default_options) ctx ~batch ~start_ ~stop =
 
 (* Weight-replacement wear: each placed tile is one macro programming per
    batch.  First-fit packing fills each core's macro slots from slot 0, so
-   slot [s] of core [c] is rewritten by every span using more than [s]
-   tiles on [c]; the busiest (core, slot) pair bounds device lifetime. *)
+   slot 0 of core [c] is rewritten by every span placing any tile on [c]
+   and every other slot by a subset of those spans: the busiest macro is
+   slot 0 of the core the most spans touch.  [Verify] re-derives the same
+   figure slot by slot. *)
 let endurance_of ~options chip ~batch spans =
-  let no_wear =
+  if not options.charge_writes then
     {
       macro_writes_per_batch = 0;
       writes_per_inference = 0.;
       max_writes_per_macro_per_inference = 0.;
       projected_lifetime_inferences = None;
     }
-  in
-  if not options.charge_writes then no_wear
   else begin
-    let ncores = chip.Config.cores in
-    let nominal = chip.Config.core.Config.macros_per_core in
-    let slot_writes = Array.make_matrix ncores (max 1 nominal) 0 in
+    let has_slots = chip.Config.core.Config.macros_per_core > 0 in
+    let spans_on_core = Array.make chip.Config.cores 0 in
     let total = ref 0 in
     List.iter
       (fun sp ->
         Array.iteri
           (fun c used ->
             total := !total + used;
-            for slot = 0 to min used nominal - 1 do
-              slot_writes.(c).(slot) <- slot_writes.(c).(slot) + 1
-            done)
+            if used > 0 && has_slots then spans_on_core.(c) <- spans_on_core.(c) + 1)
           sp.tiles_per_core)
       spans;
-    let worst =
-      Array.fold_left
-        (fun acc row -> Array.fold_left max acc row)
-        0 slot_writes
-    in
+    let worst = Array.fold_left max 0 spans_on_core in
     let fbatch = float_of_int batch in
     let max_per_inference = float_of_int worst /. fbatch in
     let budget = Option.bind options.faults Fault.endurance_budget in
@@ -408,28 +401,44 @@ module Span_cache = struct
       src.table
 end
 
-let span_perf_cached ?shared ~cache ctx ~start_ ~stop =
-  Option.iter
-    (fun s -> Span_cache.check_compatible ~what:"Estimator.span_perf_cached" cache s)
-    shared;
+(* One span through [shared] then [cache], counting the outcome in
+   [hits]/[misses].  Unchecked: callers check the [shared] brand once and
+   publish their counts once with [publish_lookups]. *)
+let lookup ?shared ~cache ~hits ~misses ctx ~start_ ~stop =
   let key = (start_, stop) in
   let hit =
-    match Option.bind shared (fun s -> Span_cache.find_opt s key) with
-    | Some sp -> Some sp
+    match shared with
+    | Some s -> (
+      match Span_cache.find_opt s key with
+      | Some _ as found -> found
+      | None -> Span_cache.find_opt cache key)
     | None -> Span_cache.find_opt cache key
   in
   match hit with
   | Some sp ->
-    Compass_util.Metrics.incr "estimator.span_cache.hits";
+    incr hits;
     sp
   | None ->
-    Compass_util.Metrics.incr "estimator.span_cache.misses";
+    incr misses;
     let sp =
       span_perf ~options:(Span_cache.options cache) ctx ~batch:(Span_cache.batch cache)
         ~start_ ~stop
     in
     Span_cache.add cache key sp;
     sp
+
+let publish_lookups ~hits ~misses =
+  if !hits > 0 then Compass_util.Metrics.incr ~by:!hits "estimator.span_cache.hits";
+  if !misses > 0 then Compass_util.Metrics.incr ~by:!misses "estimator.span_cache.misses"
+
+let span_perf_cached ?shared ~cache ctx ~start_ ~stop =
+  Option.iter
+    (fun s -> Span_cache.check_compatible ~what:"Estimator.span_perf_cached" cache s)
+    shared;
+  let hits = ref 0 and misses = ref 0 in
+  let sp = lookup ?shared ~cache ~hits ~misses ctx ~start_ ~stop in
+  publish_lookups ~hits ~misses;
+  sp
 
 let evaluate_cached ?shared ~cache ctx ~batch group =
   if batch < 1 then invalid_arg "Estimator.evaluate_cached: batch < 1";
@@ -442,13 +451,15 @@ let evaluate_cached ?shared ~cache ctx ~batch group =
     (fun s -> Span_cache.check_compatible ~what:"Estimator.evaluate_cached" cache s)
     shared;
   let options = Span_cache.options cache in
+  let hits = ref 0 and misses = ref 0 in
   let spans =
     List.map
       (fun (s : Partition.span) ->
-        span_perf_cached ?shared ~cache ctx ~start_:s.Partition.start_
+        lookup ?shared ~cache ~hits ~misses ctx ~start_:s.Partition.start_
           ~stop:s.Partition.stop)
       (Partition.spans group)
   in
+  publish_lookups ~hits ~misses;
   combine ~options ctx ~batch spans
 
 let pp_breakdown model ppf perf =

@@ -96,7 +96,9 @@ val default_options : model_options
 (** Wear accounting for the weight-replacement execution model: every
     placed tile is one macro programming per batch.  First-fit packing
     fills macro slots from 0, so the busiest (core, slot) pair bounds
-    device lifetime. *)
+    device lifetime.  That pair is slot 0 of the core the most spans place
+    tiles on, so the estimator computes it in closed form, in one pass over
+    the spans' [tiles_per_core]; [Verify] re-derives it slot by slot. *)
 type endurance = {
   macro_writes_per_batch : int;
       (** Macro programmings per batch, summed over spans and replicas. *)
@@ -124,6 +126,12 @@ val span_perf :
   ?options:model_options -> Dataflow.ctx -> batch:int -> start_:int -> stop:int -> span_perf
 (** Evaluate one candidate partition; results are cacheable by
     [(start_, stop, batch, options)]. *)
+
+val combine : ?options:model_options -> Dataflow.ctx -> batch:int -> span_perf list -> perf
+(** Assemble a group's [perf] from its partitions' [span_perf]s, in
+    order: the overlapped batch latency, the energy components and the
+    closed-form endurance.  {!evaluate} and {!evaluate_cached} end
+    here. *)
 
 val evaluate :
   ?options:model_options -> Dataflow.ctx -> batch:int -> Partition.t -> perf

@@ -36,17 +36,24 @@ let span_fitness objective (sp : Estimator.span_perf) =
 let group_fitness objective (perf : Estimator.perf) =
   List.fold_left (fun acc sp -> acc +. span_fitness objective sp) 0. perf.Estimator.spans
 
-let unit_fitness_profile objective (perf : Estimator.perf) ~total_units =
-  let m = Array.make total_units 0. in
-  List.iter
-    (fun (sp : Estimator.span_perf) ->
-      let len = sp.Estimator.stop - sp.Estimator.start_ in
-      let per_unit = span_fitness objective sp /. float_of_int len in
-      for i = sp.Estimator.start_ to sp.Estimator.stop - 1 do
-        m.(i) <- per_unit
-      done)
-    perf.Estimator.spans;
-  m
+let population_profile objective perfs ~total_units =
+  let profile = Array.make (total_units + 1) 0. in
+  let npop = float_of_int (Array.length perfs) in
+  Array.iter
+    (fun (perf : Estimator.perf) ->
+      List.iter
+        (fun (sp : Estimator.span_perf) ->
+          let len = sp.Estimator.stop - sp.Estimator.start_ in
+          let share = span_fitness objective sp /. float_of_int len /. npop in
+          for i = sp.Estimator.start_ + 1 to sp.Estimator.stop do
+            profile.(i) <- profile.(i) +. share
+          done)
+        perf.Estimator.spans)
+    perfs;
+  for i = 0 to total_units - 1 do
+    profile.(i + 1) <- profile.(i) +. profile.(i + 1)
+  done;
+  profile
 
 let partition_scores ~population_profile objective (perf : Estimator.perf) =
   let expected a b = population_profile.(b) -. population_profile.(a) in

@@ -27,9 +27,15 @@ val span_fitness : objective -> Estimator.span_perf -> float
 val group_fitness : objective -> Estimator.perf -> float
 (** PGF: the sum of [span_fitness] over the group's partitions. *)
 
-val unit_fitness_profile : objective -> Estimator.perf -> total_units:int -> float array
-(** The m(x) vector of Sec. III-C2: each unit inherits its partition's
-    fitness divided by the partition's unit count. *)
+val population_profile :
+  objective -> Estimator.perf array -> total_units:int -> float array
+(** The prefix-summed population mean of the m(x) vector of Sec. III-C2,
+    where each unit inherits its partition's fitness divided by the
+    partition's unit count.  Cell [i] is the sum of that mean over units
+    [0 .. i-1], so the result has length [total_units + 1] and is the
+    [population_profile] that {!partition_scores} reads.  Each unit's
+    mean is accumulated one individual at a time, in array order, with
+    no per-individual array. *)
 
 val partition_scores : population_profile:float array -> objective -> Estimator.perf -> float array
 (** R for every partition of an individual:

@@ -341,17 +341,11 @@ let optimize ?(params = default_params) ?(objective = Fitness.Latency)
        by_fitness !population;
        let pop = !population in
        let selected = Array.sub pop 0 (min params.n_sel (Array.length pop)) in
-       (* Population-mean unit-fitness profile (prefix summed) for scores. *)
-       let profile = Array.make (total_units + 1) 0. in
-       let npop = float_of_int (Array.length pop) in
-       Array.iter
-         (fun ind ->
-           let m = Fitness.unit_fitness_profile objective ind.perf ~total_units in
-           Array.iteri (fun i v -> profile.(i + 1) <- profile.(i + 1) +. (v /. npop)) m)
-         pop;
-       for i = 0 to total_units - 1 do
-         profile.(i + 1) <- profile.(i) +. profile.(i + 1)
-       done;
+       let profile =
+         Fitness.population_profile objective
+           (Array.map (fun ind -> ind.perf) pop)
+           ~total_units
+       in
        let propose_mutation crng parent =
          let scores =
            Fitness.partition_scores ~population_profile:profile objective parent.perf

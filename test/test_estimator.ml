@@ -317,22 +317,170 @@ let test_unit_profile_covers_units () =
   let units, v, ctx = setup "resnet18" Config.chip_s in
   let p = eval ctx v `Greedy in
   let m = Unit_gen.unit_count units in
-  let profile = Fitness.unit_fitness_profile Fitness.Latency p ~total_units:m in
-  Alcotest.(check int) "length" m (Array.length profile);
-  Array.iter (fun x -> Alcotest.(check bool) "positive" true (x > 0.)) profile
+  let profile = Fitness.population_profile Fitness.Latency [| p |] ~total_units:m in
+  Alcotest.(check int) "length" (m + 1) (Array.length profile);
+  Alcotest.(check (float 0.)) "starts at zero" 0. profile.(0);
+  (* Every unit carries a positive share, so the prefix sum rises strictly. *)
+  for i = 0 to m - 1 do
+    Alcotest.(check bool) "positive" true (profile.(i + 1) > profile.(i))
+  done
 
 let test_partition_scores_positive () =
   let units, v, ctx = setup "resnet18" Config.chip_s in
   let p = eval ctx v `Greedy in
   let m = Unit_gen.unit_count units in
-  let profile = Fitness.unit_fitness_profile Fitness.Latency p ~total_units:m in
-  let prefix = Array.make (m + 1) 0. in
-  Array.iteri (fun i x -> prefix.(i + 1) <- prefix.(i) +. x) profile;
+  let prefix = Fitness.population_profile Fitness.Latency [| p |] ~total_units:m in
   let scores = Fitness.partition_scores ~population_profile:prefix Fitness.Latency p in
   Alcotest.(check int) "one per partition" (List.length p.Estimator.spans)
     (Array.length scores);
   (* With the population = this single individual, every score is 1. *)
   Array.iter (fun r -> Alcotest.(check (float 1e-9)) "self score 1" 1. r) scores
+
+(* The profile as it was built before [Fitness.population_profile]: one
+   m(x) array per individual, each added into the population mean, then
+   prefix summed. *)
+let reference_profile objective perfs ~total_units =
+  let profile = Array.make (total_units + 1) 0. in
+  let npop = float_of_int (Array.length perfs) in
+  Array.iter
+    (fun (perf : Estimator.perf) ->
+      let m = Array.make total_units 0. in
+      List.iter
+        (fun (sp : Estimator.span_perf) ->
+          let len = sp.Estimator.stop - sp.Estimator.start_ in
+          let per_unit = Fitness.span_fitness objective sp /. float_of_int len in
+          for i = sp.Estimator.start_ to sp.Estimator.stop - 1 do
+            m.(i) <- per_unit
+          done)
+        perf.Estimator.spans;
+      Array.iteri (fun i v -> profile.(i + 1) <- profile.(i + 1) +. (v /. npop)) m)
+    perfs;
+  for i = 0 to total_units - 1 do
+    profile.(i + 1) <- profile.(i) +. profile.(i + 1)
+  done;
+  profile
+
+let prop_population_profile_bit_equal =
+  let units, v, ctx = setup "resnet18" Config.chip_s in
+  let m = Unit_gen.unit_count units in
+  QCheck.Test.make ~name:"population profile bit-equal to per-individual sum" ~count:10
+    QCheck.(pair small_int (int_range 1 24))
+    (fun (seed, npop) ->
+      let rng = Compass_util.Rng.create seed in
+      let perfs =
+        Array.init npop (fun _ ->
+            Estimator.evaluate ctx ~batch:16 (Validity.random_group rng v))
+      in
+      List.for_all
+        (fun objective ->
+          let bits a = Array.map Int64.bits_of_float a in
+          bits (Fitness.population_profile objective perfs ~total_units:m)
+          = bits (reference_profile objective perfs ~total_units:m))
+        [ Fitness.Latency; Fitness.Energy; Fitness.Edp; Fitness.Wear ])
+
+(* Endurance *)
+
+(* The slot-by-slot wear walk the closed form replaced: first-fit fills a
+   core's macro slots from 0, so slot [s] of core [c] is rewritten by every
+   span placing more than [s] tiles on [c]. *)
+let reference_endurance ~(options : Estimator.model_options) (chip : Config.chip) ~batch
+    (spans : Estimator.span_perf list) =
+  if not options.Estimator.charge_writes then
+    {
+      Estimator.macro_writes_per_batch = 0;
+      writes_per_inference = 0.;
+      max_writes_per_macro_per_inference = 0.;
+      projected_lifetime_inferences = None;
+    }
+  else begin
+    let nominal = chip.Config.core.Config.macros_per_core in
+    let slot_writes = Array.make_matrix chip.Config.cores (max 1 nominal) 0 in
+    let total = ref 0 in
+    List.iter
+      (fun (sp : Estimator.span_perf) ->
+        Array.iteri
+          (fun c used ->
+            total := !total + used;
+            for slot = 0 to min used nominal - 1 do
+              slot_writes.(c).(slot) <- slot_writes.(c).(slot) + 1
+            done)
+          sp.Estimator.tiles_per_core)
+      spans;
+    let worst = Array.fold_left (fun acc row -> Array.fold_left max acc row) 0 slot_writes in
+    let fbatch = float_of_int batch in
+    let max_per_inference = float_of_int worst /. fbatch in
+    {
+      Estimator.macro_writes_per_batch = !total;
+      writes_per_inference = float_of_int !total /. fbatch;
+      max_writes_per_macro_per_inference = max_per_inference;
+      projected_lifetime_inferences =
+        (match Option.bind options.Estimator.faults Fault.endurance_budget with
+        | Some b when max_per_inference > 0. -> Some (b /. max_per_inference)
+        | _ -> None);
+    }
+  end
+
+let same_endurance (a : Estimator.endurance) (b : Estimator.endurance) =
+  let bits = Int64.bits_of_float in
+  a.Estimator.macro_writes_per_batch = b.Estimator.macro_writes_per_batch
+  && bits a.Estimator.writes_per_inference = bits b.Estimator.writes_per_inference
+  && bits a.Estimator.max_writes_per_macro_per_inference
+     = bits b.Estimator.max_writes_per_macro_per_inference
+  && Option.map bits a.Estimator.projected_lifetime_inferences
+     = Option.map bits b.Estimator.projected_lifetime_inferences
+
+(* Placements of 1-20 spans on a chip of 1-16 cores with 1-36 macros each:
+   a core may be untouched by a span, or hold more tiles than its nominal
+   macro count, as fault-degraded placements do. *)
+let wear_case =
+  let open QCheck.Gen in
+  let gen =
+    int_range 1 16 >>= fun cores ->
+    int_range 1 36 >>= fun macros ->
+    let tiles = frequency [ (2, return 0); (3, int_range 1 macros); (1, int_range macros (3 * macros)) ] in
+    list_size (int_range 1 20) (array_size (return cores) tiles) >>= fun placements ->
+    int_range 1 64 >>= fun batch ->
+    bool >>= fun charge_writes ->
+    opt (float_range 1. 1e9) >>= fun budget ->
+    return (cores, macros, placements, batch, charge_writes, budget)
+  in
+  let print (cores, macros, placements, batch, charge_writes, budget) =
+    Printf.sprintf "cores %d, macros %d, batch %d, charge %b, budget %s, tiles %s" cores
+      macros batch charge_writes
+      (match budget with None -> "none" | Some b -> Printf.sprintf "%h" b)
+      (String.concat " | "
+         (List.map
+            (fun a -> String.concat "," (Array.to_list (Array.map string_of_int a)))
+            placements))
+  in
+  QCheck.make ~print gen
+
+let prop_endurance_closed_form =
+  let units, v, ctx = setup "lenet5" Config.chip_s in
+  let template = List.hd (eval ctx v `Greedy).Estimator.spans in
+  QCheck.Test.make ~name:"closed-form endurance equals the slot walk" ~count:300 wear_case
+    (fun (cores, macros, placements, batch, charge_writes, budget) ->
+      let chip =
+        {
+          Config.chip_s with
+          Config.cores;
+          core = { Config.chip_s.Config.core with Config.macros_per_core = macros };
+        }
+      in
+      let ctx = Dataflow.context ~span_table:false { units with Unit_gen.chip } in
+      let faults =
+        Option.map
+          (fun endurance_budget ->
+            Fault.make ~endurance_budget (Array.make cores Fault.Healthy))
+          budget
+      in
+      let options = { Estimator.default_options with Estimator.charge_writes; faults } in
+      let spans =
+        List.map (fun tiles -> { template with Estimator.tiles_per_core = tiles }) placements
+      in
+      let perf = Estimator.combine ~options ctx ~batch spans in
+      same_endurance perf.Estimator.endurance
+        (reference_endurance ~options chip ~batch spans))
 
 (* Property: estimated latency monotone under merge (fewer write phases
    never hurt when IO is free... not universally true), so instead check
@@ -389,5 +537,7 @@ let () =
           Alcotest.test_case "PGF sums spans" `Quick test_group_fitness_is_sum;
           Alcotest.test_case "unit profile covers" `Quick test_unit_profile_covers_units;
           Alcotest.test_case "partition scores" `Quick test_partition_scores_positive;
+          QCheck_alcotest.to_alcotest prop_population_profile_bit_equal;
         ] );
+      ("endurance", [ QCheck_alcotest.to_alcotest prop_endurance_closed_form ]);
     ]

@@ -269,6 +269,115 @@ let test_ga_evaluation_count () =
   let minimum = params.Ga.population + (params.Ga.generations * params.Ga.n_mut) in
   Alcotest.(check bool) "evaluations counted" true (r.Ga.evaluations >= minimum)
 
+(* Trajectory pins: vgg16 on chip S at batch 1 (the longest unit profile
+   in the benchmark sweep), [Ga.default_params] with seed 1 and one job,
+   under every objective.  Any change to the estimator, the fitness
+   extraction or the search that is meant to be exact must leave the
+   per-generation best fitness, the plan bytes and the search counters
+   exactly as they are here. *)
+
+type trajectory_pin = {
+  objective : Fitness.objective;
+  plan_digest : string;  (** MD5 of [Plan_text.to_string], hex. *)
+  evaluations : int;
+  cache_spans : int;
+  best_fitness : string list;  (** Per generation, [%h]. *)
+}
+
+let trajectory_pins =
+  [
+    {
+      objective = Fitness.Latency;
+      plan_digest = "0c85360fcf53ad593712715efc12f603";
+      evaluations = 1780;
+      cache_spans = 12822;
+      best_fitness =
+        [
+        "0x1.4efae2f1e846cp-6"; "0x1.4b306522119fp-6"; "0x1.4b306522119fp-6";
+        "0x1.47623e26e9e4cp-6"; "0x1.47623dc882d9ap-6"; "0x1.47623dc882d9ap-6";
+        "0x1.468b7de3cbeadp-6"; "0x1.468b7de3cbeadp-6"; "0x1.468b7de3cbeadp-6";
+        "0x1.468b7de3cbeadp-6"; "0x1.4397c1638d3f6p-6"; "0x1.4397c1638d3f6p-6";
+        "0x1.4397c1638d3f6p-6"; "0x1.4397c1638d3f6p-6"; "0x1.4397c1638d3f6p-6";
+        "0x1.4397c1638d3f6p-6"; "0x1.4397c1638d3f6p-6"; "0x1.4397c1638d3f6p-6";
+        "0x1.4397c1638d3f6p-6"; "0x1.4397c1638d3f6p-6"; "0x1.4397c1638d3f6p-6";
+        ];
+    };
+    {
+      objective = Fitness.Energy;
+      plan_digest = "1abb5c95a6fe7c730f74feab24e776ec";
+      evaluations = 2500;
+      cache_spans = 13997;
+      best_fitness =
+        [
+        "0x1.6de4c0e46e2dfp-6"; "0x1.6de4c0e46e2dep-6"; "0x1.6de4c0e46e2dep-6";
+        "0x1.6de4938f54fd1p-6"; "0x1.6de49389966cep-6"; "0x1.6de49389966cep-6";
+        "0x1.6de49389966cep-6"; "0x1.6de49389966cep-6"; "0x1.6de49389966cep-6";
+        "0x1.6de49389966cep-6"; "0x1.6de49383200adp-6"; "0x1.6de49383200adp-6";
+        "0x1.6de49383200acp-6"; "0x1.6de49383200acp-6"; "0x1.6de49383200acp-6";
+        "0x1.6de45fbc38855p-6"; "0x1.6de45fbc38855p-6"; "0x1.6de429fabbb65p-6";
+        "0x1.6de429fabbb65p-6"; "0x1.6de4212eeef5cp-6"; "0x1.6de4212eeef5cp-6";
+        "0x1.6de3eb4ea8da4p-6"; "0x1.6de3b56e62beap-6"; "0x1.6de3b56e62be9p-6";
+        "0x1.6de3aca295fep-6"; "0x1.6de3aca295fep-6"; "0x1.6de3aca295fdfp-6";
+        "0x1.6de3aca295fdfp-6"; "0x1.6de3aca295fdfp-6"; "0x1.6de3aca295fdfp-6";
+        ];
+    };
+    {
+      objective = Fitness.Edp;
+      plan_digest = "c1cfea4e3a7204233f1b7ca3b3c6b09f";
+      evaluations = 2500;
+      cache_spans = 14294;
+      best_fitness =
+        [
+        "0x1.bf22a6d5a2a63p-18"; "0x1.ab348dee4c31ap-18"; "0x1.a373b7a0bd439p-18";
+        "0x1.a138aa5021a77p-18"; "0x1.9b537219543p-18"; "0x1.9780ef22409f4p-18";
+        "0x1.945d55c504b76p-18"; "0x1.90742997d639ap-18"; "0x1.8facd0e2394ebp-18";
+        "0x1.89828f1ad3c65p-18"; "0x1.89828f1ad3c65p-18"; "0x1.89828e16646b1p-18";
+        "0x1.8978bfc68362dp-18"; "0x1.8972dbeaab11p-18"; "0x1.89690e0f7c695p-18";
+        "0x1.89596335716dfp-18"; "0x1.89595adf53b3fp-18"; "0x1.89537de077604p-18";
+        "0x1.89537de077604p-18"; "0x1.8943d3066c64fp-18"; "0x1.8943d3066c64fp-18";
+        "0x1.8934282c61699p-18"; "0x1.8934282c61699p-18"; "0x1.89330e2819f19p-18";
+        "0x1.8932fc156d357p-18"; "0x1.893187b90d48fp-18"; "0x1.893187b90d48fp-18";
+        "0x1.893187b90d48fp-18"; "0x1.8928e8ec19b0ep-18"; "0x1.8928b5ab39f84p-18";
+        ];
+    };
+    {
+      objective = Fitness.Wear;
+      plan_digest = "4fa2cde7185665fbfc598970f971c782";
+      evaluations = 1380;
+      cache_spans = 11741;
+      best_fitness =
+        [
+        "0x1.ec44a2383a9d4p-3"; "0x1.ebcb52be2703p-3"; "0x1.eb518ddec20bcp-3";
+        "0x1.eb518ddec20bcp-3"; "0x1.eb518ddec20bcp-3"; "0x1.ead83db79c327p-3";
+        "0x1.ead83db79c327p-3"; "0x1.ead83db79c326p-3"; "0x1.ead83db79c326p-3";
+        "0x1.ead83db79c326p-3"; "0x1.ead83db79c326p-3"; "0x1.ead83db79c326p-3";
+        "0x1.ead83db79c326p-3"; "0x1.ead83db79c326p-3"; "0x1.ead83db79c326p-3";
+        "0x1.ead83db79c326p-3";
+        ];
+    };
+  ]
+
+let test_ga_trajectory_pins () =
+  let model = Compass_nn.Models.by_name "vgg16" in
+  let ga_params = { Ga.default_params with Ga.seed = 1; jobs = 1 } in
+  List.iter
+    (fun pin ->
+      let name = Fitness.objective_to_string pin.objective in
+      let plan =
+        Compiler.compile ~objective:pin.objective ~ga_params ~jobs:1 ~model
+          ~chip:Config.chip_s ~batch:1 Compiler.Compass
+      in
+      let r = Option.get plan.Compiler.ga in
+      Alcotest.(check (list string))
+        (name ^ ": best fitness per generation")
+        pin.best_fitness
+        (List.map (fun g -> Printf.sprintf "%h" g.Ga.best_fitness) r.Ga.history);
+      Alcotest.(check string) (name ^ ": plan digest") pin.plan_digest
+        (Digest.to_hex (Digest.string (Plan_text.to_string plan)));
+      Alcotest.(check int) (name ^ ": evaluations") pin.evaluations r.Ga.evaluations;
+      Alcotest.(check int) (name ^ ": cache spans") pin.cache_spans r.Ga.cache_spans)
+    trajectory_pins
+
 (* COMPASS vs baselines: the headline comparison (Fig. 6 direction). *)
 
 let test_compass_not_worse_than_greedy () =
@@ -321,6 +430,7 @@ let () =
           Alcotest.test_case "bad scheme params" `Quick test_ga_bad_scheme_params;
           Alcotest.test_case "history sane" `Quick test_ga_history_partitions_positive;
           Alcotest.test_case "evaluation count" `Quick test_ga_evaluation_count;
+          Alcotest.test_case "trajectory pins" `Quick test_ga_trajectory_pins;
           Alcotest.test_case "compass >= greedy" `Slow test_compass_not_worse_than_greedy;
           QCheck_alcotest.to_alcotest prop_ga_valid_across_seeds;
         ] );
