@@ -1165,7 +1165,9 @@ let infer () =
   (* vgg16's naive forward pass takes ~1.5 min; keep the default run
      CI-affordable and include it only on request. *)
   let full = Sys.getenv_opt "COMPASS_BENCH_INFER_FULL" <> None in
-  let names = if full then [ "squeezenet"; "resnet18"; "vgg16" ] else [ "squeezenet"; "resnet18" ] in
+  let names =
+    [ "squeezenet"; "resnet18"; "mobilenet_v1" ] @ if full then [ "vgg16" ] else []
+  in
   let table =
     Table.create
       ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right; Table.Left ]
@@ -1184,7 +1186,7 @@ let infer () =
            that a single run is stable. *)
         let gemm_s, gemm_out = median_time 3 (forward Compass_nn.Executor.Gemm) in
         let speedup = naive_s /. gemm_s in
-        let same = Compass_nn.Tensor.equal ~eps:0. naive_out gemm_out in
+        let same = Compass_nn.Tensor.same_bits naive_out gemm_out in
         Table.add_row table
           [
             name;
@@ -1237,7 +1239,7 @@ let infer () =
                 -> Partition_exec.run ~engine:Compass_nn.Executor.Gemm p.Compiler.ctx
                      p.Compiler.group weights input)
         in
-        let same = Compass_nn.Tensor.equal ~eps:0. reference replay.Partition_exec.output in
+        let same = Compass_nn.Tensor.same_bits reference replay.Partition_exec.output in
         Printf.printf
           "partitioned replay (resnet18-%s, %d partitions, gemm): %s, bit-identical %s\n"
           chip_label replay.Partition_exec.partitions_executed

@@ -776,7 +776,7 @@ let infer_cmd =
       let first engine = Compass_nn.Executor.output ~engine model weights inputs.(0) in
       let reference = first Compass_nn.Executor.Naive in
       let fast = first Compass_nn.Executor.Gemm in
-      if Compass_nn.Tensor.equal ~eps:0. reference fast then
+      if Compass_nn.Tensor.same_bits reference fast then
         print_endline "check: gemm output is bit-identical to the naive reference"
       else
         bug "gemm and naive engines disagree (max diff %g)"

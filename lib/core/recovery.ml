@@ -358,7 +358,7 @@ let run ?(policy = default_policy) ?(seed = 0) ?faults ~weights ~input plan0 =
   let output =
     Compass_util.Trace.with_span "recovery.execute" (fun () -> execute heal)
   in
-  let bit_identical = Tensor.equal ~eps:0. reference output in
+  let bit_identical = Tensor.same_bits reference output in
   let outcome =
     if !degraded_layers > 0 then Degraded_output
     else if !detections > 0 then Healed

@@ -70,7 +70,7 @@ type report = {
   output : Compass_nn.Tensor.t;
   reference : Compass_nn.Tensor.t;  (** Fault-free run of the same path. *)
   outcome : outcome;
-  bit_identical : bool;  (** [output = reference] exactly (eps 0). *)
+  bit_identical : bool;  (** [Tensor.same_bits output reference]. *)
   checks : int;  (** Per-unit ABFT verifications executed. *)
   detections : int;
   retries : int;

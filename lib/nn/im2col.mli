@@ -5,22 +5,24 @@
     The contract that makes this usable under COMPASS's bit-for-bit
     equivalence proofs: every output element is produced by {e exactly
     the same sequence of float operations} as the naive reference
-    kernels in [Tensor].  Patch rows are laid out in the naive
-    accumulation order (group-local input channel, then kernel row,
-    then kernel column, with zero-padding positions stored as literal
-    [0.]), the inner dot product walks that order sequentially with the
-    same operand order ([patch *. weight] for convolutions,
-    [weight *. input] for linear layers), and blocking is applied only
-    across output channels and output pixels — never across the
-    reduction dimension.  The speedup comes from hoisted bounds checks
-    ([Array.blit]/[Array.fill] packing, [unsafe_get] inner loops),
-    cache-resident patch tiles, and four independent accumulation
-    chains per weight-row pass.
+    kernels in [Tensor].  Each group's patches are packed into panels of
+    4 output pixels interleaved per reduction index
+    ([buf.(panel*4k + 4i + lane)]), the index running in the naive
+    accumulation order (group-local input channel, kernel row, kernel
+    column), with padding positions and the lanes past the last pixel
+    stored as literal [0.].  A 4-pixel x 2-output-channel micro-kernel
+    (4x1 for an odd last channel) keeps 8 independent accumulator
+    chains, each the sequential sum [0. +. x0*w0 +. x1*w1 ...] with the
+    naive operand order ([patch *. weight]; [weight *. input] for linear
+    layers), and stores only the real lanes of the last panel.  Blocking
+    never crosses the reduction dimension.  The one case outside the
+    source's control: a product of two NaNs with different payloads
+    keeps whichever the compiler's instruction choice picks.
 
     When [Metrics] is enabled the engine records [infer.gemm_ns]
     (nanoseconds inside GEMM inner loops) and [infer.im2col_bytes]
-    (bytes of patch matrix packed); disabled, instrumentation costs a
-    single atomic load per call. *)
+    (bytes of panels packed, the last panel's zero lanes included);
+    disabled, instrumentation costs a single atomic load per call. *)
 
 type scratch
 (** A reusable patch buffer.  Not thread-safe: use one scratch per
@@ -41,8 +43,10 @@ val conv :
   width:int ->
   float array * int * int
 (** [conv c ~weights ~input ~height ~width] lowers the grouped /
-    strided / padded convolution to per-group im2col + GEMM and returns
-    [(output, out_height, out_width)] in the naive kernel's CHW layout.
+    strided / padded convolution to per-group panel packing + the 4x2
+    micro-kernel (one path for every group shape, depthwise included)
+    and returns [(output, out_height, out_width)] in the naive kernel's
+    CHW layout.
     [input] is one sample, channel-major; [weights] is
     [out_c * (in_c/groups) * kh * kw].  Bit-identical to
     [Tensor.conv2d].  Raises [Invalid_argument] on size mismatches. *)

@@ -46,6 +46,12 @@ let max_abs_diff a b =
 
 let equal ?(eps = 1e-9) a b = a.shape = b.shape && max_abs_diff a b <= eps
 
+let same_bits a b =
+  a.shape = b.shape
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a.data b.data
+
 let out_dim ~size ~kernel ~stride ~padding = ((size + (2 * padding) - kernel) / stride) + 1
 
 let conv2d (conv : Layer.conv) ~weights input =
@@ -134,34 +140,39 @@ let linear_gemm ~in_features ~out_features ~weights input =
     data = Im2col.linear ~weights ~input:input.data ~in_features ~out_features;
   }
 
-let pool ~reduce ~init ~finish ~kernel ~stride ~padding input =
+(* One window walk for both pools, as a monomorphic float loop (no
+   closure call or polymorphic compare per element).  Padding reads as
+   [0.]; the max keeps [Stdlib.max]'s exact semantics,
+   [if a >= b then a else b], NaN and signed zeros included. *)
+let pool ~is_max ~kernel ~stride ~padding input =
   let channels, height, width = dims input in
   let oh = out_dim ~size:height ~kernel ~stride ~padding in
   let ow = out_dim ~size:width ~kernel ~stride ~padding in
+  let n = float_of_int (kernel * kernel) in
   let out = Array.make (channels * oh * ow) 0. in
   for c = 0 to channels - 1 do
     for y = 0 to oh - 1 do
       for x = 0 to ow - 1 do
-        let acc = ref init in
+        let acc = ref (if is_max then neg_infinity else 0.) in
         for ky = 0 to kernel - 1 do
           for kx = 0 to kernel - 1 do
             let h = (y * stride) + ky - padding in
             let w = (x * stride) + kx - padding in
-            acc := reduce !acc (at_padded input ~height ~width ~c ~h ~w)
+            let v =
+              if h < 0 || h >= height || w < 0 || w >= width then 0.
+              else Array.unsafe_get input.data ((c * height * width) + (h * width) + w)
+            in
+            acc := if not is_max then !acc +. v else if !acc >= v then !acc else v
           done
         done;
-        out.((c * oh * ow) + (y * ow) + x) <- finish !acc
+        out.((c * oh * ow) + (y * ow) + x) <- (if is_max then !acc else !acc /. n)
       done
     done
   done;
   { shape = Shape.feature_map ~channels ~height:oh ~width:ow; data = out }
 
-let max_pool ~kernel ~stride ~padding input =
-  pool ~reduce:max ~init:neg_infinity ~finish:(fun x -> x) ~kernel ~stride ~padding input
-
-let avg_pool ~kernel ~stride ~padding input =
-  let n = float_of_int (kernel * kernel) in
-  pool ~reduce:( +. ) ~init:0. ~finish:(fun x -> x /. n) ~kernel ~stride ~padding input
+let max_pool = pool ~is_max:true
+let avg_pool = pool ~is_max:false
 
 let global_avg_pool input =
   let channels, height, width = dims input in
@@ -178,11 +189,21 @@ let global_avg_pool input =
   done;
   { shape = Shape.vector channels; data = out }
 
-let relu t = { t with data = Array.map (fun x -> max 0. x) t.data }
+let relu t =
+  let data = Array.create_float (Array.length t.data) in
+  for i = 0 to Array.length data - 1 do
+    let x = Array.unsafe_get t.data i in
+    Array.unsafe_set data i (if 0. >= x then 0. else x)
+  done;
+  { t with data }
 
 let add a b =
   if a.shape <> b.shape then invalid_arg "Tensor.add: shape mismatch";
-  { a with data = Array.mapi (fun i x -> x +. b.data.(i)) a.data }
+  let data = Array.create_float (Array.length a.data) in
+  for i = 0 to Array.length data - 1 do
+    Array.unsafe_set data i (Array.unsafe_get a.data i +. Array.unsafe_get b.data i)
+  done;
+  { a with data }
 
 let concat = function
   | [] -> invalid_arg "Tensor.concat: empty"

@@ -41,7 +41,12 @@ val get_chw : t -> c:int -> h:int -> w:int -> float
     range. *)
 
 val equal : ?eps:float -> t -> t -> bool
-(** Element-wise comparison within [eps] (default 1e-9). *)
+(** Element-wise comparison within [eps] (default 1e-9); even at
+    [~eps:0.] it equates [-0.] and [0.]. *)
+
+val same_bits : t -> t -> bool
+(** Same shape and the same IEEE-754 bit pattern in every element: [-0.]
+    differs from [0.], and a NaN matches only a NaN of equal payload. *)
 
 val max_abs_diff : t -> t -> float
 (** Largest element-wise difference; raises [Invalid_argument] on shape

@@ -308,7 +308,7 @@ let test_executor_supervised_chaos () =
       Alcotest.(check bool)
         (Printf.sprintf "sample %d bit-identical" i)
         true
-        (Compass_nn.Tensor.equal ~eps:0. clean.(i) t))
+        (Compass_nn.Tensor.same_bits clean.(i) t))
     recovered
 
 let () =

@@ -8,7 +8,7 @@ open Compass_nn
 let rng_floats rng n = Array.init n (fun _ -> Compass_util.Rng.float rng 2. -. 1.)
 
 let bit_identical what a b =
-  Alcotest.(check bool) what true (Tensor.equal ~eps:0. a b)
+  Alcotest.(check bool) what true (Tensor.same_bits a b)
 
 (* A random grouped/strided/padded, possibly asymmetric convolution
    case: (conv record, input tensor, weights). *)
@@ -47,7 +47,7 @@ let prop_conv_gemm_bit_identical =
       let conv, input, weights = random_conv_case rng in
       let reference = Tensor.conv2d conv ~weights input in
       let fast = Tensor.conv2d_gemm conv ~weights input in
-      Tensor.equal ~eps:0. reference fast)
+      Tensor.same_bits reference fast)
 
 let prop_conv_gemm_scratch_reuse =
   (* A shared scratch across differently-sized convolutions never leaks
@@ -61,7 +61,7 @@ let prop_conv_gemm_scratch_reuse =
           let conv, input, weights = random_conv_case rng in
           let reference = Tensor.conv2d conv ~weights input in
           let fast = Tensor.conv2d_gemm ~scratch conv ~weights input in
-          Tensor.equal ~eps:0. reference fast)
+          Tensor.same_bits reference fast)
         [ (); (); () ])
 
 let prop_linear_gemm_bit_identical =
@@ -76,11 +76,139 @@ let prop_linear_gemm_bit_identical =
       let weights = rng_floats rng (in_features * out_features) in
       let reference = Tensor.linear ~in_features ~out_features ~weights input in
       let fast = Tensor.linear_gemm ~in_features ~out_features ~weights input in
-      Tensor.equal ~eps:0. reference fast)
+      Tensor.same_bits reference fast)
+
+(* IEEE special values in both operands: NaNs, infinities and signed
+   zeros must come out of the panel kernel bit for bit as from the naive
+   one.  One NaN payload only: which of two different NaNs a product
+   returns is up to the instruction the compiler picks, not the source
+   order (see Im2col).  Each case forces a shape family (grouped,
+   depthwise, 1x1 stride-1, odd group_out) and the residue of the output
+   pixel count mod 4, so the partial last panel is always exercised. *)
+let special_floats rng n =
+  let specials = [| -0.; 0.; infinity; neg_infinity; nan |] in
+  Array.init n (fun _ ->
+      if Compass_util.Rng.int rng 3 = 0 then
+        specials.(Compass_util.Rng.int rng (Array.length specials))
+      else Compass_util.Rng.float rng 2. -. 1.)
+
+let prop_conv_special_values =
+  QCheck.Test.make ~name:"conv2d_gemm bit-identical on special values" ~count:300
+    QCheck.small_int (fun seed ->
+      let family = seed mod 4 and residue = 1 + (seed / 4 mod 3) in
+      let rng = Compass_util.Rng.create seed in
+      let pick lo hi = lo + Compass_util.Rng.int rng (hi - lo + 1) in
+      let groups, group_in, group_out, kernel, stride =
+        match family with
+        | 0 -> (pick 1 3, pick 1 4, pick 1 4, pick 1 3, pick 1 2)
+        | 1 -> (pick 1 6, 1, 1, pick 2 3, pick 1 2)
+        | 2 -> (1, pick 1 6, pick 1 6, 1, 1)
+        | _ -> (pick 1 2, pick 1 3, 1 + (2 * pick 0 2), pick 1 3, pick 1 2)
+      in
+      let padding = if kernel = 1 then 0 else pick 0 ((kernel - 1) / 2) in
+      (* An odd [ow] is its own inverse mod 4, so p = oh * ow = residue. *)
+      let ow = 1 + (2 * pick 0 2) in
+      let oh = (4 * pick 0 1) + (residue * ow mod 4) in
+      let extent o = ((o - 1) * stride) + kernel - (2 * padding) in
+      let in_channels = groups * group_in and out_channels = groups * group_out in
+      let conv =
+        match
+          Layer.conv_rect ~stride ~padding ~groups ~in_channels ~out_channels
+            ~kernel_h:kernel ~kernel_w:kernel ()
+        with
+        | Layer.Conv c -> c
+        | _ -> assert false
+      in
+      let input =
+        Tensor.of_array
+          (Shape.feature_map ~channels:in_channels ~height:(extent oh) ~width:(extent ow))
+          (special_floats rng (in_channels * extent oh * extent ow))
+      in
+      let weights = special_floats rng (out_channels * group_in * kernel * kernel) in
+      let fast = Tensor.conv2d_gemm conv ~weights input in
+      Tensor.size fast mod 4 = out_channels * residue mod 4
+      && Tensor.same_bits (Tensor.conv2d conv ~weights input) fast)
+
+(* Test-local oracles for the element-wise operators both engines share
+   (so no engine comparison can catch a change in their semantics):
+   polymorphic [Stdlib.max], zero padding, the pre-optimisation window
+   walk. *)
+let oracle_relu t = Tensor.create (Tensor.shape t) (fun i -> max 0. (Tensor.get t i))
+
+let oracle_pool ~reduce ~init ~finish ~kernel ~stride ~padding t =
+  match Tensor.shape t with
+  | Shape.Vector _ -> invalid_arg "oracle_pool"
+  | Shape.Feature_map { channels; height; width } ->
+    let out n = ((n + (2 * padding) - kernel) / stride) + 1 in
+    let oh = out height and ow = out width in
+    Tensor.create (Shape.feature_map ~channels ~height:oh ~width:ow) (fun i ->
+        let c = i / (oh * ow) and y = i / ow mod oh and x = i mod ow in
+        let acc = ref init in
+        for ky = 0 to kernel - 1 do
+          for kx = 0 to kernel - 1 do
+            let h = (y * stride) + ky - padding and w = (x * stride) + kx - padding in
+            let v =
+              if h < 0 || h >= height || w < 0 || w >= width then 0.
+              else Tensor.get_chw t ~c ~h ~w
+            in
+            acc := reduce !acc v
+          done
+        done;
+        finish !acc)
+
+let prop_pool_relu_oracle =
+  QCheck.Test.make ~name:"relu/max_pool/avg_pool match the Stdlib.max oracle" ~count:200
+    QCheck.small_int (fun seed ->
+      let rng = Compass_util.Rng.create seed in
+      let pick lo hi = lo + Compass_util.Rng.int rng (hi - lo + 1) in
+      let kernel = pick 1 3 and stride = pick 1 2 in
+      let padding = pick 0 (kernel - 1) in
+      let channels = pick 1 3 and height = kernel + pick 0 5 and width = kernel + pick 0 5 in
+      (* Every third case is all-negative, so whole windows are negative
+         and the padding's 0. (or a -0.) wins them. *)
+      let negative = seed mod 3 = 0 in
+      let t =
+        Tensor.of_array
+          (Shape.feature_map ~channels ~height ~width)
+          (Array.map
+             (fun x -> if negative && not (Float.is_nan x) then -.Float.abs x else x)
+             (special_floats rng (channels * height * width)))
+      in
+      let n = float_of_int (kernel * kernel) in
+      Tensor.same_bits (oracle_relu t) (Tensor.relu t)
+      && Tensor.same_bits
+           (oracle_pool ~reduce:max ~init:neg_infinity ~finish:Fun.id ~kernel ~stride
+              ~padding t)
+           (Tensor.max_pool ~kernel ~stride ~padding t)
+      && Tensor.same_bits
+           (oracle_pool ~reduce:( +. ) ~init:0. ~finish:(fun x -> x /. n) ~kernel ~stride
+              ~padding t)
+           (Tensor.avg_pool ~kernel ~stride ~padding t))
+
+let test_max_pool_edge_cases () =
+  (* Hand-picked windows: NaN first and last in a window, -0. against the
+     padding's 0., an all-negative window that touches the padding. *)
+  let t =
+    Tensor.of_array
+      (Shape.feature_map ~channels:1 ~height:2 ~width:3)
+      [| nan; -0.; -3.; -1.; -2.; nan |]
+  in
+  List.iter
+    (fun (kernel, stride, padding) ->
+      bit_identical
+        (Printf.sprintf "max_pool k%d s%d p%d" kernel stride padding)
+        (oracle_pool ~reduce:max ~init:neg_infinity ~finish:Fun.id ~kernel ~stride
+           ~padding t)
+        (Tensor.max_pool ~kernel ~stride ~padding t))
+    [ (1, 1, 0); (2, 1, 0); (2, 1, 1); (3, 2, 1); (2, 2, 1) ];
+  bit_identical "relu" (oracle_relu t) (Tensor.relu t);
+  let scalar x = Tensor.of_array (Shape.vector 1) [| x |] in
+  Alcotest.(check bool) "same_bits tells -0. from 0." false
+    (Tensor.same_bits (scalar (-0.)) (scalar 0.))
 
 let test_asymmetric_kernels () =
-  (* 1x5 and 5x1 kernels (and friends) exercise the packer's kernel-row
-     runs in both orientations. *)
+  (* 1x5 and 5x1 kernels (and friends) exercise the packer's padding
+     bounds in both orientations. *)
   List.iter
     (fun (kernel_h, kernel_w, stride, padding) ->
       let conv =
@@ -280,6 +408,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_conv_gemm_bit_identical;
           QCheck_alcotest.to_alcotest prop_conv_gemm_scratch_reuse;
           QCheck_alcotest.to_alcotest prop_linear_gemm_bit_identical;
+          QCheck_alcotest.to_alcotest prop_conv_special_values;
+          QCheck_alcotest.to_alcotest prop_pool_relu_oracle;
+          Alcotest.test_case "max_pool edge cases" `Quick test_max_pool_edge_cases;
           Alcotest.test_case "asymmetric kernels" `Quick test_asymmetric_kernels;
           Alcotest.test_case "engines agree on models" `Quick
             test_engines_agree_on_models;
