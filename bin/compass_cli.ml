@@ -181,21 +181,16 @@ let retarget ~tech chip =
 
 (* Misuse (unknown names, bad fault specs, malformed artifact files,
    infeasible fault scenarios, ...) surfaces as Invalid_argument /
-   Load_error / Parse_error / Sys_error from the library: a one-line
-   diagnostic, exit 2.  Injected chaos (--failpoints / COMPASS_FAILPOINTS)
-   counts as an environment failure, not a bug: Failpoint.Injected and
-   simulated syscall errors also exit 2, as does a supervised pool task
-   that exhausted its retries on one of those.  [input] is the file a
-   subcommand reads, named in its parse errors.  Anything else (None) is a
-   compass bug. *)
-let rec diagnosis ?input = function
+   Located.Error / Sys_error from the library: a one-line diagnostic,
+   exit 2.  Every text grammar raises Located.Error, naming its source
+   (file, flag or environment variable), line and column.  Injected chaos
+   (--failpoints / COMPASS_FAILPOINTS) counts as an environment failure,
+   not a bug: Failpoint.Injected and simulated syscall errors also exit
+   2, as does a supervised pool task that exhausted its retries on one of
+   those.  Anything else (None) is a compass bug. *)
+let rec diagnosis = function
   | Invalid_argument msg | Sys_error msg -> Some msg
-  | Plan_text.Load_error msg -> (
-    match input with Some file -> Some (file ^ ": " ^ msg) | None -> Some msg)
-  | Compass_nn.Model_text.Parse_error (line, msg) -> (
-    match input with
-    | Some file -> Some (Printf.sprintf "%s:%d: %s" file line msg)
-    | None -> Some (Printf.sprintf "line %d: %s" line msg))
+  | Compass_util.Located.Error e -> Some (Compass_util.Located.render e)
   | Compass_util.Failpoint.Injected site ->
     Some (Printf.sprintf "injected failpoint %s fired" site)
   | Unix.Unix_error (e, fn, arg) ->
@@ -206,7 +201,7 @@ let rec diagnosis ?input = function
   | Compass_util.Pool.Task_error { index; attempts; error; _ } ->
     Option.map
       (Printf.sprintf "task %d failed after %d attempt(s): %s" index attempts)
-      (diagnosis ?input error)
+      (diagnosis error)
   | _ -> None
 
 (* Output paths are validated before any compilation work starts, so a
@@ -246,12 +241,16 @@ let bug fmt =
    the trace and metrics.  Returns [body]'s result so a caller can exit
    on it after the trace is written.  COMPASS_INTERNAL_FAULT=1 injects a
    synthetic internal failure so the exit-3 path itself is testable. *)
-let with_harness ?(harness = no_harness) ?input ?(outputs = []) body =
+let with_harness ?(harness = no_harness) ?(outputs = []) body =
   try
     (match Sys.getenv_opt "COMPASS_INTERNAL_FAULT" with
     | Some "1" -> failwith "synthetic internal fault (COMPASS_INTERNAL_FAULT=1)"
     | Some _ | None -> ());
-    Option.iter Compass_util.Failpoint.set harness.failpoints;
+    Option.iter
+      (fun spec ->
+        Compass_util.Located.in_file "--failpoints" (fun () ->
+            Compass_util.Failpoint.set spec))
+      harness.failpoints;
     List.iter
       (fun (flag, path) -> Option.iter (ensure_writable ~flag) path)
       (outputs @ [ ("--trace", harness.trace) ]);
@@ -275,7 +274,7 @@ let with_harness ?(harness = no_harness) ?input ?(outputs = []) body =
     end;
     result
   with e -> (
-    match diagnosis ?input e with
+    match diagnosis e with
     | Some msg ->
       Printf.eprintf "compass: %s\n" msg;
       exit 2
@@ -292,7 +291,7 @@ let supervision_of ?watchdog retries =
 let load_checkpoint_salvaging path =
   match Plan_text.load_checkpoint path with
   | ck -> ck
-  | exception Plan_text.Load_error msg -> (
+  | exception (Compass_util.Located.Error _ as strict) -> (
     match Plan_text.salvage_checkpoint path with
     | s ->
       Printf.printf "salvaged torn checkpoint %s: resuming from generation %d%s\n%!"
@@ -301,16 +300,16 @@ let load_checkpoint_salvaging path =
            Printf.sprintf " (%d torn history record(s) dropped)" s.Plan_text.dropped_records
          else "");
       s.Plan_text.recovered
-    | exception Plan_text.Load_error _ ->
-      raise (Plan_text.Load_error (Printf.sprintf "%s: %s" path msg)))
+    | exception Compass_util.Located.Error _ -> raise strict)
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* The realized scenario is printed before any work that depends on it. *)
 let realize_faults spec ~seed chip =
   let f =
-    Compass_arch.Fault.of_string spec ~seed ~cores:chip.Compass_arch.Config.cores
-      ~macros_per_core:chip.Compass_arch.Config.core.Compass_arch.Config.macros_per_core
+    Compass_util.Located.in_file "--faults" (fun () ->
+        Compass_arch.Fault.of_string spec ~seed ~cores:chip.Compass_arch.Config.cores
+          ~macros_per_core:chip.Compass_arch.Config.core.Compass_arch.Config.macros_per_core)
   in
   if Compass_arch.Fault.is_trivial f then None
   else begin
@@ -506,7 +505,7 @@ let plan_cmd =
     Arg.(value & flag & info [ "layers" ] ~doc:"Also print the per-layer table.")
   in
   let run file layers =
-    with_harness ~input:file @@ fun () ->
+    with_harness @@ fun () ->
     let plan = Plan_text.load file in
     Format.printf "%a" Compiler.pp_plan plan;
     if layers then Compass_util.Table.print (Report.plan_layer_table plan)
@@ -519,7 +518,7 @@ let plan_cmd =
 let verify_cmd =
   let run file harness =
     let violations =
-      with_harness ~harness ~input:file @@ fun () ->
+      with_harness ~harness @@ fun () ->
       let violations = Verify.check (Plan_text.load file) in
       print_endline (Verify.render violations);
       violations
@@ -610,7 +609,7 @@ let model_cmd =
       & info [ "dot" ] ~docv:"PATH" ~doc:"Also write a Graphviz rendering.")
   in
   let run file dot =
-    with_harness ~input:file ~outputs:[ ("--dot", dot) ] @@ fun () ->
+    with_harness ~outputs:[ ("--dot", dot) ] @@ fun () ->
     let g = Compass_nn.Model_text.parse_file file in
     Format.printf "%a" Compass_nn.Graph.pp_summary g;
     Compass_util.Table.print (Compass_nn.Summary.table2 [ g ]);
@@ -1130,10 +1129,10 @@ let doctor_cmd =
     check "salvage rejects hopeless input" (fun () ->
         (match Plan_text.salvage_of_string "not a checkpoint at all" with
         | _ -> failwith "garbage salvaged"
-        | exception Plan_text.Load_error _ -> ());
+        | exception Compass_util.Located.Error _ -> ());
         match Plan_text.salvage_of_string "compass-ga-checkpoint 1\nobjective lat" with
         | _ -> failwith "checkpoint with no population salvaged"
-        | exception Plan_text.Load_error _ -> ());
+        | exception Compass_util.Located.Error _ -> ());
     if !failures = 0 then
       Printf.printf "doctor: all %d checks passed\n" !checks
     else begin

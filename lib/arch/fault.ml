@@ -114,74 +114,80 @@ let empty_spec =
     spec_drift = None;
   }
 
-let fail_spec fmt = Printf.ksprintf (fun msg -> invalid_arg ("Fault.parse: " ^ msg)) fmt
+module Located = Compass_util.Located
 
-let parse_int what s =
-  match int_of_string_opt (String.trim s) with
-  | Some n when n >= 0 -> n
-  | _ -> fail_spec "bad %s %S (expected a non-negative integer)" what s
+(* Syntax errors are located at the offending token's line and column
+   (a newline separates clauses like ';'); the caller names the spec's
+   source. *)
+let parse_int what tok =
+  Located.int ~valid:(fun n -> n >= 0)
+    (Printf.sprintf "bad %s %S (expected a non-negative integer)" what)
+    (Located.trim tok)
 
-let parse_assign what s =
-  match String.split_on_char '=' s with
+let parse_assign what (tok : Located.token) =
+  match Located.split '=' tok with
   | [ k; v ] -> (parse_int what k, parse_int what v)
-  | _ -> fail_spec "bad %s %S (expected core=value)" what s
+  | _ -> Located.at tok "bad %s %S (expected core=value)" what tok.text
 
 let parse spec =
-  let spec = String.trim spec in
-  if spec = "" || String.lowercase_ascii spec = "none" then empty_spec
+  if String.lowercase_ascii (String.trim spec) = "none" then empty_spec
   else
     List.fold_left
-      (fun acc clause ->
-        let clause = String.trim clause in
-        if clause = "" then acc
-        else
-          match String.index_opt clause ':' with
-          | None -> fail_spec "clause %S has no ':'" clause
-          | Some i ->
-            let key = String.lowercase_ascii (String.trim (String.sub clause 0 i)) in
-            let value = String.sub clause (i + 1) (String.length clause - i - 1) in
-            let items () =
-              List.filter
-                (fun s -> String.trim s <> "")
-                (String.split_on_char ',' value)
+      (fun acc (clause : Located.token) ->
+        match Located.cut ':' clause with
+        | None -> Located.at clause "clause %S has no ':'" clause.text
+        | Some (key, value) ->
+          let key = Located.trim key in
+          let items = Located.words ~sep:',' value in
+          match String.lowercase_ascii key.text with
+          | "dead" ->
+            { acc with spec_dead = acc.spec_dead @ List.map (parse_int "core") items }
+          | "degraded" ->
+            let pairs =
+              List.map
+                (fun item ->
+                  let ((_, k) as pair) = parse_assign "degradation" item in
+                  if k < 1 then Located.at item "degraded capacity must be >= 1 (use dead:)";
+                  pair)
+                items
             in
-            (match key with
-            | "dead" ->
-              { acc with spec_dead = acc.spec_dead @ List.map (parse_int "core") (items ()) }
-            | "degraded" ->
-              let pairs = List.map (parse_assign "degradation") (items ()) in
-              List.iter
-                (fun (_, k) ->
-                  if k < 1 then fail_spec "degraded capacity must be >= 1 (use dead:)")
-                pairs;
-              { acc with spec_degraded = acc.spec_degraded @ pairs }
-            | "random" ->
-              List.fold_left
-                (fun acc item ->
-                  match String.split_on_char '=' item with
-                  | [ kind; n ] -> (
-                    let n = parse_int "count" n in
-                    match String.lowercase_ascii (String.trim kind) with
-                    | "dead" -> { acc with spec_random_dead = acc.spec_random_dead + n }
-                    | "degraded" ->
-                      { acc with spec_random_degraded = acc.spec_random_degraded + n }
-                    | other -> fail_spec "unknown random kind %S" other)
-                  | _ -> fail_spec "bad random item %S (expected dead=N or degraded=N)" item)
-                acc (items ())
-            | "endurance" -> (
-              match float_of_string_opt (String.trim value) with
-              | Some b when b > 0. -> { acc with spec_endurance = Some b }
-              | _ -> fail_spec "bad endurance %S (expected a positive number)" value)
-            | "transient" ->
-              { acc with spec_transient = acc.spec_transient + parse_int "transient count" value }
-            | "flip" -> { acc with spec_flip = acc.spec_flip + parse_int "flip count" value }
-            | "drift" -> (
-              match float_of_string_opt (String.trim value) with
-              | Some d when d > 0. && d <= 1. -> { acc with spec_drift = Some d }
-              | _ -> fail_spec "bad drift %S (expected a rate in (0, 1])" value)
-            | other -> fail_spec "unknown clause %S" other))
+            { acc with spec_degraded = acc.spec_degraded @ pairs }
+          | "random" ->
+            List.fold_left
+              (fun acc (item : Located.token) ->
+                match Located.split '=' item with
+                | [ kind; n ] -> (
+                  let n = parse_int "count" n in
+                  let kind = Located.trim kind in
+                  match String.lowercase_ascii kind.text with
+                  | "dead" -> { acc with spec_random_dead = acc.spec_random_dead + n }
+                  | "degraded" ->
+                    { acc with spec_random_degraded = acc.spec_random_degraded + n }
+                  | other -> Located.at kind "unknown random kind %S" other)
+                | _ ->
+                  Located.at item "bad random item %S (expected dead=N or degraded=N)"
+                    item.text)
+              acc items
+          | "endurance" ->
+            let b =
+              Located.float ~valid:(fun b -> b > 0.)
+                (Printf.sprintf "bad endurance %S (expected a positive number)")
+                (Located.trim value)
+            in
+            { acc with spec_endurance = Some b }
+          | "transient" ->
+            { acc with spec_transient = acc.spec_transient + parse_int "transient count" value }
+          | "flip" -> { acc with spec_flip = acc.spec_flip + parse_int "flip count" value }
+          | "drift" ->
+            let d =
+              Located.float ~valid:(fun d -> d > 0. && d <= 1.)
+                (Printf.sprintf "bad drift %S (expected a rate in (0, 1])")
+                (Located.trim value)
+            in
+            { acc with spec_drift = Some d }
+          | other -> Located.at key "unknown clause %S" other)
       empty_spec
-      (String.split_on_char ';' spec)
+      (List.concat_map (Located.words ~sep:';') (Located.lines spec))
 
 let spec_to_string s =
   let clauses = ref [] in

@@ -92,7 +92,9 @@ val is_trivial : t -> bool
 
 type spec
 
-(** @raise Invalid_argument with a descriptive message on bad syntax. *)
+(** @raise Compass_util.Located.Error
+      on bad syntax, at line 1 and the offending token's column of the
+      spec; the error names no source, which the caller stamps on. *)
 val parse : string -> spec
 
 val empty_spec : spec

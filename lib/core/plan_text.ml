@@ -1,9 +1,6 @@
-exception Load_error of string
+module Located = Compass_util.Located
 
-let fail fmt = Printf.ksprintf (fun msg -> raise (Load_error msg)) fmt
-
-let fail_at line fmt =
-  Printf.ksprintf (fun msg -> raise (Load_error (Printf.sprintf "line %d: %s" line msg))) fmt
+exception Load_error = Located.Error
 
 let float_token = Compass_util.Artifact.float_token
 
@@ -41,103 +38,108 @@ let save path plan =
   Compass_util.Failpoint.guard "plan_text.save";
   Compass_util.Artifact.write_atomic path (to_string plan)
 
+(* A "key value" line: the key and the trimmed, located value; [None]
+   for a line without a space. *)
+let field l =
+  Option.map (fun ((k : Located.token), v) -> (k.text, Located.trim v)) (Located.cut ' ' l)
+
+let nonblank lines = List.filter (fun (l : Located.token) -> String.trim l.text <> "") lines
+
+(* A "cuts" value: a non-empty list of integers forming a partition. *)
+let parse_cuts (v : Located.token) =
+  let bad _ = Printf.sprintf "bad cuts %S" v.text in
+  match Located.words v with
+  | [] -> Located.at v "%s" (bad ())
+  | words -> (
+    let cuts = Array.of_list (List.map (Located.int bad) words) in
+    try Partition.of_cuts cuts
+    with Invalid_argument msg -> Located.at v "invalid cuts: %s" msg)
+
 let of_string text =
   (* Header lines until an optional model-text marker; every field keeps
-     its 1-based source line for diagnostics. *)
-  let lines = String.split_on_char '\n' text in
-  let fields : (string, int * string) Hashtbl.t = Hashtbl.create 8 in
-  let rec scan lineno = function
+     its located value for diagnostics. *)
+  let fields : (string, Located.token) Hashtbl.t = Hashtbl.create 8 in
+  let rec scan = function
     | [] -> None
-    | line :: rest -> (
-      match String.index_opt line ' ' with
-      | _ when String.trim line = "" -> scan (lineno + 1) rest
-      | _ when String.trim line = "model-text" -> Some (lineno + 1, String.concat "\n" rest)
-      | Some i ->
-        Hashtbl.replace fields (String.sub line 0 i)
-          (lineno, String.sub line (i + 1) (String.length line - i - 1));
-        scan (lineno + 1) rest
-      | None -> fail_at lineno "malformed line %S (expected \"key value\")" line)
+    | (l : Located.token) :: rest -> (
+      if String.trim l.text = "" then scan rest
+      else if String.trim l.text = "model-text" then Some (l.line, rest)
+      else
+        match field l with
+        | Some (key, v) ->
+          Hashtbl.replace fields key v;
+          scan rest
+        | None -> Located.at l "malformed line %S (expected \"key value\")" l.text)
   in
-  let inline_model = scan 1 lines in
+  let inline_model = scan (Located.lines text) in
   let get key =
     match Hashtbl.find_opt fields key with
-    | Some (line, v) -> (line, String.trim v)
-    | None -> fail "missing field %s" key
+    | Some v -> v
+    | None -> Located.fail "missing field %s" key
   in
   (match Hashtbl.find_opt fields "compass-plan" with
-  | None -> fail "not a compass-plan file (missing \"compass-plan 1\" header)"
-  | Some (line, v) when String.trim v <> "1" ->
-    fail_at line "unsupported compass-plan version %S (this build reads version 1)"
-      (String.trim v)
+  | None -> Located.fail "not a compass-plan file (missing \"compass-plan 1\" header)"
+  | Some v when v.text <> "1" ->
+    Located.at v "unsupported compass-plan version %S (this build reads version 1)" v.text
   | Some _ -> ());
-  let _, model_name = get "model" in
+  let model_name = get "model" in
   let model =
     match inline_model with
-    | Some (first_line, text) -> (
-      try Compass_nn.Model_text.parse text
-      with Compass_nn.Model_text.Parse_error (line, msg) ->
-        fail_at (first_line + line - 1) "inline model (its line %d): %s" line msg)
+    | Some (marker, rest) ->
+      (* The marker reads as the model's blank first line, so the model's
+         line numbers are the plan's offset by the marker's, and a
+         whole-model complaint lands on the marker. *)
+      Located.shift ~line:marker ~col:1 (fun () ->
+          Compass_nn.Model_text.parse
+            (String.concat "\n" ("" :: List.map (fun (l : Located.token) -> l.text) rest)))
     | None -> (
-      try Compass_nn.Models.by_name model_name
-      with Not_found ->
-        let line, _ = get "model" in
-        fail_at line "unknown zoo model %s" model_name)
+      try Compass_nn.Models.by_name model_name.text
+      with Not_found -> Located.at model_name "unknown zoo model %s" model_name.text)
   in
   let chip =
-    let line, label = get "chip" in
-    try Compass_arch.Config.by_label label
-    with Not_found -> fail_at line "unknown chip %s" label
+    let v = get "chip" in
+    try Compass_arch.Config.by_label v.text
+    with Not_found -> Located.at v "unknown chip %s" v.text
   in
   let batch =
-    let line, v = get "batch" in
-    match int_of_string_opt v with
-    | Some b when b >= 1 -> b
-    | _ -> fail_at line "bad batch %S" v
+    Located.int ~valid:(fun b -> b >= 1) (Printf.sprintf "bad batch %S") (get "batch")
   in
   let objective =
-    let line, v = get "objective" in
-    try Fitness.objective_of_string v
-    with Invalid_argument _ -> fail_at line "bad objective %S" v
+    let v = get "objective" in
+    try Fitness.objective_of_string v.text
+    with Invalid_argument _ -> Located.at v "bad objective %S" v.text
   in
   let scheme =
-    let line, v = get "scheme" in
-    try Compiler.scheme_of_string v
-    with Invalid_argument _ -> fail_at line "bad scheme %S" v
+    let v = get "scheme" in
+    try Compiler.scheme_of_string v.text
+    with Invalid_argument _ -> Located.at v "bad scheme %S" v.text
   in
-  let cuts_line, cuts =
-    let line, v = get "cuts" in
-    let words = String.split_on_char ' ' v |> List.filter (fun w -> w <> "") in
-    match List.map int_of_string_opt words with
-    | ints when List.for_all Option.is_some ints && ints <> [] ->
-      (line, Array.of_list (List.map Option.get ints))
-    | _ -> fail_at line "bad cuts %S" v
-  in
+  let cuts = get "cuts" in
+  let group = parse_cuts cuts in
   let faults =
-    match Hashtbl.find_opt fields "faults" with
-    | None -> None
-    | Some (line, spec) -> (
-      try
+    Option.bind (Hashtbl.find_opt fields "faults") (fun v ->
         let f =
-          Compass_arch.Fault.of_string (String.trim spec) ~seed:0 ~cores:chip.Compass_arch.Config.cores
-            ~macros_per_core:chip.Compass_arch.Config.core.Compass_arch.Config.macros_per_core
+          (* Spec syntax errors land on their own column of the spec; the
+             realization's semantic complaints concern the whole value. *)
+          try
+            Located.shift ~line:v.line ~col:v.col (fun () ->
+                Compass_arch.Fault.of_string v.text ~seed:0
+                  ~cores:chip.Compass_arch.Config.cores
+                  ~macros_per_core:chip.Compass_arch.Config.core.Compass_arch.Config.macros_per_core)
+          with Invalid_argument msg -> Located.at v "bad faults %S: %s" v.text msg
         in
-        if Compass_arch.Fault.is_trivial f then None else Some f
-      with Invalid_argument msg -> fail_at line "bad faults %S: %s" (String.trim spec) msg)
+        if Compass_arch.Fault.is_trivial f then None else Some f)
   in
   let units = Unit_gen.generate model chip in
-  let group =
-    try Partition.of_cuts cuts
-    with Invalid_argument msg -> fail_at cuts_line "invalid cuts: %s" msg
-  in
   if Partition.total_units group <> Unit_gen.unit_count units then
-    fail_at cuts_line "cuts cover %d units but the decomposition has %d (different hardware?)"
+    Located.at cuts "cuts cover %d units but the decomposition has %d (different hardware?)"
       (Partition.total_units group) (Unit_gen.unit_count units);
   let validity =
     try Validity.build ?faults units
-    with Invalid_argument msg -> fail "fault scenario rejects the model: %s" msg
+    with Invalid_argument msg -> Located.fail "fault scenario rejects the model: %s" msg
   in
   if not (Validity.group_valid validity group) then
-    fail_at cuts_line "stored partitioning is not valid for chip %s%s"
+    Located.at cuts "stored partitioning is not valid for chip %s%s"
       chip.Compass_arch.Config.label
       (if faults = None then "" else " under the stored fault scenario");
   let ctx = Dataflow.context units in
@@ -160,7 +162,8 @@ let of_string text =
     budget_exhausted = false;
   }
 
-let load path = of_string (Compass_util.Artifact.read_file path)
+let load path =
+  Located.in_file path (fun () -> of_string (Compass_util.Artifact.read_file path))
 
 (* {1 GA checkpoints}
 
@@ -170,12 +173,13 @@ let load path = of_string (Compass_util.Artifact.read_file path)
    and keeps truncation diagnostics precise: the first missing line names
    exactly what the file lost. *)
 
-let scheme_of_name line = function
+let scheme_of_name (tok : Located.token) =
+  match tok.text with
   | "merge" -> Ga.Merge
   | "split" -> Ga.Split
   | "move" -> Ga.Move
   | "fixed_random" -> Ga.Fixed_random
-  | other -> fail_at line "unknown mutation scheme %S" other
+  | other -> Located.at tok "unknown mutation scheme %S" other
 
 let cuts_token group =
   String.concat " " (List.map string_of_int (Array.to_list (Partition.cuts group)))
@@ -187,20 +191,30 @@ let pairs_token = function
     String.concat ","
       (List.map (fun (f, p) -> Printf.sprintf "%s:%d" (float_token f) p) pairs)
 
-let parse_pairs line = function
-  | "-" -> []
-  | s ->
+let parse_pairs (tok : Located.token) =
+  if tok.text = "-" then []
+  else
     List.map
-      (fun tok ->
-        match String.rindex_opt tok ':' with
-        | None -> fail_at line "bad fitness:partitions pair %S" tok
-        | Some i -> (
-          let f = String.sub tok 0 i in
-          let p = String.sub tok (i + 1) (String.length tok - i - 1) in
-          match (float_of_string_opt f, int_of_string_opt p) with
-          | Some f, Some p -> (f, p)
-          | _ -> fail_at line "bad fitness:partitions pair %S" tok))
-      (String.split_on_char ',' s)
+      (fun (pair : Located.token) ->
+        let bad _ = Printf.sprintf "bad fitness:partitions pair %S" pair.text in
+        match Located.cut ':' pair with
+        | None -> Located.at pair "%s" (bad ())
+        | Some (f, p) ->
+          let f = Located.float bad f in
+          (f, Located.int bad p))
+      (Located.split ',' tok)
+
+(* The value of a "record" line: generation, best fitness, selected and
+   mutated pairs. *)
+let parse_record (v : Located.token) =
+  match Located.words v with
+  | [ gen; best; sel; mut ] ->
+    let bad _ = Printf.sprintf "bad record %S" v.text in
+    let generation = Located.int bad gen in
+    let best_fitness = Located.float bad best in
+    let selected = parse_pairs sel in
+    { Ga.generation; best_fitness; selected; mutated = parse_pairs mut }
+  | _ -> Located.at v "bad record %S (expected gen best selected mutated)" v.text
 
 let checkpoint_to_string (ck : Ga.checkpoint) =
   let buf = Buffer.create 1024 in
@@ -236,119 +250,88 @@ let checkpoint_to_string (ck : Ga.checkpoint) =
   Buffer.contents buf
 
 let checkpoint_of_string text =
-  (* Non-empty lines with their 1-based positions, consumed in order. *)
-  let lines =
-    List.filteri
-      (fun _ (_, l) -> String.trim l <> "")
-      (List.mapi (fun i l -> (i + 1, l)) (String.split_on_char '\n' text))
-  in
-  let cursor = ref lines in
+  (* Non-empty lines, consumed in order. *)
+  let cursor = ref (nonblank (Located.lines text)) in
   let next key =
     match !cursor with
-    | [] -> fail "truncated checkpoint: missing field %s" key
-    | (line, l) :: rest -> (
+    | [] -> Located.fail "truncated checkpoint: missing field %s" key
+    | l :: rest -> (
       cursor := rest;
-      match String.index_opt l ' ' with
-      | Some i when String.sub l 0 i = key ->
-        (line, String.trim (String.sub l (i + 1) (String.length l - i - 1)))
-      | _ -> fail_at line "expected field %s, found %S" key l)
+      match field l with
+      | Some (k, v) when k = key -> v
+      | _ -> Located.at l "expected field %s, found %S" key l.text)
   in
   let int_field key =
-    let line, v = next key in
-    match int_of_string_opt v with
-    | Some n -> (line, n)
-    | None -> fail_at line "bad %s %S (expected an integer)" key v
+    Located.int (Printf.sprintf "bad %s %S (expected an integer)" key) (next key)
+  in
+  (* Counts size the lists that follow them. *)
+  let count_field key =
+    Located.int ~valid:(fun n -> n >= 0)
+      (Printf.sprintf "bad %s %S (expected a count)" key)
+      (next key)
   in
   let float_field key =
-    let line, v = next key in
-    match float_of_string_opt v with
-    | Some f -> (line, f)
-    | None -> fail_at line "bad %s %S (expected a float)" key v
-  in
-  let cuts_field () =
-    let line, v = next "cuts" in
-    let words = String.split_on_char ' ' v |> List.filter (fun w -> w <> "") in
-    match List.map int_of_string_opt words with
-    | ints when List.for_all Option.is_some ints && ints <> [] -> (
-      let cuts = Array.of_list (List.map Option.get ints) in
-      try Partition.of_cuts cuts
-      with Invalid_argument msg -> fail_at line "invalid cuts: %s" msg)
-    | _ -> fail_at line "bad cuts %S" v
+    Located.float (Printf.sprintf "bad %s %S (expected a float)" key) (next key)
   in
   (match !cursor with
-  | [] -> fail "not a compass-ga-checkpoint file (empty)"
-  | (line, l) :: _ -> (
-    match String.index_opt l ' ' with
-    | Some i when String.sub l 0 i = "compass-ga-checkpoint" ->
-      let v = String.trim (String.sub l (i + 1) (String.length l - i - 1)) in
-      if v <> "1" then
-        fail_at line
-          "unsupported compass-ga-checkpoint version %S (this build reads version 1)" v
-      else cursor := List.tl !cursor
-    | _ -> fail_at line "not a compass-ga-checkpoint file (missing header)"));
-  let obj_line, obj = next "objective" in
+  | [] -> Located.fail "not a compass-ga-checkpoint file (empty)"
+  | l :: _ -> (
+    match field l with
+    | Some ("compass-ga-checkpoint", _) -> ()
+    | _ -> Located.at l "not a compass-ga-checkpoint file (missing header)"));
+  let version = next "compass-ga-checkpoint" in
+  if version.text <> "1" then
+    Located.at version
+      "unsupported compass-ga-checkpoint version %S (this build reads version 1)" version.text;
   let ck_objective =
-    try Fitness.objective_of_string obj
-    with Invalid_argument _ -> fail_at obj_line "bad objective %S" obj
+    let v = next "objective" in
+    try Fitness.objective_of_string v.text
+    with Invalid_argument _ -> Located.at v "bad objective %S" v.text
   in
-  let _, ck_batch = int_field "batch" in
-  let _, ck_generation = int_field "generation" in
+  let ck_batch = int_field "batch" in
+  let ck_generation = int_field "generation" in
   let ck_rng_state =
-    let line, v = next "rng-state" in
-    match Int64.of_string_opt v with
+    let v = next "rng-state" in
+    match Int64.of_string_opt v.text with
     | Some s -> s
-    | None -> fail_at line "bad rng-state %S (expected a 64-bit integer)" v
+    | None -> Located.at v "bad rng-state %S (expected a 64-bit integer)" v.text
   in
-  let _, ck_best_seen = float_field "best-seen" in
-  let _, ck_stall = int_field "stall" in
-  let _, ck_evaluations = int_field "evaluations" in
-  let _, population = int_field "population" in
-  let _, generations = int_field "generations" in
-  let _, n_sel = int_field "n-sel" in
-  let _, n_mut = int_field "n-mut" in
-  let _, early_stop_patience = int_field "early-stop-patience" in
-  let _, mutation_retries = int_field "mutation-retries" in
+  let ck_best_seen = float_field "best-seen" in
+  let ck_stall = int_field "stall" in
+  let ck_evaluations = int_field "evaluations" in
+  let population = int_field "population" in
+  let generations = int_field "generations" in
+  let n_sel = int_field "n-sel" in
+  let n_mut = int_field "n-mut" in
+  let early_stop_patience = int_field "early-stop-patience" in
+  let mutation_retries = int_field "mutation-retries" in
   let schemes =
-    let line, v = next "schemes" in
-    match String.split_on_char ',' v |> List.filter (fun s -> s <> "") with
-    | [] -> fail_at line "no mutation schemes listed"
-    | names -> List.map (scheme_of_name line) names
+    let v = next "schemes" in
+    match Located.words ~sep:',' v with
+    | [] -> Located.at v "no mutation schemes listed"
+    | names -> List.map scheme_of_name names
   in
   (* Checkpoints written while the GA still had a crossover extension
      carry its rate here; the inert rate 0 resumes bit-identically. *)
   (match !cursor with
-  | (_, l) :: _ when String.starts_with ~prefix:"crossover-rate " l ->
-    let line, rate = float_field "crossover-rate" in
+  | l :: _ when String.starts_with ~prefix:"crossover-rate " l.text ->
+    let v = next "crossover-rate" in
+    let rate = Located.float (Printf.sprintf "bad crossover-rate %S (expected a float)") v in
     if rate <> 0. then
-      fail_at line "crossover-rate %g is no longer supported (only 0 resumes)" rate
+      Located.at v "crossover-rate %g is no longer supported (only 0 resumes)" rate
   | _ -> ());
-  let _, seed = int_field "seed" in
-  let _, jobs = int_field "jobs" in
-  let _, nwarm = int_field "warm-start" in
-  let warm_start = List.init nwarm (fun _ -> cuts_field ()) in
-  let _, nind = int_field "individuals" in
-  if nind < 1 then fail "checkpoint has no population";
-  let ck_population = Array.init nind (fun _ -> cuts_field ()) in
-  let _, nrec = int_field "records" in
-  let ck_history =
-    List.init nrec (fun _ ->
-        let line, v = next "record" in
-        match String.split_on_char ' ' v |> List.filter (fun s -> s <> "") with
-        | [ gen; best; sel; mut ] -> (
-          match (int_of_string_opt gen, float_of_string_opt best) with
-          | Some generation, Some best_fitness ->
-            {
-              Ga.generation;
-              best_fitness;
-              selected = parse_pairs line sel;
-              mutated = parse_pairs line mut;
-            }
-          | _ -> fail_at line "bad record %S" v)
-        | _ -> fail_at line "bad record %S (expected gen best selected mutated)" v)
-  in
+  let seed = int_field "seed" in
+  let jobs = int_field "jobs" in
+  let nwarm = count_field "warm-start" in
+  let warm_start = List.init nwarm (fun _ -> parse_cuts (next "cuts")) in
+  let nind = count_field "individuals" in
+  if nind < 1 then Located.fail "checkpoint has no population";
+  let ck_population = Array.init nind (fun _ -> parse_cuts (next "cuts")) in
+  let nrec = count_field "records" in
+  let ck_history = List.init nrec (fun _ -> parse_record (next "record")) in
   (match !cursor with
   | [] -> ()
-  | (line, l) :: _ -> fail_at line "trailing content %S after the checkpoint" l);
+  | l :: _ -> Located.at l "trailing content %S after the checkpoint" l.text);
   {
     Ga.ck_params =
       {
@@ -380,7 +363,7 @@ let save_checkpoint path ck =
 
 let load_checkpoint path =
   Compass_util.Failpoint.guard "plan_text.checkpoint.load";
-  checkpoint_of_string (Compass_util.Artifact.read_file path)
+  Located.in_file path (fun () -> checkpoint_of_string (Compass_util.Artifact.read_file path))
 
 let append_checkpoint path ck =
   Compass_util.Failpoint.guard "plan_text.checkpoint.save";
@@ -408,36 +391,28 @@ type salvage = {
 
 let header_token = "compass-ga-checkpoint"
 
-(* Start offsets of every block header at a line start. *)
+(* Start offsets of every block header at a line start, each with its
+   1-based line. *)
 let block_starts text =
   let n = String.length text and hn = String.length header_token in
   let at i = i + hn <= n && String.sub text i hn = header_token in
-  let starts = ref (if at 0 then [ 0 ] else []) in
-  String.iteri (fun i c -> if c = '\n' && at (i + 1) then starts := (i + 1) :: !starts) text;
+  let starts = ref (if at 0 then [ (0, 1) ] else []) and line = ref 1 in
+  String.iteri
+    (fun i c ->
+      if c = '\n' then begin
+        incr line;
+        if at (i + 1) then starts := (i + 1, !line) :: !starts
+      end)
+    text;
   List.rev !starts
 
-(* A well-formed "key v..." line, reusing the strict parsers so tolerance
+(* A well-formed record line, reusing the strict parser so tolerance
    never accepts what the strict reader would reject. *)
 let record_line_ok l =
-  match String.index_opt l ' ' with
-  | Some i when String.sub l 0 i = "record" -> (
-    let v = String.trim (String.sub l (i + 1) (String.length l - i - 1)) in
-    match String.split_on_char ' ' v |> List.filter (fun s -> s <> "") with
-    | [ gen; best; sel; mut ] -> (
-      match (int_of_string_opt gen, float_of_string_opt best) with
-      | Some _, Some _ -> (
-        match (parse_pairs 0 sel, parse_pairs 0 mut) with
-        | _, _ -> true
-        | exception Load_error _ -> false)
-      | _ -> false)
-    | _ -> false)
+  match field l with
+  | Some ("record", v) -> (
+    match parse_record v with _ -> true | exception Located.Error _ -> false)
   | _ -> false
-
-let records_count_line l =
-  match String.index_opt l ' ' with
-  | Some i when String.sub l 0 i = "records" ->
-    int_of_string_opt (String.trim (String.sub l (i + 1) (String.length l - i - 1)))
-  | _ -> None
 
 let salvage_block text =
   (* A block whose final line lacks its newline is torn mid-line; a torn
@@ -445,10 +420,10 @@ let salvage_block text =
      truncated "record" pairs token still reads as a — shorter — valid
      token), so the strict path only runs on newline-terminated text. *)
   let torn_tail = text <> "" && text.[String.length text - 1] <> '\n' in
-  match if torn_tail then fail "torn final line" else checkpoint_of_string text with
+  match if torn_tail then Located.fail "torn final line" else checkpoint_of_string text with
   | ck ->
     { recovered = ck; generation = ck.Ga.ck_generation; complete = true; dropped_records = 0 }
-  | exception (Load_error _ as strict_failure) ->
+  | exception (Located.Error _ as strict_failure) ->
     (* Drop the torn final partial line, then rebuild the records section
        from the complete, well-formed record lines and re-run the strict
        parser on the repaired text — tolerance never invents fields. *)
@@ -458,20 +433,18 @@ let salvage_block text =
       | Some i -> String.sub text 0 (i + 1)
       | None -> raise strict_failure
     in
-    let lines =
-      String.split_on_char '\n' text |> List.filter (fun l -> String.trim l <> "")
-    in
     let rec split_at_records prefix = function
       | [] -> (List.rev prefix, None, [])
-      | l :: rest -> (
-        match records_count_line l with
-        | Some n -> (List.rev prefix, Some n, rest)
-        | None -> split_at_records (l :: prefix) rest)
+      | (l : Located.token) :: rest -> (
+        match field l with
+        | Some ("records", v) -> (List.rev prefix, int_of_string_opt v.text, rest)
+        | _ -> split_at_records (l.text :: prefix) rest)
     in
-    let prefix, declared, tail = split_at_records [] lines in
+    let prefix, declared, tail = split_at_records [] (nonblank (Located.lines text)) in
     let kept =
       let rec take n = function
-        | l :: rest when n > 0 && record_line_ok l -> l :: take (n - 1) rest
+        | (l : Located.token) :: rest when n > 0 && record_line_ok l ->
+          l.text :: take (n - 1) rest
         | _ -> []
       in
       take (Option.value ~default:0 declared) tail
@@ -491,30 +464,32 @@ let salvage_block text =
 
 let salvage_of_string text =
   match block_starts text with
-  | [] -> fail "not a compass-ga-checkpoint file (missing header)"
+  | [] -> Located.fail "not a compass-ga-checkpoint file (missing header)"
   | starts ->
     let n = String.length text in
     let blocks =
       let rec spans = function
         | [] -> []
-        | [ s ] -> [ String.sub text s (n - s) ]
-        | s :: (s' :: _ as rest) -> String.sub text s (s' - s) :: spans rest
+        | [ (s, line) ] -> [ (line, String.sub text s (n - s)) ]
+        | (s, line) :: ((s', _) :: _ as rest) -> (line, String.sub text s (s' - s)) :: spans rest
       in
       spans starts
     in
+    (* A block's errors are re-based onto the file's lines. *)
+    let salvage (line, b) = Located.shift ~line ~col:1 (fun () -> salvage_block b) in
     let rec newest_first = function
       | [] -> assert false
-      | [ b ] -> salvage_block b
+      | [ b ] -> salvage b
       | b :: earlier -> (
-        match salvage_block b with
+        match salvage b with
         | s -> s
-        | exception (Load_error _ as e) -> (
+        | exception (Located.Error _ as e) -> (
           (* The newest block's diagnostic is the one that matters. *)
-          try newest_first earlier with Load_error _ -> raise e))
+          try newest_first earlier with Located.Error _ -> raise e))
     in
     (* Blocks were built oldest-first; try newest first. *)
     newest_first (List.rev blocks)
 
 let salvage_checkpoint path =
   Compass_util.Failpoint.guard "plan_text.checkpoint.load";
-  salvage_of_string (Compass_util.Artifact.read_file path)
+  Located.in_file path (fun () -> salvage_of_string (Compass_util.Artifact.read_file path))

@@ -23,9 +23,10 @@
     in the destination directory which is atomically renamed over the
     target, so a crash mid-write never leaves a truncated artifact — the
     old file (or no file) survives intact.  All loads produce located
-    {!Load_error} diagnostics ("line N: ...") instead of escaping
-    [Failure]/[Scanf] exceptions, including for truncated files and
-    version-header mismatches. *)
+    {!Compass_util.Located.Error} diagnostics (line, and the offending
+    token's column) instead of escaping [Failure]/[Scanf] exceptions,
+    including for truncated files and version-header mismatches; loads
+    from a path name it. *)
 
 val to_string : Compiler.t -> string
 
@@ -34,21 +35,23 @@ val save : string -> Compiler.t -> unit
     rename).  Raises [Sys_error] on I/O failure; the destination is never
     left half-written. *)
 
-exception Load_error of string
-(** Carries a one-line human-readable diagnostic, prefixed with
-    ["line N: "] when the offending line is known. *)
+exception Load_error of Compass_util.Located.t
+(** An alias of {!Compass_util.Located.Error}, the error every loader
+    below raises. *)
 
 val of_string : string -> Compiler.t
 (** Rebuild the plan: re-derives units, validity, dataflow and estimates
-    for the stored cuts.  Raises [Load_error] on malformed input, unknown
-    model/chip names, version-header mismatches, or cuts that do not match
-    the decomposition (e.g. the file was produced for different hardware).
+    for the stored cuts.  Raises {!Compass_util.Located.Error} on
+    malformed input, unknown model/chip names, version-header mismatches,
+    or cuts that do not match the decomposition (e.g. the file was
+    produced for different hardware).
     The rebuilt plan has [ga = None], [dp = None] and
     [budget_exhausted = false] — search provenance is not archived. *)
 
 val load : string -> Compiler.t
-(** [load path] reads and parses a file.  Raises [Load_error] as
-    {!of_string}, or [Sys_error] if the file cannot be read. *)
+(** [load path] reads and parses a file.  Raises
+    {!Compass_util.Located.Error} as {!of_string}, naming [path], or
+    [Sys_error] if the file cannot be read. *)
 
 (** {1 GA checkpoints}
 
@@ -62,8 +65,8 @@ val load : string -> Compiler.t
 val checkpoint_to_string : Ga.checkpoint -> string
 
 val checkpoint_of_string : string -> Ga.checkpoint
-(** Raises {!Load_error} with a located diagnostic on truncated, corrupt
-    or version-mismatched input.  Note the checkpoint's partitions are not
+(** Raises {!Compass_util.Located.Error} on truncated, corrupt or
+    version-mismatched input.  Note the checkpoint's partitions are not
     validated against any model here — {!Ga.optimize} re-validates them
     against its validity map on resume. *)
 
@@ -71,7 +74,8 @@ val save_checkpoint : string -> Ga.checkpoint -> unit
 (** Atomic, like {!save}. *)
 
 val load_checkpoint : string -> Ga.checkpoint
-(** Raises {!Load_error} as {!checkpoint_of_string}, or [Sys_error]. *)
+(** Raises {!Compass_util.Located.Error} as {!checkpoint_of_string},
+    naming [path], or [Sys_error]. *)
 
 val append_checkpoint : string -> Ga.checkpoint -> unit
 (** [append_checkpoint path ck] appends a checkpoint block to a journal
@@ -99,9 +103,10 @@ val salvage_of_string : string -> salvage
     population survives complete; a final partial line and truncated
     trailing history records are dropped (history is reporting-only, so
     resume determinism is unaffected — the resumed trajectory equals an
-    untorn resume).  Raises {!Load_error} with the newest block's
-    diagnostic when nothing is recoverable. *)
+    untorn resume).  Raises {!Compass_util.Located.Error} with the newest
+    block's diagnostic when nothing is recoverable. *)
 
 val salvage_checkpoint : string -> salvage
 (** [salvage_checkpoint path] is {!salvage_of_string} on the file's
-    contents.  Raises {!Load_error} or [Sys_error]. *)
+    contents.  Raises {!Compass_util.Located.Error} (naming [path]) or
+    [Sys_error]. *)

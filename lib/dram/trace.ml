@@ -33,30 +33,3 @@ let pp_record ppf r =
 
 let to_lines records =
   String.concat "\n" (List.map (Format.asprintf "%a" pp_record) records)
-
-let of_lines text =
-  let parse_line line =
-    let trimmed = String.trim line in
-    if trimmed = "" || trimmed.[0] = '#' then Ok None
-    else
-      match String.split_on_char ' ' trimmed |> List.filter (fun w -> w <> "") with
-      | addr_s :: kind_s :: bytes_s :: rest -> (
-        let tag = String.concat " " rest in
-        match (int_of_string_opt addr_s, int_of_string_opt bytes_s) with
-        | Some addr, Some bytes when addr >= 0 && bytes > 0 -> (
-          match String.uppercase_ascii kind_s with
-          | "READ" -> Ok (Some (read ~tag ~addr ~bytes ()))
-          | "WRITE" -> Ok (Some (write ~tag ~addr ~bytes ()))
-          | _ -> Error line)
-        | _ -> Error line)
-      | _ -> Error line
-  in
-  let rec walk acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest -> (
-      match parse_line line with
-      | Ok (Some r) -> walk (r :: acc) rest
-      | Ok None -> walk acc rest
-      | Error l -> Error l)
-  in
-  walk [] (String.split_on_char '\n' text)

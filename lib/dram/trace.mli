@@ -28,10 +28,7 @@ val write_bytes : record list -> float
 
 val to_lines : record list -> string
 (** DRAMsim3-style textual trace ("0x<addr> READ|WRITE <bytes> <tag>"), one
-    record per line; useful for debugging and golden tests. *)
-
-val of_lines : string -> (record list, string) result
-(** Parse [to_lines] output (blank lines and [#] comments ignored); the
-    error carries the first offending line. *)
+    record per line.  Write-only debug output: nothing reads traces
+    back. *)
 
 val pp_record : Format.formatter -> record -> unit

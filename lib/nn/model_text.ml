@@ -1,178 +1,144 @@
-exception Parse_error of int * string
+module Located = Compass_util.Located
 
-let fail line fmt = Printf.ksprintf (fun msg -> raise (Parse_error (line, msg))) fmt
+let strip_comment (l : Located.token) =
+  match String.index_opt l.text '#' with
+  | Some i -> { l with text = String.sub l.text 0 i }
+  | None -> l
 
-(* 1-based column of [token]'s first occurrence in the source line; 0 when
-   the token was synthesized and does not literally appear. *)
-let column_of text token =
-  let tlen = String.length token and len = String.length text in
-  let rec scan i =
-    if tlen = 0 || i + tlen > len then 0
-    else if String.sub text i tlen = token then i + 1
-    else scan (i + 1)
-  in
-  scan 0
-
-(* Located diagnostic naming the offending token, with its column when it
-   can be found in the source line. *)
-let fail_tok line src token fmt =
-  Printf.ksprintf
-    (fun msg ->
-      match column_of src token with
-      | 0 -> raise (Parse_error (line, msg))
-      | col -> raise (Parse_error (line, Printf.sprintf "column %d: %s" col msg)))
-    fmt
-
-(* --- lexical helpers --- *)
-
-let split_words s =
-  String.split_on_char ' ' s |> List.filter (fun w -> w <> "")
-
-let strip_comment s =
-  match String.index_opt s '#' with
-  | Some i -> String.sub s 0 i
-  | None -> s
-
-(* "key=value" attribute lists. *)
-let parse_attrs line src words =
+(* "key=value" attribute lists, both halves located. *)
+let parse_attrs words =
   List.map
-    (fun w ->
-      match String.index_opt w '=' with
-      | Some i ->
-        (String.sub w 0 i, String.sub w (i + 1) (String.length w - i - 1))
-      | None -> fail_tok line src w "expected key=value, got %S" w)
+    (fun (w : Located.token) ->
+      match Located.cut '=' w with
+      | Some kv -> kv
+      | None -> Located.at w "expected key=value, got %S" w.text)
     words
 
-let int_attr line src attrs key =
-  match List.assoc_opt key attrs with
-  | Some v -> (
-    match int_of_string_opt v with
-    | Some n -> Some n
-    | None -> fail_tok line src v "attribute %s: %S is not an integer" key v)
-  | None -> None
-
-let require_int line src attrs key =
-  match int_attr line src attrs key with
-  | Some n -> n
-  | None -> fail line "missing attribute %s" key
-
-let known_attrs line src attrs allowed =
-  List.iter
-    (fun (k, _) ->
-      if not (List.mem k allowed) then fail_tok line src k "unknown attribute %s" k)
+let int_attr attrs key =
+  List.find_map
+    (fun ((k : Located.token), v) ->
+      if k.text <> key then None
+      else Some (Located.int (Printf.sprintf "attribute %s: %S is not an integer" key) v))
     attrs
 
-let parse_shape line src s =
+let require_int line attrs key =
+  match int_attr attrs key with
+  | Some n -> n
+  | None -> Located.fail ~line "missing attribute %s" key
+
+let known_attrs attrs allowed =
+  List.iter
+    (fun ((k : Located.token), _) ->
+      if not (List.mem k.text allowed) then Located.at k "unknown attribute %s" k.text)
+    attrs
+
+let parse_shape (tok : Located.token) =
+  let s = tok.text in
   let segments = String.split_on_char 'x' s in
   let dims = List.filter_map int_of_string_opt segments in
   if List.length dims <> List.length segments then
-    fail_tok line src s "bad shape %S (expected CxHxW or N)" s;
+    Located.at tok "bad shape %S (expected CxHxW or N)" s;
   match dims with
   | [ c; h; w ] -> (
     try Shape.feature_map ~channels:c ~height:h ~width:w
-    with Invalid_argument msg -> fail_tok line src s "bad shape %S: %s" s msg)
+    with Invalid_argument msg -> Located.at tok "bad shape %S: %s" s msg)
   | [ n ] -> (
-    try Shape.vector n
-    with Invalid_argument msg -> fail_tok line src s "bad shape %S: %s" s msg)
-  | _ -> fail_tok line src s "bad shape %S (expected CxHxW or N)" s
+    try Shape.vector n with Invalid_argument msg -> Located.at tok "bad shape %S: %s" s msg)
+  | _ -> Located.at tok "bad shape %S (expected CxHxW or N)" s
 
 (* --- statement parsing --- *)
 
 type statement = {
   line : int;
-  src : string;  (** The statement's source text, for column diagnostics. *)
-  op_name : string;
-  node_name : string;
-  producers : string list;
-  attrs : (string * string) list;
+  op : Located.token;
+  name : Located.token;
+  producers : Located.token list;
+  attrs : (Located.token * Located.token) list;
 }
 
 (* "<op> <name> [from p1 p2 ...] [k=v ...]" *)
-let parse_statement line text =
-  match split_words text with
+let parse_statement (text : Located.token) =
+  match Located.words text with
   | [] -> None
-  | op_name :: rest ->
-    let node_name, rest =
+  | op :: rest ->
+    let line = text.line in
+    let name, rest =
       match rest with
       | name :: rest -> (name, rest)
-      | [] -> fail line "operator %s needs a name" op_name
+      | [] -> Located.fail ~line "operator %s needs a name" op.text
     in
-    if op_name = "input" then
+    if op.text = "input" then
       (* shapes like 1x28x28 are not key=value attributes *)
-      Some { line; src = text; op_name; node_name; producers = rest; attrs = [] }
+      Some { line; op; name; producers = rest; attrs = [] }
     else
     let producers, attr_words =
       match rest with
-      | "from" :: rest ->
+      | { text = "from"; _ } :: rest ->
         let rec take acc = function
-          | w :: more when not (String.contains w '=') -> take (w :: acc) more
+          | (w : Located.token) :: more when not (String.contains w.text '=') ->
+            take (w :: acc) more
           | more -> (List.rev acc, more)
         in
         take [] rest
       | rest -> ([], rest)
     in
-    Some
-      {
-        line;
-        src = text;
-        op_name;
-        node_name;
-        producers;
-        attrs = parse_attrs line text attr_words;
-      }
+    Some { line; op; name; producers; attrs = parse_attrs attr_words }
 
 let channels_of line g node =
   match Graph.shape_of g node with
   | Shape.Feature_map { channels; _ } -> channels
-  | Shape.Vector _ -> fail line "producer is a vector, expected a feature map"
+  | Shape.Vector _ -> Located.fail ~line "producer is a vector, expected a feature map"
 
 let features_of line g node =
   match Graph.shape_of g node with
   | Shape.Vector { features } -> features
-  | Shape.Feature_map _ -> fail line "producer is a feature map, expected a vector"
+  | Shape.Feature_map _ -> Located.fail ~line "producer is a feature map, expected a vector"
 
 let build_op st g inputs =
   let line = st.line in
-  let src = st.src in
+  let op_name = st.op.text in
   (* Layer smart constructors validate their arguments with
      [Invalid_argument]; every call funnels through here so the complaint
      comes out located. *)
-  let locate make = try make () with Invalid_argument msg -> fail line "%s" msg in
+  let locate make =
+    try make () with Invalid_argument msg -> Located.fail ~line "%s" msg
+  in
   let one () =
     match inputs with
     | [ p ] -> p
-    | _ -> fail line "%s expects exactly one producer" st.op_name
+    | _ -> Located.fail ~line "%s expects exactly one producer" op_name
   in
+  let attr key default = Option.value ~default (int_attr st.attrs key) in
   let pool () =
-    known_attrs line src st.attrs [ "kernel"; "stride"; "pad" ];
-    let kernel = require_int line src st.attrs "kernel" in
-    let stride = Option.value ~default:kernel (int_attr line src st.attrs "stride") in
-    let padding = Option.value ~default:0 (int_attr line src st.attrs "pad") in
+    known_attrs st.attrs [ "kernel"; "stride"; "pad" ];
+    let kernel = require_int line st.attrs "kernel" in
+    let stride = attr "stride" kernel in
+    let padding = attr "pad" 0 in
     ignore (one ());
     (kernel, stride, padding)
   in
-  match st.op_name with
-  | "input" -> fail line "input handled separately"
+  match op_name with
+  | "input" -> Located.fail ~line "input handled separately"
   | "conv" ->
-    known_attrs line src st.attrs [ "out"; "kernel"; "stride"; "pad"; "groups" ];
-    let out_channels = require_int line src st.attrs "out" in
-    let kernel = require_int line src st.attrs "kernel" in
-    let stride = Option.value ~default:1 (int_attr line src st.attrs "stride") in
-    let padding = Option.value ~default:(kernel / 2) (int_attr line src st.attrs "pad") in
-    let groups = Option.value ~default:1 (int_attr line src st.attrs "groups") in
+    known_attrs st.attrs [ "out"; "kernel"; "stride"; "pad"; "groups" ];
+    let out_channels = require_int line st.attrs "out" in
+    let kernel = require_int line st.attrs "kernel" in
+    let stride = attr "stride" 1 in
+    let padding = attr "pad" (kernel / 2) in
+    let groups = attr "groups" 1 in
     let in_channels = channels_of line g (one ()) in
     locate (fun () ->
         Layer.conv ~stride ~padding ~groups ~in_channels ~out_channels kernel)
   | "depthwise" ->
-    known_attrs line src st.attrs [ "kernel"; "stride"; "pad" ];
-    let kernel = require_int line src st.attrs "kernel" in
-    let stride = Option.value ~default:1 (int_attr line src st.attrs "stride") in
-    let padding = Option.value ~default:(kernel / 2) (int_attr line src st.attrs "pad") in
+    known_attrs st.attrs [ "kernel"; "stride"; "pad" ];
+    let kernel = require_int line st.attrs "kernel" in
+    let stride = attr "stride" 1 in
+    let padding = attr "pad" (kernel / 2) in
     let channels = channels_of line g (one ()) in
     locate (fun () -> Layer.depthwise ~stride ~padding ~channels kernel)
   | "linear" ->
-    known_attrs line src st.attrs [ "out" ];
-    let out_features = require_int line src st.attrs "out" in
+    known_attrs st.attrs [ "out" ];
+    let out_features = require_int line st.attrs "out" in
     let in_features = features_of line g (one ()) in
     locate (fun () -> Layer.linear ~in_features ~out_features)
   | "maxpool" ->
@@ -197,77 +163,70 @@ let build_op st g inputs =
     ignore (one ());
     Layer.Global_avg_pool
   | "add" ->
-    if List.length inputs <> 2 then fail line "add expects two producers";
+    if List.length inputs <> 2 then Located.fail ~line "add expects two producers";
     Layer.Add
   | "concat" ->
-    if List.length inputs < 2 then fail line "concat expects at least two producers";
+    if List.length inputs < 2 then
+      Located.fail ~line "concat expects at least two producers";
     Layer.Concat
-  | other -> fail_tok line src other "unknown operator %s" other
+  | other -> Located.at st.op "unknown operator %s" other
 
 let parse text =
-  let lines = String.split_on_char '\n' text in
   let g = ref None in
   let names : (string, Graph.node) Hashtbl.t = Hashtbl.create 32 in
-  let graph line =
-    match !g with
-    | Some graph -> graph
-    | None ->
-      let graph = Graph.create () in
-      ignore line;
-      g := Some graph;
-      graph
+  let handle raw =
+    match parse_statement (strip_comment raw) with
+    | None -> ()
+    | Some st when st.op.text = "model" ->
+      if !g <> None then Located.fail ~line:st.line "model declaration must come first";
+      g := Some (Graph.create ~name:st.name.text ())
+    | Some st ->
+      let line = st.line in
+      let graph =
+        match !g with
+        | Some graph -> graph
+        | None ->
+          let graph = Graph.create () in
+          g := Some graph;
+          graph
+      in
+      if Hashtbl.mem names st.name.text then
+        Located.at st.name "duplicate node name %s" st.name.text;
+      let node =
+        if st.op.text = "input" then begin
+          match st.producers with
+          | [ shape ] -> (
+            let input = Layer.Input (parse_shape shape) in
+            try Graph.add graph st.name.text input
+            with Invalid_argument msg -> Located.fail ~line "%s" msg)
+          | _ -> Located.fail ~line "input needs exactly one shape"
+        end
+        else begin
+          let inputs =
+            List.map
+              (fun (p : Located.token) ->
+                match Hashtbl.find_opt names p.text with
+                | Some n -> n
+                | None -> Located.at p "unknown producer %s" p.text)
+              st.producers
+          in
+          let op = build_op st graph inputs in
+          try Graph.add graph ~inputs st.name.text op
+          with Invalid_argument msg -> Located.fail ~line "%s" msg
+        end
+      in
+      Hashtbl.add names st.name.text node
   in
-  let handle lineno raw =
-    let text = String.trim (strip_comment raw) in
-    if text <> "" then
-      match parse_statement lineno text with
-      | None -> ()
-      | Some st when st.op_name = "model" ->
-        if !g <> None then fail lineno "model declaration must come first";
-        g := Some (Graph.create ~name:st.node_name ())
-      | Some st ->
-        let graph = graph lineno in
-        if Hashtbl.mem names st.node_name then
-          fail_tok lineno st.src st.node_name "duplicate node name %s" st.node_name;
-        let node =
-          if st.op_name = "input" then begin
-            match st.producers with
-            | [ shape ] -> (
-              let input = Layer.Input (parse_shape lineno st.src shape) in
-              try Graph.add graph st.node_name input
-              with Invalid_argument msg -> fail lineno "%s" msg)
-            | _ -> fail lineno "input needs exactly one shape"
-          end
-          else begin
-            let inputs =
-              List.map
-                (fun p ->
-                  match Hashtbl.find_opt names p with
-                  | Some n -> n
-                  | None -> fail_tok lineno st.src p "unknown producer %s" p)
-                st.producers
-            in
-            let op = build_op st graph inputs in
-            try Graph.add graph ~inputs st.node_name op
-            with Invalid_argument msg -> fail lineno "%s" msg
-          end
-        in
-        Hashtbl.add names st.node_name node
-  in
-  List.iteri (fun i raw -> handle (i + 1) raw) lines;
+  List.iter handle (Located.lines text);
   match !g with
-  | None -> raise (Parse_error (0, "empty description"))
+  | None -> Located.fail "empty description"
   | Some graph -> (
     match Graph.validate graph with
     | Ok () -> graph
-    | Error msg -> raise (Parse_error (0, "invalid model: " ^ msg)))
+    | Error msg -> Located.fail "invalid model: %s" msg)
 
 let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse text
+  Located.in_file path (fun () -> parse (Compass_util.Artifact.read_file path))
 
 (* --- printing --- *)
 

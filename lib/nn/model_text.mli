@@ -32,15 +32,16 @@
     producers), [concat] (two or more producers).  Blank lines and [#]
     comments are ignored. *)
 
-exception Parse_error of int * string
-(** Line number (1-based) and message. *)
-
 val parse : string -> Graph.t
-(** Parse a full description.  Raises [Parse_error] on malformed input and
-    propagates shape-inference failures as [Parse_error] too. *)
+(** Parse a full description.  Raises {!Compass_util.Located.Error} on
+    malformed input, at the offending token's column where one is at
+    fault; shape-inference failures and invalid layer parameters are
+    located the same way.  Whole-description complaints (empty, invalid
+    graph) carry line 0. *)
 
 val parse_file : string -> Graph.t
-(** [parse_file path] reads and parses a file.  Raises [Sys_error] on IO
+(** [parse_file path] reads ({!Compass_util.Artifact.read_file}) and
+    parses a file; its errors name [path].  Raises [Sys_error] on IO
     failure. *)
 
 val to_string : Graph.t -> string

@@ -58,73 +58,77 @@ let valid_id id =
          | _ -> false)
        id
 
-let split_kv line =
-  match String.index_opt line ' ' with
-  | None -> (line, "")
-  | Some i ->
-    (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1))
+module Located = Compass_util.Located
 
-let parse_request lines =
-  let err n msg = Error (Printf.sprintf "line %d: %s" n msg) in
-  match lines with
-  | [] -> Error "empty request block"
-  | header :: rest -> (
-    match String.split_on_char ' ' header with
-    | [ "request"; id; kind ] -> (
+(* Block lines as tokens numbered from 1.  A block's grammar raises
+   [Located.Error] internally; [parse_block] turns that into the result,
+   rendered without a file ("line N: msg"), so parsing never raises. *)
+let parse_block parse lines =
+  match parse (List.mapi (fun i text -> { Located.text; line = i + 1; col = 1 }) lines) with
+  | v -> Result.Ok v
+  | exception Located.Error e -> Result.Error (Located.render e)
+
+(* "key value", the value untrimmed; a line without a space is all key. *)
+let key_value (l : Located.token) =
+  match Located.cut ' ' l with
+  | Some (k, v) -> (k.text, v)
+  | None -> (l.text, { l with text = "" })
+
+let texts = List.map (fun (l : Located.token) -> l.text)
+
+let parse_request =
+  parse_block @@ function
+  | [] -> Located.fail "empty request block"
+  | (header : Located.token) :: rest -> (
+    match String.split_on_char ' ' header.text with
+    | [ "request"; id; kind ] ->
       if not (valid_id id) then
-        err 1 "request id must be 1-64 characters of [A-Za-z0-9._:-]"
-      else
+        Located.fail ~line:1 "request id must be 1-64 characters of [A-Za-z0-9._:-]";
+      let kind =
         match kind_of_string kind with
+        | Some kind -> kind
         | None ->
-          err 1
-            (Printf.sprintf "unknown request kind %s (try compile, infer, verify, ping)"
-               kind)
-        | Some kind ->
-          let r = ref { default_request with id; kind } in
-          let rec fields n = function
-            | [] -> Result.Ok !r
-            | line :: tl -> (
-              let key, v = split_kv line in
-              let int_field name set =
-                match int_of_string_opt v with
-                | Some x -> set x; fields (n + 1) tl
-                | None -> err n (Printf.sprintf "%s: expected an integer, got %S" name v)
-              in
-              match key with
-              | "model" when v <> "" -> r := { !r with model = v }; fields (n + 1) tl
-              | "chip" when v <> "" -> r := { !r with chip = v }; fields (n + 1) tl
-              | "scheme" when v <> "" -> r := { !r with scheme = v }; fields (n + 1) tl
-              | "objective" when v <> "" ->
-                r := { !r with objective = v };
-                fields (n + 1) tl
-              | "batch" -> int_field "batch" (fun x -> r := { !r with batch = x })
-              | "seed" -> int_field "seed" (fun x -> r := { !r with seed = x })
-              | "deadline" -> (
-                match float_of_string_opt v with
-                | Some s when s >= 0. && not (Float.is_nan s) ->
-                  r := { !r with deadline_s = Some s };
-                  fields (n + 1) tl
-                | Some _ | None ->
-                  err n (Printf.sprintf "deadline: expected seconds >= 0, got %S" v))
-              | "quick" -> (
-                match bool_of_string_opt v with
-                | Some b -> r := { !r with quick = b }; fields (n + 1) tl
-                | None -> err n (Printf.sprintf "quick: expected true/false, got %S" v))
-              | "payload" -> (
-                match int_of_string_opt v with
-                | Some count when count >= 0 && count = List.length tl ->
-                  r := { !r with payload = tl };
-                  Result.Ok !r
-                | Some count ->
-                  err n
-                    (Printf.sprintf "payload: declared %d line(s), block carries %d"
-                       count (List.length tl))
-                | None -> err n (Printf.sprintf "payload: expected a count, got %S" v))
-              | _ -> err n (Printf.sprintf "unknown request field %S" key))
+          Located.fail ~line:1 "unknown request kind %s (try compile, infer, verify, ping)"
+            kind
+      in
+      let rec fields r = function
+        | [] -> r
+        | l :: tl -> (
+          let key, v = key_value l in
+          let int name =
+            Located.int (Printf.sprintf "%s: expected an integer, got %S" name) v
           in
-          fields 2 rest)
-    | "request" :: _ -> err 1 "expected: request <id> <kind>"
-    | _ -> err 1 (Printf.sprintf "expected a request header, got %S" header))
+          match key with
+          | "model" when v.text <> "" -> fields { r with model = v.text } tl
+          | "chip" when v.text <> "" -> fields { r with chip = v.text } tl
+          | "scheme" when v.text <> "" -> fields { r with scheme = v.text } tl
+          | "objective" when v.text <> "" -> fields { r with objective = v.text } tl
+          | "batch" -> fields { r with batch = int "batch" } tl
+          | "seed" -> fields { r with seed = int "seed" } tl
+          | "deadline" ->
+            let s =
+              Located.float ~valid:(fun s -> s >= 0. && not (Float.is_nan s))
+                (Printf.sprintf "deadline: expected seconds >= 0, got %S")
+                v
+            in
+            fields { r with deadline_s = Some s } tl
+          | "quick" -> (
+            match bool_of_string_opt v.text with
+            | Some b -> fields { r with quick = b } tl
+            | None -> Located.at v "quick: expected true/false, got %S" v.text)
+          | "payload" -> (
+            match int_of_string_opt v.text with
+            | Some count when count >= 0 && count = List.length tl ->
+              { r with payload = texts tl }
+            | Some count ->
+              Located.at v "payload: declared %d line(s), block carries %d" count
+                (List.length tl)
+            | None -> Located.at v "payload: expected a count, got %S" v.text)
+          | _ -> Located.at l "unknown request field %S" key)
+      in
+      fields { default_request with id; kind } rest
+    | "request" :: _ -> Located.fail ~line:1 "expected: request <id> <kind>"
+    | _ -> Located.fail ~line:1 "expected a request header, got %S" header.text)
 
 let request_to_lines r =
   let base =
@@ -207,15 +211,10 @@ let response_to_string r =
   Buffer.contents b
 
 let parse_response text =
-  let err n msg = Result.Error (Printf.sprintf "line %d: %s" n msg) in
   let lines =
     String.split_on_char '\n' text
-    |> List.filter_map (fun l ->
-           let l = if String.length l > 0 && l.[String.length l - 1] = '\r' then
-               String.sub l 0 (String.length l - 1)
-             else l
-           in
-           Some l)
+    |> List.map (fun l ->
+           if String.ends_with ~suffix:"\r" l then String.sub l 0 (String.length l - 1) else l)
   in
   let lines =
     (* Drop a trailing empty line from the final newline, and the [end]. *)
@@ -226,39 +225,37 @@ let parse_response text =
     in
     strip lines
   in
-  match lines with
-  | [] -> Result.Error "empty response"
-  | header :: rest -> (
-    match String.split_on_char ' ' header with
-    | [ "response"; id; st ] -> (
-      match status_of_string st with
-      | None -> err 1 (Printf.sprintf "unknown status %S" st)
-      | Some status ->
-        let r = ref { r_id = id; status; elapsed_s = 0.; note = None; body = [] } in
-        let rec fields n = function
-          | [] -> Result.Ok !r
-          | line :: tl -> (
-            let key, v = split_kv line in
-            match key with
-            | "elapsed" -> (
-              match float_of_string_opt v with
-              | Some s -> r := { !r with elapsed_s = s }; fields (n + 1) tl
-              | None -> err n (Printf.sprintf "elapsed: bad float %S" v))
-            | "note" -> r := { !r with note = Some v }; fields (n + 1) tl
-            | "payload" -> (
-              match int_of_string_opt v with
-              | Some count when count = List.length tl ->
-                r := { !r with body = tl };
-                Result.Ok !r
-              | Some count ->
-                err n
-                  (Printf.sprintf "payload: declared %d line(s), block carries %d" count
-                     (List.length tl))
-              | None -> err n (Printf.sprintf "payload: expected a count, got %S" v))
-            | _ -> err n (Printf.sprintf "unknown response field %S" key))
-        in
-        fields 2 rest)
-    | _ -> err 1 (Printf.sprintf "expected a response header, got %S" header))
+  lines
+  |> parse_block @@ function
+     | [] -> Located.fail "empty response"
+     | (header : Located.token) :: rest -> (
+       match String.split_on_char ' ' header.text with
+       | [ "response"; id; st ] ->
+         let status =
+           match status_of_string st with
+           | Some status -> status
+           | None -> Located.fail ~line:1 "unknown status %S" st
+         in
+         let rec fields r = function
+           | [] -> r
+           | l :: tl -> (
+             let key, v = key_value l in
+             match key with
+             | "elapsed" ->
+               let elapsed_s = Located.float (Printf.sprintf "elapsed: bad float %S") v in
+               fields { r with elapsed_s } tl
+             | "note" -> fields { r with note = Some v.text } tl
+             | "payload" -> (
+               match int_of_string_opt v.text with
+               | Some count when count = List.length tl -> { r with body = texts tl }
+               | Some count ->
+                 Located.at v "payload: declared %d line(s), block carries %d" count
+                   (List.length tl)
+               | None -> Located.at v "payload: expected a count, got %S" v.text)
+             | _ -> Located.at l "unknown response field %S" key)
+         in
+         fields { r_id = id; status; elapsed_s = 0.; note = None; body = [] } rest
+       | _ -> Located.fail ~line:1 "expected a response header, got %S" header.text)
 
 module Framer = struct
   type t = {
@@ -290,9 +287,9 @@ module Framer = struct
     else begin
       t.in_block <- true;
       t.acc <- line :: t.acc;
-      (match split_kv line with
+      (match key_value { Located.text = line; line = 0; col = 1 } with
       | "payload", v -> (
-        match int_of_string_opt v with
+        match int_of_string_opt v.text with
         | Some n when n > 0 -> t.raw_left <- n
         | Some _ | None -> ())
       | _ -> ());

@@ -104,6 +104,10 @@ type response = {
   body : string list;  (** raw payload lines *)
 }
 
+val one_line : string -> string
+(** Collapse embedded newlines to spaces, so a diagnostic stays one line
+    of the envelope. *)
+
 val response_to_string : response -> string
 (** The full block, [end]-terminated, newline-terminated. *)
 

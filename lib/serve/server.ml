@@ -78,8 +78,6 @@ let responded t = t.responses
 let check_live t what =
   if t.state = `Closed then invalid_arg ("Server." ^ what ^ ": server is closed")
 
-let one_line s = String.map (fun c -> if c = '\n' || c = '\r' then ' ' else c) s
-
 let emit t (resp : Protocol.response) =
   t.responses <- t.responses + 1;
   Metrics.incr "serve.responses";
@@ -93,7 +91,7 @@ let finish t ~id ~since status note body =
       Protocol.r_id = id;
       status;
       elapsed_s = Float.max 0. (t.cfg.clock () -. since);
-      note = Option.map one_line note;
+      note = Option.map Protocol.one_line note;
       body;
     }
 
@@ -199,7 +197,7 @@ let execute_kind t (p : pending) : Protocol.status * string option * string list
     if req.payload = [] then user "verify: missing payload (archived plan text)";
     let plan =
       try Plan_text.of_string (String.concat "\n" req.payload ^ "\n")
-      with Plan_text.Load_error m -> user "plan: %s" m
+      with Located.Error e -> user "plan: %s" (Located.render e)
     in
     let violations = Verify.check plan in
     let body =

@@ -62,74 +62,75 @@ let active () = !spec_string
    trigger ::= "once" (default) | "always" | "nth:" K | "every:" K
              | "prob:" P ":" SEED                                     *)
 
-let fail fmt = Printf.ksprintf (fun m -> invalid_arg ("failpoint spec: " ^ m)) fmt
+(* Errors are located at the offending token's line and column (a
+   newline separates clauses like ';'); the caller names the spec's
+   source. *)
 
-let parse_action clause s =
-  match String.index_opt s ':' with
+let parse_action clause (s : Located.token) =
+  match Located.cut ':' s with
   | None -> (
-    match s with
+    match s.text with
     | "raise" -> Raise
     | "enospc" -> Errno Unix.ENOSPC
     | "eintr" -> Errno Unix.EINTR
     | "eio" -> Errno Unix.EIO
-    | _ -> fail "unknown action %S in clause %S" s clause)
-  | Some i -> (
-    let key = String.sub s 0 i in
-    let arg = String.sub s (i + 1) (String.length s - i - 1) in
-    match key with
-    | "truncate" -> (
-      match int_of_string_opt arg with
-      | Some n when n >= 0 -> Truncate n
-      | _ -> fail "bad truncate byte count %S in clause %S" arg clause)
-    | "delay" -> (
-      match float_of_string_opt arg with
-      | Some ms when ms >= 0. -> Delay (ms /. 1000.)
-      | _ -> fail "bad delay (milliseconds) %S in clause %S" arg clause)
-    | _ -> fail "unknown action %S in clause %S" key clause)
+    | _ -> Located.at s "unknown action %S in clause %S" s.text clause)
+  | Some (key, arg) -> (
+    match key.text with
+    | "truncate" ->
+      Truncate
+        (Located.int ~valid:(fun n -> n >= 0)
+           (fun a -> Printf.sprintf "bad truncate byte count %S in clause %S" a clause)
+           arg)
+    | "delay" ->
+      let ms =
+        Located.float ~valid:(fun ms -> ms >= 0.)
+          (fun a -> Printf.sprintf "bad delay (milliseconds) %S in clause %S" a clause)
+          arg
+      in
+      Delay (ms /. 1000.)
+    | _ -> Located.at key "unknown action %S in clause %S" key.text clause)
 
-let parse_trigger clause s =
-  match String.split_on_char ':' s with
-  | [ "once" ] -> Once
-  | [ "always" ] -> Always
-  | [ "nth"; k ] -> (
-    match int_of_string_opt k with
-    | Some k when k >= 1 -> Nth k
-    | _ -> fail "bad nth count %S in clause %S" k clause)
-  | [ "every"; k ] -> (
-    match int_of_string_opt k with
-    | Some k when k >= 1 -> Every k
-    | _ -> fail "bad every count %S in clause %S" k clause)
-  | [ "prob"; p; seed ] -> (
-    match (float_of_string_opt p, int_of_string_opt seed) with
-    | Some p, Some seed when p >= 0. && p <= 1. -> Prob (p, seed)
-    | _ -> fail "bad prob trigger %S (expected prob:P:SEED, 0<=P<=1) in clause %S" s clause)
-  | _ -> fail "unknown trigger %S in clause %S" s clause
-
-let parse_clause clause =
-  let clause = String.trim clause in
-  match String.index_opt clause '=' with
-  | None -> fail "clause %S lacks '=' (expected site=action[@trigger])" clause
-  | Some i ->
-    let site = String.trim (String.sub clause 0 i) in
-    if site = "" then fail "clause %S names no site" clause;
-    let rest = String.sub clause (i + 1) (String.length clause - i - 1) in
-    let action_s, trigger =
-      match String.index_opt rest '@' with
-      | None -> (String.trim rest, Once)
-      | Some j ->
-        ( String.trim (String.sub rest 0 j),
-          parse_trigger clause
-            (String.trim (String.sub rest (j + 1) (String.length rest - j - 1))) )
+let parse_trigger clause (s : Located.token) =
+  let count what k =
+    Located.int ~valid:(fun k -> k >= 1)
+      (fun k -> Printf.sprintf "bad %s count %S in clause %S" what k clause)
+      k
+  in
+  match Located.split ':' s with
+  | [ { text = "once"; _ } ] -> Once
+  | [ { text = "always"; _ } ] -> Always
+  | [ { text = "nth"; _ }; k ] -> Nth (count "nth" k)
+  | [ { text = "every"; _ }; k ] -> Every (count "every" k)
+  | [ { text = "prob"; _ }; p; seed ] ->
+    let bad _ =
+      Printf.sprintf "bad prob trigger %S (expected prob:P:SEED, 0<=P<=1) in clause %S"
+        s.text clause
     in
-    let action = parse_action clause action_s in
+    let p = Located.float ~valid:(fun p -> p >= 0. && p <= 1.) bad p in
+    Prob (p, Located.int bad seed)
+  | _ -> Located.at s "unknown trigger %S in clause %S" s.text clause
+
+let parse_clause (clause : Located.token) =
+  match Located.cut '=' clause with
+  | None ->
+    Located.at clause "clause %S lacks '=' (expected site=action[@trigger])" clause.text
+  | Some (site, rest) ->
+    let site = Located.trim site in
+    if site.text = "" then Located.at clause "clause %S names no site" clause.text;
+    let action, trigger =
+      match Located.cut '@' rest with
+      | None -> (Located.trim rest, Once)
+      | Some (action, trigger) ->
+        (Located.trim action, parse_trigger clause.text (Located.trim trigger))
+    in
+    let action = parse_action clause.text action in
     let rng = match trigger with Prob (_, seed) -> Some (Rng.create seed) | _ -> None in
-    { r_site = site; r_action = action; r_trigger = trigger; r_rng = rng;
+    { r_site = site.text; r_action = action; r_trigger = trigger; r_rng = rng;
       r_hits = 0; r_fired = 0 }
 
 let parse spec =
-  String.split_on_char ';' spec
-  |> List.filter (fun c -> String.trim c <> "")
-  |> List.map parse_clause
+  List.map parse_clause (List.concat_map (Located.words ~sep:';') (Located.lines spec))
 
 let clear () =
   Mutex.lock mutex;
@@ -241,6 +242,5 @@ let () =
   match Sys.getenv_opt "COMPASS_FAILPOINTS" with
   | None | Some "" -> ()
   | Some spec -> (
-    try set spec
-    with Invalid_argument msg ->
-      Printf.eprintf "compass: ignoring COMPASS_FAILPOINTS: %s\n%!" msg)
+    try Located.in_file "COMPASS_FAILPOINTS" (fun () -> set spec)
+    with Located.Error e -> Printf.eprintf "compass: ignoring %s\n%!" (Located.render e))

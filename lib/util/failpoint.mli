@@ -45,8 +45,8 @@ val enabled : unit -> bool
 val set : string -> unit
 (** Parse and arm a schedule, replacing the previous one and resetting
     all hit counters.  The empty (or blank) spec disarms, like {!clear}.
-    Raises [Invalid_argument] with a located message on a malformed
-    spec. *)
+    Raises {!Located.Error} at the offending token's column (line 1) on
+    a malformed spec; the caller names the spec's source. *)
 
 val clear : unit -> unit
 (** Disarm all failpoints and reset hit counters. *)

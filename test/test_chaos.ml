@@ -22,7 +22,7 @@ let capture_checkpoints () =
 
 (* The tentpole salvage guarantee, exhaustively: a checkpoint truncated
    at EVERY byte prefix either salvages to a strictly-reparseable
-   checkpoint of no newer generation, or raises a located Load_error —
+   checkpoint of no newer generation, or raises a located Located.Error —
    never an unhandled exception, never a silently-wrong population. *)
 let test_checkpoint_truncation_corpus () =
   let _, cks = capture_checkpoints () in
@@ -47,7 +47,7 @@ let test_checkpoint_truncation_corpus () =
       in
       if reparsed.Ga.ck_generation <> s.Plan_text.generation then
         Alcotest.failf "prefix %d: salvaged checkpoint does not round-trip" keep
-    | exception Plan_text.Load_error _ -> incr rejected
+    | exception Compass_util.Located.Error _ -> incr rejected
     | exception e ->
       Alcotest.failf "prefix %d escaped with %s" keep (Printexc.to_string e)
   done;
@@ -89,7 +89,7 @@ let test_plan_truncation_corpus () =
   for keep = 0 to String.length text - 1 do
     match Plan_text.of_string (String.sub text 0 keep) with
     | _ -> ()  (* a prefix that still parses is a complete, valid plan *)
-    | exception Plan_text.Load_error _ -> ()
+    | exception Compass_util.Located.Error _ -> ()
     | exception e ->
       Alcotest.failf "plan prefix %d escaped with %s" keep (Printexc.to_string e)
   done
@@ -138,7 +138,7 @@ let test_journal_salvage_edges () =
   Artifact.append_durable path "";
   (match Plan_text.salvage_checkpoint path with
   | _ -> Alcotest.fail "empty journal salvaged"
-  | exception Plan_text.Load_error _ -> ());
+  | exception Compass_util.Located.Error _ -> ());
   (* Torn first block: the only block is incomplete, nothing salvages. *)
   let t1 = Plan_text.checkpoint_to_string first in
   let torn_first =
@@ -149,17 +149,27 @@ let test_journal_salvage_edges () =
   Artifact.append_durable path torn_first;
   (match Plan_text.salvage_checkpoint path with
   | _ -> Alcotest.fail "torn-first-block journal salvaged"
-  | exception Plan_text.Load_error _ -> ());
+  | exception Compass_util.Located.Error _ -> ());
   (* A later durable append of a complete block makes the journal
      salvageable again: the torn prefix is skipped, not fatal. *)
   Artifact.append_durable path t1;
   let s = Plan_text.salvage_checkpoint path in
   Alcotest.(check int) "complete block recovered past the torn prefix"
     first.Ga.ck_generation s.Plan_text.generation;
+  (* Nothing recoverable: the newest block's diagnostic points at its
+     line of the journal, not at its line within the block. *)
+  let corrupt =
+    String.split_on_char '\n' t1
+    |> List.map (fun l -> if String.starts_with ~prefix:"batch " l then "batch many" else l)
+    |> String.concat "\n"
+  in
+  let block_lines = List.length (String.split_on_char '\n' t1) - 1 in
+  Located_check.expect_located ~line:(block_lines + 3) ~col:7 ~mentions:"bad batch"
+    (fun () -> Plan_text.salvage_of_string (corrupt ^ corrupt));
   (* Missing journal: located error, not a crash. *)
   match Plan_text.salvage_checkpoint (Filename.concat dir "nonexistent.txt") with
   | _ -> Alcotest.fail "missing journal salvaged"
-  | exception (Plan_text.Load_error _ | Sys_error _) -> ()
+  | exception (Compass_util.Located.Error _ | Sys_error _) -> ()
 
 (* Crash-consistent writes: under every injected failure the destination
    keeps its previous contents and the directory keeps no litter; the

@@ -138,25 +138,17 @@ let test_save_is_atomic () =
   Sys.remove path;
   Unix.rmdir dir
 
-let check_load_error text fragment =
-  try
-    ignore (Plan_text.checkpoint_of_string text);
-    Alcotest.fail ("expected Load_error for " ^ fragment)
-  with Plan_text.Load_error msg ->
-    let contains s sub =
-      let n = String.length s and m = String.length sub in
-      let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-      go 0
-    in
-    if not (contains msg fragment) then
-      Alcotest.failf "diagnostic %S does not mention %S" msg fragment
+let expect ~line ?col ~mentions text =
+  Located_check.expect_located ~line ?col ~mentions (fun () ->
+      Plan_text.checkpoint_of_string text)
 
 let test_corrupt_loads () =
   let ck = capture_one () in
   let text = Plan_text.checkpoint_to_string ck in
-  check_load_error "" "not a compass-ga-checkpoint";
-  check_load_error "plain garbage\n" "not a compass-ga-checkpoint";
-  check_load_error "compass-ga-checkpoint 99\n" "unsupported compass-ga-checkpoint version";
+  expect ~line:0 ~mentions:"not a compass-ga-checkpoint" "";
+  expect ~line:1 ~col:1 ~mentions:"not a compass-ga-checkpoint" "plain garbage\n";
+  expect ~line:1 ~col:23 ~mentions:"unsupported compass-ga-checkpoint version"
+    "compass-ga-checkpoint 99\n";
   (* Truncation at every line boundary either parses (never silently
      wrong) or produces a located diagnostic. *)
   let lines = String.split_on_char '\n' text in
@@ -167,9 +159,9 @@ let test_corrupt_loads () =
     in
     match Plan_text.checkpoint_of_string truncated with
     | _ -> Alcotest.failf "truncation to %d lines parsed" keep
-    | exception Plan_text.Load_error _ -> ()
+    | exception Compass_util.Located.Error _ -> ()
   done;
-  (* Field-level corruption is located. *)
+  (* Field-level corruption is located at the field's value. *)
   let corrupt_field key bad =
     String.concat "\n"
       (List.map
@@ -179,11 +171,12 @@ let test_corrupt_loads () =
            | _ -> l)
          lines)
   in
-  check_load_error (corrupt_field "rng-state" "xyzzy") "bad rng-state";
-  check_load_error (corrupt_field "batch" "many") "bad batch";
-  check_load_error (corrupt_field "best-seen" "fast") "bad best-seen";
-  check_load_error (corrupt_field "schemes" "merge,warp") "unknown mutation scheme";
-  check_load_error (text ^ "surplus line\n") "trailing content"
+  expect ~line:5 ~col:11 ~mentions:"bad rng-state" (corrupt_field "rng-state" "xyzzy");
+  expect ~line:3 ~col:7 ~mentions:"bad batch" (corrupt_field "batch" "many");
+  expect ~line:6 ~col:11 ~mentions:"bad best-seen" (corrupt_field "best-seen" "fast");
+  expect ~line:15 ~col:15 ~mentions:"unknown mutation scheme \"warp\""
+    (corrupt_field "schemes" "merge,warp");
+  expect ~line:n ~col:1 ~mentions:"trailing content" (text ^ "surplus line\n")
 
 (* Checkpoints written while the GA still had a crossover extension
    carry a [crossover-rate 0] line right after [schemes].  They keep
@@ -214,7 +207,7 @@ let test_legacy_crossover_line () =
   Alcotest.(check (float 0.)) "same best fitness" full.Ga.best.Ga.fitness
     resumed.Ga.best.Ga.fitness;
   Alcotest.check history_testable "same history" full.Ga.history resumed.Ga.history;
-  check_load_error (legacy "0.3") "crossover-rate 0.3 is no longer supported"
+  expect ~line:16 ~col:16 ~mentions:"crossover-rate 0.3 is no longer supported" (legacy "0.3")
 
 let test_resume_rejects_wrong_model () =
   (* A checkpoint carries partitions for one validity map; resuming it

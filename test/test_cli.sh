@@ -234,14 +234,36 @@ if ls "$TMP"/chaos.plan.tmp.* >/dev/null 2>&1; then
   fails=$((fails + 1))
 fi
 
-# A malformed --failpoints spec is itself a located exit-2 user error.
-expect_exit 2 "bad failpoints spec" "$CLI" compile -m lenet5 --quick \
-  --failpoints "artifact.write.mid=explode"
-expect_stderr_line_count "bad failpoints spec"
-grep -q "failpoint spec" "$TMP/err" || {
-  echo "FAIL: bad failpoints spec not located" >&2
-  fails=$((fails + 1))
-}
+# Every text grammar's malformed input is a one-line exit-2 diagnostic
+# that names its source, line and column.  Row: label | expected stderr
+# prefix after "compass: " | compass arguments (split on spaces).
+printf 'model m\ninput in 3x8x8\nconv c from in out=banana kernel=3\n' >"$TMP/bad.model"
+sed 's/^cuts .*/cuts 1 x 3/' "$TMP/good.plan" >"$TMP/bad_cuts.plan"
+{ grep -v '^faults ' "$TMP/good.plan"; echo "faults dead:banana"; } >"$TMP/bad_faults.plan"
+faults_line=$(grep -c '' "$TMP/bad_faults.plan")
+sed 's/^batch .*/batch many/' "$TMP/ck.txt" >"$TMP/bad_batch.ck"
+located_cases=(
+  "model file|$TMP/bad.model:3:20: |model $TMP/bad.model"
+  "plan file|$TMP/bad_cuts.plan:7:8: |plan $TMP/bad_cuts.plan"
+  "fault spec in a plan|$TMP/bad_faults.plan:$faults_line:13: |verify $TMP/bad_faults.plan"
+  "resume checkpoint|$TMP/bad_batch.ck:3:7: |compile -m lenet5 --quick --resume $TMP/bad_batch.ck"
+  "--faults|--faults:1:6: |compile -m lenet5 --quick --faults dead:banana"
+  "--failpoints|--failpoints:1:20: |compile -m lenet5 --quick --failpoints artifact.write.mid=explode"
+)
+for row in "${located_cases[@]}"; do
+  IFS='|' read -r label prefix args <<<"$row"
+  # shellcheck disable=SC2086 # the argument column is split on purpose
+  expect_exit 2 "malformed $label" "$CLI" $args
+  expect_stderr_line_count "malformed $label"
+  case "$(head -n 1 "$TMP/err")" in
+  "compass: $prefix"*) ;;
+  *)
+    echo "FAIL: malformed $label: stderr does not start with \"compass: $prefix\"" >&2
+    sed 's/^/  stderr: /' "$TMP/err" >&2
+    fails=$((fails + 1))
+    ;;
+  esac
+done
 
 # A torn checkpoint (crash mid-write) salvages: resume succeeds and says so.
 expect_exit 0 "checkpoint for tearing" "$CLI" compile -m lenet5 -c S -b 4 --quick \

@@ -115,37 +115,6 @@ let test_trace_lines () =
   in
   Alcotest.(check string) "format" "0x00000040 READ 32 x" lines
 
-let test_trace_of_lines_roundtrip () =
-  let records =
-    [
-      Trace.read ~tag:"weights:P0" ~addr:0 ~bytes:4096 ();
-      Trace.write ~tag:"act:conv1" ~addr:65536 ~bytes:128 ();
-      Trace.read ~addr:123456 ~bytes:32 ();
-    ]
-  in
-  match Trace.of_lines (Trace.to_lines records) with
-  | Ok parsed ->
-    Alcotest.(check int) "count" 3 (List.length parsed);
-    List.iter2
-      (fun a b ->
-        Alcotest.(check bool) "kind" true (a.Trace.kind = b.Trace.kind);
-        Alcotest.(check int) "addr" a.Trace.addr b.Trace.addr;
-        Alcotest.(check int) "bytes" a.Trace.bytes b.Trace.bytes;
-        Alcotest.(check string) "tag" a.Trace.tag b.Trace.tag)
-      records parsed
-  | Error line -> Alcotest.fail ("unexpected parse error: " ^ line)
-
-let test_trace_of_lines_comments_and_errors () =
-  (match Trace.of_lines "# header\n\n0x0 READ 64 x\n" with
-  | Ok [ r ] -> Alcotest.(check int) "bytes" 64 r.Trace.bytes
-  | _ -> Alcotest.fail "expected one record");
-  (match Trace.of_lines "0x0 NUKE 64\n" with
-  | Error line -> Alcotest.(check string) "offending line" "0x0 NUKE 64" line
-  | Ok _ -> Alcotest.fail "bad kind accepted");
-  match Trace.of_lines "0x0 READ zero\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad size accepted"
-
 (* Controller *)
 
 let test_streaming_read () =
@@ -393,9 +362,6 @@ let () =
           Alcotest.test_case "constructors" `Quick test_trace_constructors;
           Alcotest.test_case "totals" `Quick test_trace_totals;
           Alcotest.test_case "lines" `Quick test_trace_lines;
-          Alcotest.test_case "of_lines roundtrip" `Quick test_trace_of_lines_roundtrip;
-          Alcotest.test_case "of_lines comments/errors" `Quick
-            test_trace_of_lines_comments_and_errors;
         ] );
       ( "controller",
         [

@@ -101,25 +101,33 @@ let test_with_schedule_restores () =
     (Failpoint.active ())
 
 let test_spec_errors () =
-  let rejects spec =
-    Alcotest.(check bool) (Printf.sprintf "rejects %S" spec) true
-      (try
-         Failpoint.with_schedule spec (fun () -> ());
-         false
-       with Invalid_argument _ -> true)
+  let rejects spec col mentions =
+    Located_check.expect_located ~line:1 ~col ~mentions (fun () ->
+        Failpoint.with_schedule spec (fun () -> ()))
   in
-  rejects "nosign";
-  rejects "a=explode";
-  rejects "a=truncate:minus";
-  rejects "a=truncate:-1";
-  rejects "a=delay:fast";
-  rejects "a=raise@sometimes";
-  rejects "a=raise@nth:0";
-  rejects "a=raise@prob:2:1";
-  rejects "=raise";
+  rejects "nosign" 1 "lacks '='";
+  rejects "a=explode" 3 "unknown action \"explode\"";
+  rejects "a=truncate:minus" 12 "bad truncate byte count";
+  rejects "a=truncate:-1" 12 "bad truncate byte count";
+  rejects "a=delay:fast" 9 "bad delay";
+  rejects "a=raise@sometimes" 9 "unknown trigger";
+  rejects "a=raise@nth:0" 13 "bad nth count";
+  rejects "a=raise@prob:2:1" 14 "bad prob trigger";
+  rejects "=raise" 1 "names no site";
+  rejects "a=raise; b=zap" 12 "unknown action \"zap\"";
   (* The empty spec disarms rather than erroring. *)
   Failpoint.set "";
   Alcotest.(check bool) "empty spec disarms" false (Failpoint.enabled ())
+
+(* Model loads read through the guarded artifact reader, so an injected
+   read error surfaces as the syscall error the CLI maps to exit 2. *)
+let test_model_load_read_error () =
+  let path = Filename.temp_file "compass" ".model" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Failpoint.with_schedule "artifact.read=eio" @@ fun () ->
+  match Compass_nn.Model_text.parse_file path with
+  | _ -> Alcotest.fail "injected read error did not surface"
+  | exception Unix.Unix_error (Unix.EIO, "failpoint", "artifact.read") -> ()
 
 let () =
   Alcotest.run "failpoint"
@@ -136,5 +144,6 @@ let () =
           Alcotest.test_case "first rule wins" `Quick test_first_matching_rule_wins;
           Alcotest.test_case "with_schedule restores" `Quick test_with_schedule_restores;
           Alcotest.test_case "spec errors" `Quick test_spec_errors;
+          Alcotest.test_case "model load read error" `Quick test_model_load_read_error;
         ] );
     ]

@@ -36,27 +36,28 @@ let test_spec_parse_roundtrip () =
     cases
 
 let test_spec_errors () =
-  let bad =
+  (* Syntax errors are located at the offending token's column. *)
+  List.iter
+    (fun (spec, col, mentions) ->
+      Located_check.expect_located ~line:1 ~col ~mentions (fun () -> Fault.parse spec))
     [
-      "bogus";
-      "dead";
-      "dead:x";
-      "degraded:1";
-      "degraded:1=0";
-      "degraded:1=9";  (* = nominal capacity on chip S cores *)
-      "random:sideways=2";
-      "endurance:-1";
-      "dead:99";
-      "dead:0;degraded:0=2";  (* core listed twice *)
-      "random:dead=99";  (* more faults than cores *)
-      "transient:-1";
-      "transient:x";
-      "flip:-2";
-      "drift:0";  (* rate must be in (0, 1] *)
-      "drift:1.5";
-      "drift:banana";
-    ]
-  in
+      ("bogus", 1, "has no ':'");
+      ("dead", 1, "has no ':'");
+      ("dead:x", 6, "bad core \"x\"");
+      ("degraded:1", 10, "expected core=value");
+      ("degraded:1=0", 10, "degraded capacity must be >= 1");
+      ("random:sideways=2", 8, "unknown random kind \"sideways\"");
+      ("endurance:-1", 11, "bad endurance");
+      ("transient:-1", 11, "bad transient count");
+      ("transient:x", 11, "bad transient count");
+      ("flip:-2", 6, "bad flip count");
+      ("drift:0", 7, "bad drift");  (* rate must be in (0, 1] *)
+      ("drift:1.5", 7, "bad drift");
+      ("drift:banana", 7, "bad drift");
+      ("dead:1; zap:2", 9, "unknown clause \"zap\"");
+    ];
+  (* Scenarios that parse but cannot be realized on the chip stay
+     Invalid_argument. *)
   List.iter
     (fun spec ->
       Alcotest.(check bool) (Printf.sprintf "%S rejected" spec) true
@@ -64,7 +65,12 @@ let test_spec_errors () =
            ignore (Fault.of_string spec ~seed:0 ~cores:16 ~macros_per_core:9);
            false
          with Invalid_argument _ -> true))
-    bad
+    [
+      "degraded:1=9";  (* = nominal capacity on chip S cores *)
+      "dead:99";
+      "dead:0;degraded:0=2";  (* core listed twice *)
+      "random:dead=99";  (* more faults than cores *)
+    ]
 
 let test_random_scenarios_deterministic () =
   let realize seed = Fault.of_string "random:dead=2,degraded=3" ~seed ~cores:16 ~macros_per_core:9 in

@@ -63,89 +63,78 @@ let test_inferred_channels () =
   | Layer.Conv { in_channels; _ } -> Alcotest.(check int) "inferred" 6 in_channels
   | _ -> Alcotest.fail "not a conv"
 
-let check_parse_error text expected_line =
-  try
-    ignore (Model_text.parse text);
-    Alcotest.fail "expected Parse_error"
-  with Model_text.Parse_error (line, _) ->
-    Alcotest.(check int) "error line" expected_line line
+let expect ~line ?col ~mentions text =
+  Located_check.expect_located ~line ?col ~mentions (fun () -> Model_text.parse text)
 
 let test_error_unknown_op () =
-  check_parse_error "model m\ninput in 4\nfoo x from in\n" 3
+  expect ~line:3 ~col:1 ~mentions:"unknown operator foo" "model m\ninput in 4\nfoo x from in\n"
 
 let test_error_unknown_producer () =
-  check_parse_error "model m\ninput in 4\nrelu r from ghost\n" 3
+  expect ~line:3 ~col:13 ~mentions:"unknown producer ghost"
+    "model m\ninput in 4\nrelu r from ghost\n"
 
 let test_error_missing_attr () =
-  check_parse_error "model m\ninput in 3x8x8\nconv c from in kernel=3\n" 3
+  expect ~line:3 ~mentions:"missing attribute out"
+    "model m\ninput in 3x8x8\nconv c from in kernel=3\n"
 
 let test_error_duplicate_name () =
-  check_parse_error "model m\ninput in 4\nrelu in from in\n" 3
+  expect ~line:3 ~col:6 ~mentions:"duplicate node name in"
+    "model m\ninput in 4\nrelu in from in\n"
 
 let test_error_shape_mismatch () =
   (* Linear on a feature map must point at the offending line. *)
-  check_parse_error "model m\ninput in 3x8x8\nlinear fc from in out=10\n" 3
+  expect ~line:3 ~mentions:"producer is a feature map"
+    "model m\ninput in 3x8x8\nlinear fc from in out=10\n"
 
-let test_error_empty () =
-  check_parse_error "" 0
+let test_error_empty () = expect ~line:0 ~mentions:"empty description" ""
 
 let test_error_bad_shape () =
-  check_parse_error "model m\ninput in 3x\n" 2
+  expect ~line:2 ~col:10 ~mentions:"bad shape \"3x\"" "model m\ninput in 3x\n"
 
 (* Corpus of malformed inputs: every case must fail with a *located*
    diagnostic (correct line, and the offending token's column where it
    exists), never a bare exception. *)
 
-let check_parse_error_msg text expected_line fragment =
-  try
-    ignore (Model_text.parse text);
-    Alcotest.fail "expected Parse_error"
-  with Model_text.Parse_error (line, msg) ->
-    Alcotest.(check int) "error line" expected_line line;
-    let contains s sub =
-      let n = String.length s and m = String.length sub in
-      let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-      go 0
-    in
-    if not (contains msg fragment) then
-      Alcotest.failf "diagnostic %S does not mention %S" msg fragment
-
 let test_corpus_located () =
-  (* Non-integer attribute value, with the offending token's column. *)
-  check_parse_error_msg "model m\ninput in 3x8x8\nconv c from in out=banana kernel=3\n" 3
-    "not an integer";
-  check_parse_error_msg "model m\ninput in 3x8x8\nconv c from in out=banana kernel=3\n" 3
-    "column";
+  (* Non-integer attribute value, at the value's column. *)
+  expect ~line:3 ~col:20 ~mentions:"attribute out: \"banana\" is not an integer"
+    "model m\ninput in 3x8x8\nconv c from in out=banana kernel=3\n";
   (* Unknown operator names its column too. *)
-  check_parse_error_msg "model m\ninput in 4\nwarp w from in\n" 3 "unknown operator";
-  check_parse_error_msg "model m\ninput in 4\nwarp w from in\n" 3 "column 1";
+  expect ~line:3 ~col:1 ~mentions:"unknown operator warp"
+    "model m\ninput in 4\nwarp w from in\n";
   (* Unknown attribute. *)
-  check_parse_error_msg "model m\ninput in 3x8x8\nconv c from in out=4 kernel=3 zap=1\n" 3
-    "unknown attribute zap";
+  expect ~line:3 ~col:31 ~mentions:"unknown attribute zap"
+    "model m\ninput in 3x8x8\nconv c from in out=4 kernel=3 zap=1\n";
   (* Bare word where key=value expected. *)
-  check_parse_error_msg "model m\ninput in 8\nlinear fc from in out=4 oops\n" 3
-    "expected key=value"
+  expect ~line:3 ~col:25 ~mentions:"expected key=value"
+    "model m\ninput in 8\nlinear fc from in out=4 oops\n";
+  (* Columns count from the raw line: indentation and comments do not
+     shift them. *)
+  expect ~line:3 ~col:25 ~mentions:"is not an integer"
+    "model m # c\n  input in 8\n  linear fc from in out=x\n"
 
 let test_corpus_constructor_errors () =
   (* Invalid layer parameters surface as located diagnostics, not raw
      Invalid_argument from the layer smart constructors. *)
-  check_parse_error "model m\ninput in 3x8x8\nconv c from in out=4 kernel=0\n" 3;
-  check_parse_error "model m\ninput in 3x8x8\ndepthwise d from in kernel=0\n" 3;
-  check_parse_error "model m\ninput in 8\nlinear fc from in out=-3\n" 3;
-  check_parse_error "model m\ninput in 3x8x8\nmaxpool p from in kernel=-2\n" 3;
+  expect ~line:3 ~mentions:"" "model m\ninput in 3x8x8\nconv c from in out=4 kernel=0\n";
+  expect ~line:3 ~mentions:"" "model m\ninput in 3x8x8\ndepthwise d from in kernel=0\n";
+  expect ~line:3 ~mentions:"" "model m\ninput in 8\nlinear fc from in out=-3\n";
+  expect ~line:3 ~mentions:"" "model m\ninput in 3x8x8\nmaxpool p from in kernel=-2\n";
   (* Bad shapes, including non-positive dimensions. *)
-  check_parse_error "model m\ninput in 0x8x8\n" 2;
-  check_parse_error "model m\ninput in 3x8x8x8\n" 2;
-  check_parse_error "model m\ninput in -4\n" 2
+  expect ~line:2 ~col:10 ~mentions:"bad shape" "model m\ninput in 0x8x8\n";
+  expect ~line:2 ~col:10 ~mentions:"bad shape" "model m\ninput in 3x8x8x8\n";
+  expect ~line:2 ~col:10 ~mentions:"bad shape" "model m\ninput in -4\n"
 
 let test_corpus_truncation () =
   (* Descriptions cut off mid-way fail cleanly at the right line. *)
-  check_parse_error "model m\ninput in 3x8x8\nconv c from in\n" 3 (* attrs lost *);
-  check_parse_error "model m\ninput in 3x8x8\nconv\n" 3 (* name lost *);
-  check_parse_error "model m\ninput in\n" 2 (* shape lost *);
+  expect ~line:3 ~mentions:"missing attribute" "model m\ninput in 3x8x8\nconv c from in\n"
+  (* attrs lost *);
+  expect ~line:3 ~mentions:"needs a name" "model m\ninput in 3x8x8\nconv\n" (* name lost *);
+  expect ~line:2 ~mentions:"exactly one shape" "model m\ninput in\n" (* shape lost *);
   (* A consumer statement whose producer line vanished. *)
-  check_parse_error_msg "model m\nconv c from in out=4 kernel=3\n" 2 "unknown producer";
-  check_parse_error "" 0 (* everything lost: empty description *)
+  expect ~line:2 ~col:13 ~mentions:"unknown producer in"
+    "model m\nconv c from in out=4 kernel=3\n";
+  expect ~line:0 ~mentions:"empty description" "" (* everything lost *)
 
 let test_comments_and_blanks () =
   let g = Model_text.parse "# header\n\nmodel m\n  # indented comment\ninput in 8\nlinear fc from in out=4 # trailing\n" in
@@ -192,8 +181,18 @@ let test_parse_file () =
   output_string oc lenet_text;
   close_out oc;
   let g = Model_text.parse_file path in
-  Sys.remove path;
-  Alcotest.(check string) "loaded" "lenet5" (Graph.name g)
+  Alcotest.(check string) "loaded" "lenet5" (Graph.name g);
+  (* File errors name the file. *)
+  let oc = open_out path in
+  output_string oc "model m\nwarp w\n";
+  close_out oc;
+  (match Model_text.parse_file path with
+  | _ -> Alcotest.fail "malformed file parsed"
+  | exception Compass_util.Located.Error e ->
+    Alcotest.(check string) "names the file"
+      (path ^ ":2:1: unknown operator warp")
+      (Compass_util.Located.render e));
+  Sys.remove path
 
 let test_parsed_model_compiles () =
   let g = Model_text.parse residual_text in

@@ -30,15 +30,7 @@ let test_roundtrip_custom_model () =
     Compiler.compile ~ga_params:quick ~model ~chip:Config.chip_s ~batch:2 Compiler.Greedy
   in
   let text = Plan_text.to_string plan in
-  Alcotest.(check bool) "embeds the model" true
-    (String.length text > 0
-    &&
-    let re = "model-text" in
-    let rec contains i =
-      i + String.length re <= String.length text
-      && (String.sub text i (String.length re) = re || contains (i + 1))
-    in
-    contains 0);
+  Alcotest.(check bool) "embeds the model" true (Located_check.contains text "model-text");
   let reloaded = Plan_text.of_string text in
   Alcotest.(check string) "model name survives" "custom9"
     (Compass_nn.Graph.name reloaded.Compiler.model);
@@ -54,35 +46,49 @@ let test_save_load_file () =
   Alcotest.(check bool) "same group" true
     (Partition.equal plan.Compiler.group reloaded.Compiler.group)
 
-let check_load_error text fragment =
-  try
-    ignore (Plan_text.of_string text);
-    Alcotest.fail "expected Load_error"
-  with Plan_text.Load_error msg ->
-    Alcotest.(check bool)
-      (Printf.sprintf "error mentions %s (got %S)" fragment msg)
-      true
-      (let re = fragment in
-       let rec contains i =
-         i + String.length re <= String.length msg
-         && (String.sub msg i (String.length re) = re || contains (i + 1))
-       in
-       contains 0)
+let expect ~line ?col ~mentions text =
+  Located_check.expect_located ~line ?col ~mentions (fun () -> Plan_text.of_string text)
+
+(* A lenet5 plan up to its cuts line (line 7). *)
+let header =
+  "compass-plan 1\nmodel lenet5\nchip S\nbatch 2\nobjective latency\nscheme greedy\n"
 
 let test_load_errors () =
-  check_load_error "garbage" "malformed line";
-  check_load_error "note hello\n" "not a compass-plan";
-  check_load_error "compass-plan 1\nchip S\nbatch 2\nobjective latency\nscheme greedy\ncuts 0 1\n"
-    "missing field model";
-  check_load_error
-    "compass-plan 1\nmodel nosuch\nchip S\nbatch 2\nobjective latency\nscheme greedy\ncuts 0 1\n"
-    "unknown zoo model";
-  check_load_error
-    "compass-plan 1\nmodel lenet5\nchip S\nbatch 2\nobjective latency\nscheme greedy\ncuts 0 1\n"
-    "cover";
-  check_load_error
-    "compass-plan 1\nmodel lenet5\nchip S\nbatch 0\nobjective latency\nscheme greedy\ncuts 0 5\n"
-    "bad batch"
+  expect ~line:1 ~col:1 ~mentions:"malformed line" "garbage";
+  expect ~line:0 ~mentions:"not a compass-plan" "note hello\n";
+  expect ~line:0 ~mentions:"missing field model"
+    "compass-plan 1\nchip S\nbatch 2\nobjective latency\nscheme greedy\ncuts 0 1\n";
+  expect ~line:1 ~col:14 ~mentions:"unsupported compass-plan version \"9\"" "compass-plan 9\n";
+  expect ~line:2 ~col:7 ~mentions:"unknown zoo model"
+    "compass-plan 1\nmodel nosuch\nchip S\nbatch 2\nobjective latency\nscheme greedy\n\
+     cuts 0 1\n";
+  expect ~line:7 ~col:6 ~mentions:"cover" (header ^ "cuts 0 1\n");
+  expect ~line:4 ~col:7 ~mentions:"bad batch"
+    "compass-plan 1\nmodel lenet5\nchip S\nbatch 0\nobjective latency\nscheme greedy\n\
+     cuts 0 5\n";
+  (* The offending cut, not just its line. *)
+  expect ~line:7 ~col:8 ~mentions:"bad cuts \"1 x 3\"" (header ^ "cuts 1 x 3\n");
+  expect ~line:7 ~col:6 ~mentions:"invalid cuts" (header ^ "cuts 0 0\n")
+
+(* Nested grammars report at the host's line and column, with their own
+   message and no second prefix. *)
+let test_nested_errors_shifted () =
+  let faulty = header ^ "cuts 0 5\nfaults dead:banana\n" in
+  expect ~line:8 ~col:13 ~mentions:"bad core \"banana\"" faulty;
+  (match Plan_text.of_string faulty with
+  | _ -> Alcotest.fail "bad fault spec accepted"
+  | exception Compass_util.Located.Error e ->
+    Alcotest.(check string) "one prefix"
+      "bad core \"banana\" (expected a non-negative integer)" e.msg);
+  (* Semantic fault errors still name the stored spec. *)
+  expect ~line:8 ~col:8 ~mentions:"bad faults \"dead:99\""
+    (header ^ "cuts 0 5\nfaults dead:99\n");
+  (* An inline model's error lands on the plan's line and column. *)
+  let inline =
+    "compass-plan 1\nmodel custom\nchip S\nbatch 2\nobjective latency\nscheme greedy\n\
+     cuts 0 1\nmodel-text\nmodel custom\ninput in 8\nlinear fc from in out=banana\n"
+  in
+  expect ~line:11 ~col:23 ~mentions:"attribute out" inline
 
 let test_wrong_chip_rejected () =
   (* Cuts computed for chip S do not cover the chip L decomposition. *)
@@ -94,7 +100,7 @@ let test_wrong_chip_rejected () =
          (fun line -> if line = "chip S" then "chip L" else line)
          (String.split_on_char '\n' text))
   in
-  check_load_error retargeted "different hardware"
+  expect ~line:7 ~col:6 ~mentions:"different hardware" retargeted
 
 let test_plan_layer_table () =
   let plan = compile "resnet18" Compiler.Compass in
@@ -120,6 +126,7 @@ let () =
         [
           Alcotest.test_case "load errors" `Quick test_load_errors;
           Alcotest.test_case "wrong chip rejected" `Quick test_wrong_chip_rejected;
+          Alcotest.test_case "nested errors shifted" `Quick test_nested_errors_shifted;
         ] );
       ( "report",
         [ Alcotest.test_case "per-layer table" `Quick test_plan_layer_table ] );
