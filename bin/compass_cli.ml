@@ -856,7 +856,6 @@ let serve_cmd =
         breaker_cooldown_s = breaker_cooldown;
         seed;
         jobs;
-        sleep = Unix.sleepf;
       }
     in
     let server = Server.create ~config ~respond () in
@@ -931,7 +930,10 @@ let serve_cmd =
     Arg.(value & opt int 2 & info [ "retries" ] ~docv:"N" ~doc)
   in
   let backoff_arg =
-    let doc = "Initial retry backoff in seconds (doubles per retry)." in
+    let doc =
+      "Initial retry backoff in seconds (doubles per retry, capped at 60); the \
+       request waits in the queue meanwhile."
+    in
     Arg.(value & opt float 0.01 & info [ "retry-backoff" ] ~docv:"SECS" ~doc)
   in
   let breaker_threshold_arg =

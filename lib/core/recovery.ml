@@ -7,21 +7,10 @@ type policy = {
   backoff_s : float;
   allow_remap : bool;
   budget : Compass_util.Budget.t option;
-  sleep : float -> unit;
 }
 
 let default_policy =
-  {
-    max_retries = 2;
-    max_remaps = 4;
-    backoff_s = 1e-4;
-    allow_remap = true;
-    budget = None;
-    (* Backoff is simulated, never slept: recovery must not block the
-       request on wall-clock waits, and tests with simulated time must
-       not flake.  Callers that really want to wait inject a sleep. *)
-    sleep = ignore;
-  }
+  { max_retries = 2; max_remaps = 4; backoff_s = 1e-4; allow_remap = true; budget = None }
 
 type action =
   | Detected of {
@@ -129,6 +118,11 @@ let run ?(policy = default_policy) ?(seed = 0) ?faults ~weights ~input plan0 =
     | Some f -> Some f
     | None -> plan0.Compiler.faults
   in
+  (* Backoff is modeled, never slept: recovery never blocks a request. *)
+  let retry = Compass_util.Retry.make ~retries:policy.max_retries ~base_s:policy.backoff_s () in
+  (match (Graph.entry_nodes model, Graph.exit_nodes model) with
+  | [ _ ], [ _ ] -> ()
+  | _ -> invalid_arg "Recovery.run: expected exactly one input and one output");
   (* Quantize every weighted layer once; all execution (reference and
      healed) reads dequantized codes so recovered output can be compared
      bit for bit. *)
@@ -256,24 +250,26 @@ let run ?(policy = default_policy) ?(seed = 0) ?faults ~weights ~input plan0 =
                    }))
             !mismatches;
           (* Stage 1: retry — transient stuck-at cells clear on re-read. *)
-          let attempt = ref 0 in
-          while !mismatches <> [] && !attempt < policy.max_retries && not (expired ()) do
-            let backoff = policy.backoff_s *. (2. ** float_of_int !attempt) in
-            backoff_total := !backoff_total +. backoff;
-            policy.sleep backoff;
-            incr retries;
-            metric "recovery.retries";
-            push (Retried { node; attempt = !attempt; backoff_s = backoff });
-            List.iter
-              (fun (m : Abft.mismatch) ->
+          let rec stage1 attempt =
+            if !mismatches <> [] then
+              match Compass_util.Retry.next ?budget:policy.budget retry ~attempt with
+              | Compass_util.Retry.Exhausted | Compass_util.Retry.Expired -> ()
+              | Compass_util.Retry.Again backoff ->
+                backoff_total := !backoff_total +. backoff;
+                incr retries;
+                metric "recovery.retries";
+                push (Retried { node; attempt; backoff_s = backoff });
                 List.iter
-                  (fun b -> if b.site.Inject.transient then b.cleared <- true)
-                  (sites_of_unit m.Abft.unit_index))
-              !mismatches;
-            incr attempt;
-            codes := read_layer node;
-            mismatches := verify_layer node !codes
-          done;
+                  (fun (m : Abft.mismatch) ->
+                    List.iter
+                      (fun b -> if b.site.Inject.transient then b.cleared <- true)
+                      (sites_of_unit m.Abft.unit_index))
+                  !mismatches;
+                codes := read_layer node;
+                mismatches := verify_layer node !codes;
+                stage1 (attempt + 1)
+          in
+          stage1 0;
           (* Stage 2: remap — retire the faulty core and repair the plan
              so the unit's weights are reprogrammed on spare capacity. *)
           while
@@ -313,48 +309,20 @@ let run ?(policy = default_policy) ?(seed = 0) ?faults ~weights ~input plan0 =
         end;
         !codes)
   in
-  let is_weighted = Hashtbl.create 16 in
-  List.iter (fun (n, _) -> Hashtbl.add is_weighted n ()) units.Unit_gen.layer_units;
-  let input_node =
-    match Graph.entry_nodes model with
-    | [ n ] -> n
-    | _ -> invalid_arg "Recovery.run: expected exactly one input"
-  in
-  let dequant node codes = Quant.dequantize (Hashtbl.find spec_of node) codes in
-  (* Execute the model with a per-layer code source; reference and healed
-     runs share this path so identical codes give bit-identical outputs. *)
+  (* Heal every weighted layer in topological order, then run the shared
+     executor on dequantized codes for both the reference and the healed
+     run, so identical codes give bit-identical outputs. *)
   let execute codes_for =
     let exec_weights : Executor.weights = Hashtbl.create 16 in
-    let tensors : (Graph.node, Tensor.t) Hashtbl.t = Hashtbl.create 32 in
-    Hashtbl.add tensors input_node input;
     List.iter
       (fun v ->
-        if v <> input_node then begin
-          if Hashtbl.mem is_weighted v then
-            Hashtbl.replace exec_weights v (dequant v (codes_for v));
-          let inputs =
-            List.map
-              (fun u ->
-                match Hashtbl.find_opt tensors u with
-                | Some t -> t
-                | None ->
-                  invalid_arg
-                    (Printf.sprintf "Recovery: node %d needs %d before it is available" v u))
-              (Graph.preds model v)
-          in
-          Hashtbl.add tensors v (Executor.apply_node model exec_weights v inputs)
-        end)
+        if Hashtbl.mem clean_codes v then
+          Hashtbl.replace exec_weights v
+            (Quant.dequantize (Hashtbl.find spec_of v) (codes_for v)))
       (Graph.topo_order model);
-    let exit_node =
-      match Graph.exit_nodes model with
-      | [ n ] -> n
-      | _ -> invalid_arg "Recovery.run: expected exactly one output"
-    in
-    match Hashtbl.find_opt tensors exit_node with
-    | Some t -> t
-    | None -> invalid_arg "Recovery.run: output never produced"
+    Executor.output model exec_weights input
   in
-  let reference = execute (fun node -> Hashtbl.find clean_codes node) in
+  let reference = execute (Hashtbl.find clean_codes) in
   let output =
     Compass_util.Trace.with_span "recovery.execute" (fun () -> execute heal)
   in

@@ -33,13 +33,10 @@ type policy = {
           the run degrades instead of blocking the request.  Deadlines
           read the budget's own injectable clock — recovery never reads
           the wall clock directly. *)
-  sleep : float -> unit;
-      (** Invoked with each retry's backoff interval.  Default [ignore]:
-          backoff is {e simulated} (accumulated in [backoff_total_s]) and
-          recovery never blocks on [Unix.sleepf], so runs under a fake
-          clock are deterministic and wall-time-free — a regression test
-          pins this.  Inject a real sleep to actually wait. *)
 }
+(** Retries follow {!Compass_util.Retry}: [backoff_s] doubles per
+    attempt, up to 60 s.  Backoff is {e modeled}, never slept: it is
+    reported in [Retried] actions and [backoff_total_s]. *)
 
 val default_policy : policy
 
@@ -76,7 +73,7 @@ type report = {
   retries : int;
   remaps : int;
   degraded_layers : int;
-  backoff_total_s : float;  (** Accumulated (simulated) backoff wait. *)
+  backoff_total_s : float;  (** Accumulated modeled backoff. *)
   actions : action list;  (** Escalation log in order. *)
   plan : Compiler.t;  (** Final plan — repaired if remaps happened. *)
   sites : Inject.site list;  (** Realized fault sites. *)
@@ -92,8 +89,9 @@ val run :
   report
 (** [run ~weights ~input plan] executes one inference under the fault
     scenario (default: the plan's own; sites realized from [seed],
-    default 0).  Raises [Invalid_argument] on missing weights or a model
-    without exactly one input/output. *)
+    default 0).  Raises [Invalid_argument] on missing weights, a model
+    without exactly one input/output, or a policy {!Compass_util.Retry.make}
+    rejects. *)
 
 val retire :
   Compass_arch.Fault.t option -> cores:int -> int -> Compass_arch.Fault.t

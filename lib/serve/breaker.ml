@@ -11,27 +11,20 @@ type cls = {
 
 type t = {
   threshold : int;
-  cooldown_s : float;
-  max_cooldown_s : float;
+  cooldown : Compass_util.Retry.t;
   now : unit -> float;
-  rng : Compass_util.Rng.t;
   classes : (string, cls) Hashtbl.t;
 }
 
 let metric = Compass_util.Metrics.incr
 
-let create ?(threshold = 5) ?(cooldown_s = 1.0) ?(max_cooldown_s = 60.) ?(seed = 0) ~now
-    () =
+let create ?(threshold = 5) ?(cooldown_s = 1.0) ?(seed = 0) ~now () =
   if threshold < 1 then invalid_arg "Breaker.create: threshold < 1";
-  if not (cooldown_s > 0.) then invalid_arg "Breaker.create: cooldown_s <= 0";
-  {
-    threshold;
-    cooldown_s;
-    max_cooldown_s;
-    now;
-    rng = Compass_util.Rng.create seed;
-    classes = Hashtbl.create 8;
-  }
+  (* Opens are unbounded: only the delay of the policy is used. *)
+  let cooldown =
+    Compass_util.Retry.make ~jitter_seed:seed ~retries:max_int ~base_s:cooldown_s ()
+  in
+  { threshold; cooldown; now; classes = Hashtbl.create 8 }
 
 let find t cls =
   match Hashtbl.find_opt t.classes cls with
@@ -41,15 +34,8 @@ let find t cls =
     Hashtbl.add t.classes cls c;
     c
 
-(* Doubling cooldown with seeded jitter in [1, 1.25): deterministic for
-   a given seed, decorrelated across seeds. *)
-let next_cooldown t c =
-  let base = t.cooldown_s *. (2. ** float_of_int (min c.opens 16)) in
-  let jitter = 1. +. (0.25 *. Compass_util.Rng.float t.rng 1.) in
-  Float.min t.max_cooldown_s (base *. jitter)
-
 let open_class t cls_name c =
-  let cooldown = next_cooldown t c in
+  let cooldown = Compass_util.Retry.delay t.cooldown ~attempt:c.opens in
   c.state <- Open (t.now () +. cooldown);
   c.opens <- c.opens + 1;
   metric "serve.breaker.opened";
@@ -111,8 +97,3 @@ let state_name t cls_name =
   | Closed -> "closed"
   | Open _ -> "open"
   | Half_open -> "half_open"
-
-let cooldown_remaining_s t cls_name =
-  match (find t cls_name).state with
-  | Open until -> Float.max 0. (until -. t.now ())
-  | Closed | Half_open -> 0.

@@ -8,9 +8,9 @@
     poisoned model cache) time to clear.  After a cooldown the breaker
     goes {e half-open}: exactly one probe request is admitted, and its
     outcome decides — success closes the breaker, failure re-opens it
-    with a doubled cooldown (capped, with a seeded jitter so a fleet of
-    servers doesn't re-probe in lockstep; the draw sequence is
-    deterministic for a given seed).
+    with a doubled cooldown ({!Compass_util.Retry}: capped at 60 s, with
+    a seeded jitter so a fleet of servers doesn't re-probe in lockstep;
+    the draw sequence is deterministic for a given seed).
 
     Time comes from the injected [now] clock, so tests script the whole
     open → half-open → closed trajectory without sleeping.  Transitions
@@ -25,17 +25,11 @@ type decision =
   | Reject of string  (** open (or probe in flight); the reason, one line *)
 
 val create :
-  ?threshold:int ->
-  ?cooldown_s:float ->
-  ?max_cooldown_s:float ->
-  ?seed:int ->
-  now:(unit -> float) ->
-  unit ->
-  t
+  ?threshold:int -> ?cooldown_s:float -> ?seed:int -> now:(unit -> float) -> unit -> t
 (** Defaults: threshold 5 consecutive failures, cooldown 1.0 s doubling
-    up to [max_cooldown_s] (default 60 s), jitter seeded with [seed]
-    (default 0).  Raises [Invalid_argument] on a threshold < 1 or
-    non-positive cooldown. *)
+    per consecutive open up to the 60 s {!Compass_util.Retry.cap_s},
+    jitter seeded with [seed] (default 0).  Raises [Invalid_argument] on
+    a threshold < 1 or a negative or NaN cooldown. *)
 
 val admit : t -> string -> decision
 (** [admit t cls] — consult the breaker for one request of class [cls].
@@ -54,6 +48,3 @@ val cancel_probe : t -> string -> unit
 
 val state_name : t -> string -> string
 (** ["closed"], ["open"] or ["half_open"] — for tests and gauges. *)
-
-val cooldown_remaining_s : t -> string -> float
-(** Seconds until an open class half-opens; 0 otherwise. *)

@@ -19,7 +19,6 @@ type config = {
   seed : int;
   jobs : int;
   clock : unit -> float;
-  sleep : float -> unit;
 }
 
 let default_config =
@@ -34,7 +33,6 @@ let default_config =
     seed = 0;
     jobs = 1;
     clock = Unix.gettimeofday;
-    sleep = ignore;
   }
 
 type pending = {
@@ -42,6 +40,7 @@ type pending = {
   admitted_at : float;
   budget : Budget.t option;
   probe : bool;
+  attempt : int;  (* executions so far *)
 }
 
 type t = {
@@ -49,16 +48,15 @@ type t = {
   respond : Protocol.response -> unit;
   queue : pending Admission.t;
   breaker : Breaker.t;
+  retry : Retry.t;
+  mutable deferred : (float * pending) list;  (* retries by due time *)
   pool : Pool.t option;
   mutable state : [ `Running | `Draining | `Closed ];
   mutable responses : int;
 }
 
 let create ?(config = default_config) ~respond () =
-  if config.max_retries < 0 then invalid_arg "Server.create: max_retries < 0";
   if config.jobs < 1 then invalid_arg "Server.create: jobs < 1";
-  if not (config.retry_backoff_s >= 0.) then
-    invalid_arg "Server.create: retry_backoff_s < 0";
   {
     cfg = config;
     respond;
@@ -66,12 +64,14 @@ let create ?(config = default_config) ~respond () =
     breaker =
       Breaker.create ~threshold:config.breaker_threshold
         ~cooldown_s:config.breaker_cooldown_s ~seed:config.seed ~now:config.clock ();
+    retry = Retry.make ~retries:config.max_retries ~base_s:config.retry_backoff_s ();
+    deferred = [];
     pool = (if config.jobs > 1 then Some (Pool.create ~jobs:config.jobs) else None);
     state = `Running;
     responses = 0;
   }
 
-let pending t = Admission.depth t.queue
+let pending t = Admission.depth t.queue + List.length t.deferred
 let draining t = t.state = `Draining
 let responded t = t.responses
 
@@ -237,38 +237,39 @@ let execute t (p : pending) =
     Trace.with_span "serve.request"
       ~args:[ ("id", req.id); ("kind", cls) ]
       (fun () ->
-        let rec attempt k =
-          match
-            Failpoint.guard "serve.request";
-            execute_kind t p
-          with
-          | status, note, body -> finish status note body
-          | exception Executor.Cancelled ->
-            finish Protocol.Timeout
-              (Some "deadline expired during inference (cancelled between layers)")
-              []
-          | exception User_error msg -> finish Protocol.Error (Some msg) []
-          | exception e -> (
-            match transient_reason e with
-            | Some reason ->
-              if expired () then
-                finish Protocol.Timeout
-                  (Some ("deadline expired while retrying: " ^ reason))
-                  []
-              else if k >= t.cfg.max_retries then
+        match
+          Failpoint.guard "serve.request";
+          execute_kind t p
+        with
+        | status, note, body -> finish status note body
+        | exception Executor.Cancelled ->
+          finish Protocol.Timeout
+            (Some "deadline expired during inference (cancelled between layers)")
+            []
+        | exception User_error msg -> finish Protocol.Error (Some msg) []
+        | exception e -> (
+          match transient_reason e with
+          | None -> finish Protocol.Error (Some (Printexc.to_string e)) []
+          | Some reason -> (
+            (* The deadline is polled before the retry bound. *)
+            if expired () then
+              finish Protocol.Timeout
+                (Some ("deadline expired while retrying: " ^ reason))
+                []
+            else
+              match Retry.next t.retry ~attempt:p.attempt with
+              | Retry.Again delay ->
+                Metrics.incr "serve.retries";
+                (* Re-queued, not waited out: other work runs meanwhile. *)
+                let retry = (t.cfg.clock () +. delay, { p with attempt = p.attempt + 1 }) in
+                t.deferred <-
+                  List.merge (fun (a, _) (b, _) -> Float.compare a b) t.deferred [ retry ]
+              | Retry.Exhausted | Retry.Expired ->
                 finish Protocol.Error
                   (Some
                      (Printf.sprintf "%s (gave up after %d attempt(s))" reason
-                        (k + 1)))
-                  []
-              else begin
-                Metrics.incr "serve.retries";
-                t.cfg.sleep (t.cfg.retry_backoff_s *. (2. ** float_of_int k));
-                attempt (k + 1)
-              end
-            | None -> finish Protocol.Error (Some (Printexc.to_string e)) [])
-        in
-        attempt 0)
+                        (p.attempt + 1)))
+                  [])))
 
 (* ------------------------------------------------------------------ *)
 (* Admission                                                           *)
@@ -310,7 +311,7 @@ let submit t lines =
             deadline
         in
         let p =
-          { req; admitted_at = now; budget; probe = decision = Breaker.Probe }
+          { req; admitted_at = now; budget; probe = decision = Breaker.Probe; attempt = 0 }
         in
         if not (Admission.offer t.queue p) then begin
           if p.probe then Breaker.cancel_probe t.breaker cls;
@@ -322,24 +323,25 @@ let submit t lines =
         end
     end
 
-let submit_string t s =
-  let f = Protocol.Framer.create () in
-  List.iter
-    (fun line ->
-      match Protocol.Framer.feed f line with
-      | Some block -> submit t block
-      | None -> ())
-    (String.split_on_char '\n' s);
-  if Protocol.Framer.partial f then
-    invalid_arg "Server.submit_string: unterminated request block (missing end)"
-
+(* A due retry runs first, then the next admitted request; a retry
+   still backing off runs early only when nothing else is queued, so
+   [step] never waits. *)
 let step t =
   check_live t "step";
-  match Admission.pop t.queue with
+  let next =
+    match t.deferred with
+    | (due, p) :: rest when Admission.depth t.queue = 0 || due <= t.cfg.clock () ->
+      t.deferred <- rest;
+      Some p
+    | _ -> Admission.pop t.queue
+  in
+  match next with
   | None -> false
   | Some p ->
     execute t p;
     true
+
+let retry_due t = match t.deferred with (due, _) :: _ -> Some due | [] -> None
 
 let begin_drain t = if t.state = `Running then t.state <- `Draining
 
@@ -406,9 +408,13 @@ let run_fd t ?(idle_timeout_s = 0.05) ~stop fd =
         loop ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
     end
-    else if step t then loop ()
     else begin
-      ignore (readable idle_timeout_s);
+      (* The one place a retry's backoff is waited out. *)
+      let wait =
+        if Admission.depth t.queue > 0 then 0.
+        else Option.fold ~none:infinity ~some:(fun due -> due -. t.cfg.clock ()) (retry_due t)
+      in
+      if wait <= 0. then ignore (step t) else ignore (readable (Float.min wait idle_timeout_s));
       loop ()
     end
   in

@@ -6,14 +6,18 @@
     queue and a per-class {!Breaker}, executes them with a per-request
     {!Compass_util.Budget} deadline, retries transient failures
     ([Failpoint.Injected], simulated syscall errors, pool task crashes)
-    with bounded backoff, and answers {e every} submitted request with
-    exactly one response envelope — including malformed ones, shed
-    ones, and ones still queued when the server drains.
+    with the bounded doubling backoff of {!Compass_util.Retry}, and
+    answers {e every} submitted request with exactly one response
+    envelope — including malformed ones, shed ones, and ones still
+    queued when the server drains.
+
+    A retry waits in the queue, not in the loop: other work runs during
+    its backoff, and only {!run_fd} ever waits.
 
     The engine itself is single-domain and synchronous ([submit] +
     [step]), so its behaviour under an injected clock and a seeded
     failpoint schedule is fully deterministic: the test suite scripts
-    watermark shedding, deadline expiry, the breaker's
+    watermark shedding, deadline expiry, retry deferral, the breaker's
     open → half-open → closed trajectory and SIGTERM-style drains
     without sleeping, and a chaos soak pins that successful responses
     are byte-identical to a clean run.  Parallelism lives {e inside}
@@ -37,7 +41,7 @@
     [serve.deadline_expired], [serve.queue_depth] (gauge),
     [serve.latency_s] (histogram → [.count]/[.p50]/[.p99]) and the
     [serve.breaker.*] counters, plus a [serve.request] trace span per
-    executed request.  Failpoint site: [serve.request] (fires once per
+    execution attempt.  Failpoint site: [serve.request] (fires once per
     execution attempt). *)
 
 type config = {
@@ -46,15 +50,12 @@ type config = {
   default_deadline_s : float option;
       (** applied when a request carries no [deadline] (default none) *)
   max_retries : int;  (** transient re-executions per request (default 2) *)
-  retry_backoff_s : float;  (** initial backoff, doubles per retry *)
+  retry_backoff_s : float;  (** initial backoff, doubles per retry, up to 60 s *)
   breaker_threshold : int;  (** consecutive failures before opening *)
   breaker_cooldown_s : float;  (** initial open cooldown *)
   seed : int;  (** breaker jitter seed *)
   jobs : int;  (** worker domains for in-request parallelism *)
   clock : unit -> float;  (** injectable time source *)
-  sleep : float -> unit;
-      (** backoff hook; default [ignore] — the single-threaded loop
-          must not wedge every queued request behind one retry wait *)
 }
 
 val default_config : config
@@ -63,7 +64,8 @@ type t
 
 val create : ?config:config -> respond:(Protocol.response -> unit) -> unit -> t
 (** [respond] is invoked exactly once per submitted request, on the
-    engine's domain, in completion order. *)
+    engine's domain, in completion order.  Raises [Invalid_argument] on
+    [jobs < 1] or a retry policy {!Compass_util.Retry.make} rejects. *)
 
 val submit : t -> string list -> unit
 (** Submit one framed request block (lines as {!Protocol.Framer.feed}
@@ -71,13 +73,17 @@ val submit : t -> string list -> unit
     watermark sheds are answered immediately; admitted requests are
     answered by a later {!step}. *)
 
-val submit_string : t -> string -> unit
-(** [submit] on a newline-joined block — test convenience. *)
-
 val step : t -> bool
-(** Execute one queued request and respond; [false] when idle. *)
+(** Execute one queued request; [false] when nothing is queued.  A due
+    retry runs first, then the next admitted request; a retry still
+    backing off runs early only when nothing else is queued. *)
 
 val pending : t -> int
+(** Admitted requests plus retries awaiting their backoff. *)
+
+val retry_due : t -> float option
+(** When the earliest queued retry's backoff ends, on the config clock;
+    [None] when no retry is queued. *)
 
 val draining : t -> bool
 
@@ -88,7 +94,8 @@ val begin_drain : t -> unit
     request deadlines cannot hang. *)
 
 val drain : t -> unit
-(** {!begin_drain} + run every queued request to its response. *)
+(** {!begin_drain} + run every queued request to its response.  Retries
+    give up whatever backoff remains and run at once. *)
 
 val close : t -> unit
 (** Shut the worker pool down.  Idempotent; [submit]/[step] after
@@ -111,5 +118,6 @@ val run_fd :
     first observes true ([`Stopped], the signal-driven drain; polled
     between reads).  A torn trailing block is answered with an [error]
     envelope — even EOF mid-request leaks no response.  The caller
-    still runs {!drain} afterwards.  [idle_timeout_s] (default 0.05)
-    bounds the select wait when idle. *)
+    still runs {!drain} afterwards.  While only backing-off retries are
+    queued it reads input until the earliest is due.  [idle_timeout_s]
+    (default 0.05) bounds each select wait. *)

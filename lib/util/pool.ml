@@ -30,13 +30,12 @@ let () =
     | _ -> None)
 
 type supervision = {
-  retries : int;
+  policy : Retry.t;
   watchdog : Budget.t option;
 }
 
 let supervision ?(retries = 2) ?watchdog () =
-  if retries < 0 then invalid_arg "Pool.supervision: retries < 0";
-  { retries; watchdog }
+  { policy = Retry.make ~retries ~base_s:0. (); watchdog }
 
 (* One phase = one [map_init] call.  Workers block on [work] until the
    epoch advances, run the current body (which pulls item indices from an
@@ -149,23 +148,20 @@ let recover ~supervision ~f ~state ~out failures =
     (fun (index, worker, error) ->
       match supervision with
       | None -> give_up index worker 1 error
-      | Some { retries; watchdog } ->
-        let expired () =
-          match watchdog with None -> false | Some b -> Budget.expired b
-        in
-        let rec attempt k last =
-          if k > retries + 1 then give_up index worker (k - 1) last
-          else if k > 1 && expired () then give_up index worker (k - 1) last
-          else
+      | Some { policy; watchdog } ->
+        let rec retry n last =
+          match Retry.next ?budget:watchdog policy ~attempt:n with
+          | Retry.Exhausted | Retry.Expired -> give_up index worker (n + 1) last
+          | Retry.Again _ -> (
             match
               Metrics.incr "pool.retries";
               Failpoint.guard "pool.task";
               f (state ()) index
             with
             | y -> out.(index) <- Some y
-            | exception e -> attempt (k + 1) e
+            | exception e -> retry (n + 1) e)
         in
-        attempt 2 error)
+        retry 0 error)
     ordered
 
 let map_init ?supervision t ~init ~f xs =
@@ -240,9 +236,6 @@ let map ?supervision t f xs =
   fst (map_init ?supervision t ~init:(fun () -> ()) ~f:(fun () x -> f x) xs)
 
 let map_local ?supervision t ~init ~f xs = fst (map_init ?supervision t ~init ~f xs)
-
-let map_reduce ?supervision t ~map:f ~reduce ~init xs =
-  Array.fold_left reduce init (map ?supervision t f xs)
 
 let with_pool ~jobs f =
   let t = create ~jobs in

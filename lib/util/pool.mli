@@ -100,18 +100,6 @@ val map_local :
     batched inference executor uses this for per-domain im2col patch
     buffers. *)
 
-val map_reduce :
-  ?supervision:supervision ->
-  t ->
-  map:('a -> 'b) ->
-  reduce:('c -> 'b -> 'c) ->
-  init:'c ->
-  'a array ->
-  'c
-(** [map_reduce t ~map ~reduce ~init xs] maps in parallel, then folds the
-    results sequentially in input order — deterministic even for
-    non-associative [reduce]. *)
-
 val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent; using the pool after
     shutdown raises [Invalid_argument]. *)

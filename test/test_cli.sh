@@ -340,6 +340,33 @@ if ! grep "serve.retries" "$TMP/serve_chaos.out" | grep -q "[1-9]"; then
   fails=$((fails + 1))
 fi
 
+# A retry backs off in the queue, not in the loop.  With stdin held
+# open, c-1's first attempt raises and waits out a 2 s backoff while the
+# healthy c-2 is answered at once; c-1 then comes back ok after the wait.
+{
+  printf 'request c-1 infer\nmodel lenet5\nbatch 1\nend\n'
+  printf 'request c-2 infer\nmodel lenet5\nbatch 1\nend\n'
+  sleep 2.5
+} | "$CLI" serve --retry-backoff 2 --failpoints "serve.request=raise@nth:1" \
+  >"$TMP/serve_defer.out" 2>"$TMP/serve_defer.err"
+got=$?
+if [ "$got" -ne 0 ]; then
+  echo "FAIL: serve deferral session: expected exit 0, got $got" >&2
+  sed 's/^/  stderr: /' "$TMP/serve_defer.err" >&2
+  fails=$((fails + 1))
+fi
+# "<id> <elapsed>" per response, in answer order.
+order=$(awk '/^response /{id=$2} /^elapsed /{print id, $2}' "$TMP/serve_defer.out")
+if ! echo "$order" | awk 'NR==1 && $1=="c-2" && $2<1 {a=1} NR==2 && $1=="c-1" && $2>=2 {b=1} END {exit !(a && b && NR==2)}'; then
+  echo "FAIL: serve deferral: want c-2 (< 1 s) before c-1 (>= 2 s backoff), got:" >&2
+  echo "$order" | sed 's/^/  /' >&2
+  fails=$((fails + 1))
+fi
+grep -q "^response c-1 ok\$" "$TMP/serve_defer.out" || {
+  echo "FAIL: serve deferral: c-1 not retried to ok" >&2
+  fails=$((fails + 1))
+}
+
 # SIGTERM drains: the in-flight session is answered, the daemon exits 0.
 mkfifo "$TMP/serve.fifo"
 "$CLI" serve <"$TMP/serve.fifo" >"$TMP/drain.out" 2>"$TMP/drain.err" &

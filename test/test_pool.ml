@@ -57,18 +57,6 @@ let test_map_init_sequential_single_state () =
       in
       Alcotest.(check int) "one state at j=1" 1 (List.length states))
 
-let test_map_reduce () =
-  List.iter
-    (fun jobs ->
-      Pool.with_pool ~jobs (fun pool ->
-          let xs = Array.init 1000 (fun i -> i + 1) in
-          let total =
-            Pool.map_reduce pool ~map:(fun x -> x * x) ~reduce:( + ) ~init:0 xs
-          in
-          let expected = Array.fold_left (fun acc x -> acc + (x * x)) 0 xs in
-          Alcotest.(check int) (Printf.sprintf "jobs=%d" jobs) expected total))
-    [ 1; 4 ]
-
 exception Boom of int
 
 let test_exception_lowest_index_wins () =
@@ -257,7 +245,6 @@ let () =
           Alcotest.test_case "map_init states" `Quick test_map_init_states;
           Alcotest.test_case "map_init sequential" `Quick
             test_map_init_sequential_single_state;
-          Alcotest.test_case "map_reduce" `Quick test_map_reduce;
           QCheck_alcotest.to_alcotest prop_map_order_preserved;
         ] );
       ( "lifecycle",

@@ -144,32 +144,57 @@ let test_transient_clears_on_retry () =
   Alcotest.(check int) "no remap needed" 0 r.Recovery.remaps;
   Alcotest.(check bool) "backoff accounted" true (r.Recovery.backoff_total_s > 0.)
 
-(* Satellite regression: recovery backoff is *simulated* — accumulated
-   in [backoff_total_s] and offered to the [sleep] hook — and the
-   default policy never blocks on the wall clock.  Seconds of reported
-   backoff must cost a small fraction of that in real time, and an
-   injected hook must see exactly the accumulated intervals. *)
+(* Recovery backoff is modeled, never slept: the [Retried] actions
+   carry every interval, [backoff_total_s] is their sum, and seconds of
+   reported backoff cost a small fraction of that in wall time. *)
 let test_backoff_simulated_not_slept () =
   let chip, plan, weights, input = plan_weights_input () in
   let faults = faults_of "transient:2" ~seed:0 chip in
-  let slept = ref [] in
-  let policy =
-    {
-      Recovery.default_policy with
-      Recovery.backoff_s = 2.0;
-      sleep = (fun s -> slept := s :: !slept);
-    }
-  in
+  let policy = { Recovery.default_policy with Recovery.backoff_s = 2.0 } in
   let t0 = Unix.gettimeofday () in
   let r = Recovery.run ~policy ~seed:42 ~faults ~weights ~input plan in
   let wall = Unix.gettimeofday () -. t0 in
+  let backoffs =
+    List.filter_map
+      (function Recovery.Retried { backoff_s; _ } -> Some backoff_s | _ -> None)
+      r.Recovery.actions
+  in
   Alcotest.(check bool) "retried" true (r.Recovery.retries >= 1);
-  Alcotest.(check (float 1e-9)) "hook saw every interval" r.Recovery.backoff_total_s
-    (List.fold_left ( +. ) 0. !slept);
-  Alcotest.(check bool) "substantial simulated backoff" true
+  Alcotest.(check int) "one action per retry" r.Recovery.retries (List.length backoffs);
+  Alcotest.(check (float 1e-9)) "total is the sum of the actions"
+    r.Recovery.backoff_total_s (List.fold_left ( +. ) 0. backoffs);
+  Alcotest.(check bool) "substantial modeled backoff" true
     (r.Recovery.backoff_total_s >= 2.0);
-  Alcotest.(check bool) "wall-time-free by default" true
-    (wall < r.Recovery.backoff_total_s /. 2.)
+  Alcotest.(check bool) "wall-time-free" true (wall < r.Recovery.backoff_total_s /. 2.)
+
+(* The retry schedule, pinned bit for bit: every [Retried] backoff and
+   the accumulated [backoff_total_s] at a 2 s initial backoff, for two
+   transient cells (one retry clears both) and for one persistent flip
+   (both retries run, then a remap heals it). *)
+let test_backoff_schedule_pinned () =
+  let chip, plan, weights, input = plan_weights_input () in
+  let policy = { Recovery.default_policy with Recovery.backoff_s = 2.0 } in
+  List.iter
+    (fun (spec, want, want_total) ->
+      let faults = faults_of spec ~seed:0 chip in
+      let r = Recovery.run ~policy ~seed:42 ~faults ~weights ~input plan in
+      let got =
+        List.filter_map
+          (function
+            | Recovery.Retried { node; attempt; backoff_s } ->
+              Some (Printf.sprintf "node %d attempt %d backoff %h" node attempt backoff_s)
+            | _ -> None)
+          r.Recovery.actions
+      in
+      Alcotest.(check (list string)) (spec ^ " retries") want got;
+      Alcotest.(check string)
+        (spec ^ " backoff total")
+        want_total
+        (Printf.sprintf "%h" r.Recovery.backoff_total_s))
+    [
+      ("transient:2", [ "node 8 attempt 0 backoff 0x1p+1" ], "0x1p+1");
+      ("flip:1", [ "node 8 attempt 0 backoff 0x1p+1"; "node 8 attempt 1 backoff 0x1p+2" ], "0x1.8p+2");
+    ]
 
 let test_remap_disabled_degrades () =
   let chip, plan, weights, input = plan_weights_input () in
@@ -356,6 +381,7 @@ let () =
           Alcotest.test_case "transient retry" `Quick test_transient_clears_on_retry;
           Alcotest.test_case "backoff simulated not slept" `Quick
             test_backoff_simulated_not_slept;
+          Alcotest.test_case "backoff schedule pinned" `Quick test_backoff_schedule_pinned;
           Alcotest.test_case "remap disabled" `Quick test_remap_disabled_degrades;
           Alcotest.test_case "expired budget" `Quick test_expired_budget_degrades;
           Alcotest.test_case "retire" `Quick test_retire_preserves_scenario;

@@ -2,12 +2,12 @@
    round-trips and located rejections, watermark shedding with
    hysteresis, per-request deadlines (timeout-in-queue, degraded
    compiles, inferences cancelled between layers), bounded transient
-   retry with backoff, the circuit breaker's open -> half-open -> closed
-   trajectory, graceful drain, the wire loop's torn-EOF accounting, and
-   the chaos soak: under an injected failpoint storm no request loses
-   its response, nothing deadlocks, and successful responses are
-   byte-identical to a clean run.  Everything runs on an injected clock
-   and a captured sleep hook — no test sleeps. *)
+   retry with backoff deferred in the queue, the circuit breaker's
+   open -> half-open -> closed trajectory, graceful drain, the wire
+   loop's torn-EOF accounting, and the chaos soak: under an injected
+   failpoint storm no request loses its response, nothing deadlocks, and
+   successful responses are byte-identical to a clean run.  Everything
+   runs on an injected clock — no test sleeps. *)
 
 open Compass_serve
 open Compass_util
@@ -21,26 +21,22 @@ type fix = {
   responses : P.response list ref;  (* newest first *)
   time : float ref;
   step : float ref;  (* clock advance per read *)
-  sleeps : float list ref;  (* newest first *)
 }
 
 let make ?(step = 0.) ?(config = Server.default_config) () =
   let time = ref 0. in
   let step = ref step in
-  let sleeps = ref [] in
   let responses = ref [] in
   let clock () =
     let v = !time in
     time := v +. !step;
     v
   in
-  let config =
-    { config with Server.clock; sleep = (fun s -> sleeps := s :: !sleeps) }
-  in
+  let config = { config with Server.clock } in
   let server =
     Server.create ~config ~respond:(fun r -> responses := r :: !responses) ()
   in
-  { server; responses; time; step; sleeps }
+  { server; responses; time; step }
 
 let by_id fix id =
   match List.find_opt (fun r -> r.P.r_id = id) !(fix.responses) with
@@ -281,25 +277,34 @@ let test_default_deadline_applied () =
 (* ------------------------------------------------------------------ *)
 (* Retry                                                               *)
 
+(* A transient failure is re-queued, due one backoff later on the
+   scripted clock; with nothing else queued, the next step runs it. *)
 let test_transient_retried () =
   let fix = make () in
   Failpoint.with_schedule "serve.request=raise@once" (fun () ->
       Server.submit fix.server (infer "flaky");
+      ignore (Server.step fix.server);
+      Alcotest.(check (option (float 0.))) "one backoff" (Some 0.01)
+        (Server.retry_due fix.server);
+      Alcotest.(check int) "not answered yet" 0 (Server.responded fix.server);
       ignore (Server.step fix.server));
   check_status "flaky" "ok" (by_id fix "flaky");
-  Alcotest.(check (list (float 0.))) "one backoff sleep" [ 0.01 ] !(fix.sleeps);
+  Alcotest.(check (option (float 0.))) "no retry left" None (Server.retry_due fix.server);
   Server.close fix.server
 
 let test_transient_gives_up () =
   let fix = make () in
+  let backoffs = ref [] in
   Failpoint.with_schedule "serve.request=raise@always" (fun () ->
       Server.submit fix.server (infer "doomed");
-      ignore (Server.step fix.server));
+      while Server.step fix.server do
+        Option.iter (fun due -> backoffs := due :: !backoffs) (Server.retry_due fix.server)
+      done);
   let r = by_id fix "doomed" in
   check_status "doomed" "error" r;
   check_note "doomed" "gave up after 3 attempt(s)" r;
   (* Doubling backoff: 10 ms then 20 ms (newest first). *)
-  Alcotest.(check (list (float 1e-9))) "backoff doubles" [ 0.02; 0.01 ] !(fix.sleeps);
+  Alcotest.(check (list (float 1e-9))) "backoff doubles" [ 0.02; 0.01 ] !backoffs;
   Server.close fix.server
 
 let test_retry_respects_deadline () =
@@ -310,6 +315,55 @@ let test_retry_respects_deadline () =
   let r = by_id fix "hasty" in
   check_status "hasty" "timeout" r;
   check_note "hasty" "retrying" r;
+  (* A deadline that passes while the retry backs off in the queue. *)
+  fix.step := 0.;
+  Failpoint.with_schedule "serve.request=raise@once" (fun () ->
+      Server.submit fix.server (infer ~deadline:1.0 "patient");
+      ignore (Server.step fix.server);
+      fix.time := 5.0;
+      ignore (Server.step fix.server));
+  let r = by_id fix "patient" in
+  check_status "patient" "timeout" r;
+  check_note "patient" "queued" r;
+  Server.close fix.server
+
+let order fix = List.rev_map (fun r -> r.P.r_id) !(fix.responses)
+
+(* A retry waits in the queue, not in the loop: a clean request queued
+   behind a failing one is answered first, a backing-off retry never
+   runs ahead of other queued work, and a drain answers everything. *)
+let test_retry_deferred () =
+  let fix = make () in
+  Failpoint.with_schedule "serve.request=raise@nth:1" (fun () ->
+      Server.submit fix.server (infer "c-1");
+      Server.submit fix.server (infer "c-2");
+      ignore (Server.step fix.server);
+      Alcotest.(check int) "c-1 deferred" 2 (Server.pending fix.server);
+      ignore (Server.step fix.server);
+      Alcotest.(check (list string)) "clean one first" [ "c-2" ] (order fix);
+      (* Just before the retry is due, queued work still goes first. *)
+      Server.submit fix.server (infer "c-3");
+      fix.time := Float.pred 0.01;
+      ignore (Server.step fix.server);
+      Alcotest.(check (list string)) "retry not early" [ "c-2"; "c-3" ] (order fix);
+      (* Once due, the retry runs ahead of the queue. *)
+      Server.submit fix.server (infer "c-4");
+      fix.time := 0.01;
+      ignore (Server.step fix.server);
+      Alcotest.(check (list string)) "due retry first" [ "c-2"; "c-3"; "c-1" ] (order fix));
+  Server.drain fix.server;
+  Alcotest.(check (list string)) "drained" [ "c-2"; "c-3"; "c-1"; "c-4" ] (order fix);
+  List.iter (fun id -> check_status id "ok" (by_id fix id)) [ "c-1"; "c-2"; "c-3"; "c-4" ];
+  Server.close fix.server;
+  (* A drain gives up the backoff: both answered, the clean one first. *)
+  let fix = make () in
+  Failpoint.with_schedule "serve.request=raise@nth:1" (fun () ->
+      Server.submit fix.server (infer "d-1");
+      Server.submit fix.server (infer "d-2");
+      Server.drain fix.server);
+  Alcotest.(check (list string)) "drain answers both" [ "d-2"; "d-1" ] (order fix);
+  List.iter (fun id -> check_status id "ok" (by_id fix id)) [ "d-1"; "d-2" ];
+  Alcotest.(check int) "nothing left" 0 (Server.pending fix.server);
   Server.close fix.server
 
 (* ------------------------------------------------------------------ *)
@@ -380,6 +434,41 @@ let test_breaker_probe_rejects_second () =
   | _ -> Alcotest.fail "cancelled probe not re-admitted");
   Breaker.record b "infer" ~ok:true;
   Alcotest.(check string) "closed on success" "closed" (Breaker.state_name b "infer")
+
+(* The breaker's cooldown schedule, pinned bit for bit over 20
+   consecutive opens at 1 s: each open starts at t = 0, so the class
+   must still reject at the float just below the pinned cooldown and
+   probe exactly at it.  Doubling with seeded jitter, then the 60 s cap
+   (0x1.ep+5) from the seventh open on. *)
+let test_breaker_cooldowns_pinned () =
+  List.iter
+    (fun (seed, want) ->
+      let now = ref 0. in
+      let b = Breaker.create ~threshold:1 ~cooldown_s:1.0 ~seed ~now:(fun () -> !now) () in
+      List.iteri
+        (fun k hex ->
+          let c = float_of_string hex in
+          now := 0.;
+          Breaker.record b "infer" ~ok:false;
+          now := Float.pred c;
+          (match Breaker.admit b "infer" with
+          | Breaker.Reject _ -> ()
+          | _ -> Alcotest.failf "seed %d open %d: probed before %h" seed k c);
+          now := c;
+          match Breaker.admit b "infer" with
+          | Breaker.Probe -> ()
+          | _ -> Alcotest.failf "seed %d open %d: no probe at %h" seed k c)
+        want)
+    [
+      ( 0,
+        [ "0x1.38882a0e5ec77p+0"; "0x1.1b9e279aa86e6p+1"; "0x1.01b1174620025p+2";
+          "0x1.3e22ee2a1c932p+3"; "0x1.06ce625a946a2p+4"; "0x1.14f2e7c31d1fap+5" ]
+        @ List.init 14 (fun _ -> "0x1.ep+5") );
+      ( 7,
+        [ "0x1.18f2f879164c8p+0"; "0x1.01130f35fd0f2p+1"; "0x1.39a610202eac5p+2";
+          "0x1.254ebadc19cf9p+3"; "0x1.1cf4ced99a878p+4"; "0x1.0ff6afa1b2efbp+5" ]
+        @ List.init 14 (fun _ -> "0x1.ep+5") );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Drain                                                               *)
@@ -571,12 +660,14 @@ let () =
           Alcotest.test_case "transient retried" `Quick test_transient_retried;
           Alcotest.test_case "gives up bounded" `Quick test_transient_gives_up;
           Alcotest.test_case "respects deadline" `Quick test_retry_respects_deadline;
+          Alcotest.test_case "deferred behind queued work" `Quick test_retry_deferred;
         ] );
       ( "breaker",
         [
           Alcotest.test_case "open half-open closed" `Quick test_breaker_trajectory;
           Alcotest.test_case "probe exclusivity" `Quick
             test_breaker_probe_rejects_second;
+          Alcotest.test_case "cooldowns pinned" `Quick test_breaker_cooldowns_pinned;
         ] );
       ( "drain",
         [ Alcotest.test_case "graceful drain" `Quick test_graceful_drain ] );
