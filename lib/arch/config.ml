@@ -98,13 +98,6 @@ let total_macros chip = chip.cores * chip.core.macros_per_core
 let capacity_bytes chip =
   float_of_int (total_macros chip) *. Crossbar.capacity_bytes chip.crossbar
 
-let core_capacity_bytes chip =
-  float_of_int chip.core.macros_per_core *. Crossbar.capacity_bytes chip.crossbar
-
-let macro_static_power_w chip =
-  let core_part = float_of_int chip.cores *. core_static_power_w chip.core in
-  max 0. (chip.chip_power_w -. core_part) /. float_of_int (total_macros chip)
-
 let table1 () =
   let open Compass_util in
   let table =

@@ -33,9 +33,6 @@ type chip = {
   dram : external_memory;
 }
 
-val default_core : macros_per_core:int -> core
-val default_dram : external_memory
-
 val chip_s : chip
 (** 16 cores x 9 macros = 1.125 MB. *)
 
@@ -68,16 +65,6 @@ val custom :
 val total_macros : chip -> int
 val capacity_bytes : chip -> float
 (** On-chip weight capacity. *)
-
-val core_capacity_bytes : chip -> float
-(** Weight capacity of a single core — the partition-unit size bound. *)
-
-val core_static_power_w : core -> float
-(** VFU + local memory + control power of one core. *)
-
-val macro_static_power_w : chip -> float
-(** Residual chip power attributed to each macro (chip power minus core
-    component power, divided by macro count). *)
 
 val table1 : unit -> Compass_util.Table.t
 (** Render the three presets as a Table I lookalike. *)

@@ -51,17 +51,8 @@ let tile_grid t ~rows ~cols =
   if rows <= 0 || cols <= 0 then invalid_arg "Crossbar.tile_grid: non-positive matrix";
   (ceil_div rows t.rows, ceil_div cols (logical_cols t))
 
-let tiles_for t ~rows ~cols =
-  let rb, cb = tile_grid t ~rows ~cols in
-  rb * cb
-
 let write_latency_s t = float_of_int t.rows *. t.row_write_latency_s
 
 let write_energy_j t ~bits =
   if bits < 0. then invalid_arg "Crossbar.write_energy_j: negative bits";
   bits *. t.write_energy_per_bit_j
-
-let pp ppf t =
-  Format.fprintf ppf "%dx%d xbar, %db cells, %db weights (%s/macro)" t.rows t.cols
-    t.cell_bits t.weight_bits
-    (Compass_util.Units.bytes_to_string (capacity_bytes t))

@@ -48,9 +48,6 @@ val cols_per_weight : t -> int
 val logical_cols : t -> int
 (** Logical weight columns per macro ([cols / cols_per_weight]). *)
 
-val weight_capacity : t -> int
-(** Logical weights stored by a full macro. *)
-
 val capacity_bytes : t -> float
 (** Weight bytes stored by a full macro (8 KB for [default]). *)
 
@@ -58,13 +55,8 @@ val tile_grid : t -> rows:int -> cols:int -> int * int
 (** [tile_grid xbar ~rows ~cols] is the [(row_blocks, col_blocks)] grid of
     macros needed to hold a [rows] x [cols] logical weight matrix. *)
 
-val tiles_for : t -> rows:int -> cols:int -> int
-(** Total macro count for a weight matrix (product of [tile_grid]). *)
-
 val write_latency_s : t -> float
 (** Programming a full macro ([rows] wordline writes). *)
 
 val write_energy_j : t -> bits:float -> float
 (** Energy to program [bits] cell-bits. *)
-
-val pp : Format.formatter -> t -> unit

@@ -44,15 +44,10 @@ val cores : t -> int
 val status : t -> int -> core_status
 val endurance_budget : t -> float option
 
-(** Usable macros on core [c] given the nominal [macros_per_core]. *)
-val effective_capacity : t -> macros_per_core:int -> int -> int
-
 (** Per-core usable macros, index = core id. *)
 val capacities : t -> macros_per_core:int -> int array
 
 val total_capacity : t -> macros_per_core:int -> int
-val dead_count : t -> int
-val degraded_count : t -> int
 
 (** Requested stuck-at cell count (clear on retry). *)
 val transient_cells : t -> int
@@ -87,7 +82,7 @@ val is_trivial : t -> bool
     v}
     Fixed [dead]/[degraded] clauses name cores explicitly; [random]
     clauses draw distinct victims among the remaining healthy cores using
-    the seed passed to {!realize}, so a spec plus a seed is a
+    the seed passed to {!of_string}, so a spec plus a seed is a
     reproducible scenario. *)
 
 type spec
@@ -97,23 +92,18 @@ type spec
       spec; the error names no source, which the caller stamps on. *)
 val parse : string -> spec
 
-val empty_spec : spec
 val spec_to_string : spec -> string
 
-(** Instantiate a spec on a concrete chip shape. Random victims and
-    degradation levels are drawn deterministically from [seed].
+(** Parse [s] and instantiate it on a concrete chip shape. Random victims
+    and degradation levels are drawn deterministically from [seed].
     @raise Invalid_argument
       if a core index is out of range, listed twice, degraded to at least
       the nominal capacity, or more random faults are requested than
       healthy cores remain. *)
-val realize : spec -> seed:int -> cores:int -> macros_per_core:int -> t
-
-(** [realize (parse s)]. *)
 val of_string : string -> seed:int -> cores:int -> macros_per_core:int -> t
 
 (** Serialize a realized scenario back to a spec with fixed clauses only
     (seed-independent): [parse (to_string t)] realizes to [t] again. *)
 val to_string : t -> string
 
-val to_spec : t -> spec
 val pp : Format.formatter -> t -> unit

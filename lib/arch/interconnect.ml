@@ -4,15 +4,8 @@ type t = {
   energy_per_byte_j : float;
 }
 
-let make ?(bandwidth_bytes_per_s = 32e9) ?(base_latency_s = 10e-9)
-    ?(energy_per_byte_j = 4e-12) () =
-  if bandwidth_bytes_per_s <= 0. then
-    invalid_arg "Interconnect.make: non-positive bandwidth";
-  if base_latency_s < 0. || energy_per_byte_j < 0. then
-    invalid_arg "Interconnect.make: negative cost";
-  { bandwidth_bytes_per_s; base_latency_s; energy_per_byte_j }
-
-let default = make ()
+let default =
+  { bandwidth_bytes_per_s = 32e9; base_latency_s = 10e-9; energy_per_byte_j = 4e-12 }
 
 let transfer_time_s t ~bytes =
   if bytes < 0. then invalid_arg "Interconnect.transfer_time_s: negative bytes";

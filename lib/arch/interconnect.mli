@@ -12,14 +12,6 @@ type t = {
 val default : t
 (** 32 GB/s shared bus, 10 ns arbitration, 4 pJ/byte. *)
 
-val make :
-  ?bandwidth_bytes_per_s:float ->
-  ?base_latency_s:float ->
-  ?energy_per_byte_j:float ->
-  unit ->
-  t
-(** Raises [Invalid_argument] on non-positive bandwidth or negative cost. *)
-
 val transfer_time_s : t -> bytes:float -> float
 (** Latency for one transfer of [bytes] (base latency + serialization). *)
 

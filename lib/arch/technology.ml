@@ -39,7 +39,7 @@ let by_name name =
   let name = String.lowercase_ascii name in
   List.find (fun t -> t.name = name) presets
 
-let crossbar ?(base = Crossbar.default) t =
+let crossbar base t =
   Crossbar.make ~rows:base.Crossbar.rows ~cols:base.Crossbar.cols
     ~cell_bits:base.Crossbar.cell_bits ~weight_bits:base.Crossbar.weight_bits
     ~activation_bits:base.Crossbar.activation_bits
@@ -53,7 +53,7 @@ let chip t (base : Config.chip) =
     ~label:(base.Config.label ^ "-" ^ t.name)
     ~cores:base.Config.cores
     ~macros_per_core:base.Config.core.Config.macros_per_core
-    ~crossbar:(crossbar ~base:base.Config.crossbar t)
+    ~crossbar:(crossbar base.Config.crossbar t)
     ~bus:base.Config.bus ~chip_power_w:base.Config.chip_power_w ~dram:base.Config.dram
     ()
 

@@ -18,25 +18,17 @@ type t = {
   retention : string;  (** Informal volatility note for reports. *)
 }
 
-val sram : t
-(** 16nm IMC-SRAM (the paper's evaluation target). *)
-
 val reram : t
 (** HfOx-class ReRAM: ~10 us row programming, ~100 pJ/bit, 1e6-cycle
     endurance. *)
 
-val mram : t
-(** STT-MRAM: ~2 us row programming, ~30 pJ/bit, effectively unlimited
-    endurance but costly writes. *)
-
 val presets : t list
+(** 16nm IMC-SRAM (the paper's evaluation target), [reram], and
+    STT-MRAM (~2 us row programming, ~30 pJ/bit, effectively unlimited
+    endurance but costly writes). *)
 
 val by_name : string -> t
 (** Case-insensitive.  Raises [Not_found]. *)
-
-val crossbar : ?base:Crossbar.t -> t -> Crossbar.t
-(** [crossbar tech] is [base] (default [Crossbar.default]) with the
-    technology's write path. *)
 
 val chip : t -> Config.chip -> Config.chip
 (** Re-target a chip preset to the technology (same cores/macros/power

@@ -30,7 +30,3 @@ let verify ~unit_index ~rows ~cols ~codes ~checksum =
   !mismatches
 
 let check_ops_per_mvm ~macro_ops = 2 * macro_ops
-
-let pp_mismatch ppf m =
-  Format.fprintf ppf "unit %d col %d: checksum %d, read %d" m.unit_index m.col m.expected
-    m.actual

@@ -40,5 +40,3 @@ val check_ops_per_mvm : macro_ops:int -> int
     all-ones probe pass plus the comparison against the checksum row —
     [2 * macro_ops].  Shared by the scheduler ([Check] emission) and the
     estimator so predicted and simulated overhead agree. *)
-
-val pp_mismatch : Format.formatter -> mismatch -> unit

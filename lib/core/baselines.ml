@@ -31,5 +31,3 @@ let layerwise validity =
       spans (cover acc lo) rest
   in
   Partition.of_spans (spans [] bounds)
-
-let scheme_names = [ "compass"; "greedy"; "layerwise" ]

@@ -14,6 +14,3 @@ val greedy : Validity.t -> Partition.t
 
 val layerwise : Validity.t -> Partition.t
 (** One layer (or feasible fraction of a layer) per partition. *)
-
-val scheme_names : string list
-(** ["compass"; "greedy"; "layerwise"]. *)

@@ -216,15 +216,6 @@ let span_io ctx ~start_ ~stop =
     store_bytes = List.fold_left (fun acc (_, b) -> acc +. b) 0. store_list;
   }
 
-let group_io ctx group =
-  if Partition.total_units group <> Unit_gen.unit_count ctx.units_ then
-    invalid_arg "Dataflow.group_io: group does not cover the decomposition";
-  Array.of_list
-    (List.map
-       (fun (s : Partition.span) ->
-         span_io ctx ~start_:s.Partition.start_ ~stop:s.Partition.stop)
-       (Partition.spans group))
-
 let tensor_bytes ctx node =
   if node < 0 || node >= Array.length ctx.tensor_bytes then
     invalid_arg "Dataflow.tensor_bytes";
@@ -249,9 +240,3 @@ let spills_to_dram ctx ~batch node =
   if batch < 1 then invalid_arg "Dataflow.spills_to_dram: batch < 1";
   is_model_input ctx node || is_model_output ctx node
   || float_of_int batch *. tensor_bytes ctx node > onchip_buffer_bytes ctx
-
-let total_load_bytes ios = Array.fold_left (fun acc io -> acc +. io.load_bytes) 0. ios
-let total_store_bytes ios = Array.fold_left (fun acc io -> acc +. io.store_bytes) 0. ios
-
-let entry_exit_counts ios =
-  Array.to_list (Array.map (fun io -> (List.length io.loads, List.length io.stores)) ios)

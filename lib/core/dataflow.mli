@@ -51,9 +51,6 @@ val span_io : ctx -> start_:int -> stop:int -> partition_io
 (** IO of one candidate partition.  Raises [Invalid_argument] on an empty
     or out-of-range span. *)
 
-val group_io : ctx -> Partition.t -> partition_io array
-(** One [partition_io] per partition of the group, in order. *)
-
 val home_unit : ctx -> Compass_nn.Graph.node -> int
 (** Decomposition-order position anchoring a node: for weighted nodes the
     index of their last unit; for other nodes the maximum over their
@@ -70,22 +67,10 @@ val tensor_bytes : ctx -> Compass_nn.Graph.node -> float
 val is_model_input : ctx -> Compass_nn.Graph.node -> bool
 (** True for [Input] layers — their tensors always stream from DRAM. *)
 
-val is_model_output : ctx -> Compass_nn.Graph.node -> bool
-(** True for exit nodes — their tensors always drain to DRAM. *)
-
-val onchip_buffer_bytes : ctx -> float
-(** Activation buffer capacity: half of the cores' aggregate local memory
-    (the other half holds working-set registers and partial sums). *)
-
 val spills_to_dram : ctx -> batch:int -> Compass_nn.Graph.node -> bool
 (** Whether a tensor crossing a partition boundary goes through DRAM:
-    model inputs and outputs always do; other tensors spill when a batch of
-    them exceeds [onchip_buffer_bytes].  The estimator and the scheduler
-    share this rule so analytic and simulated DRAM traffic agree. *)
-
-val total_load_bytes : partition_io array -> float
-val total_store_bytes : partition_io array -> float
-
-val entry_exit_counts : partition_io array -> (int * int) list
-(** Per partition: (#entry endpoints, #exit endpoints) — the
-    multi-endpoint structure of Sec. III-B3. *)
+    model inputs and exit nodes always do; other tensors spill when a
+    batch of them exceeds the activation buffer, half of the cores'
+    aggregate local memory (the other half holds working-set registers
+    and partial sums).  The estimator and the scheduler share this rule
+    so analytic and simulated DRAM traffic agree. *)

@@ -90,14 +90,3 @@ let realize units ~faults ~seed =
         { unit_index; row; col; kind; transient })
       picks
   end
-
-let pp ppf s =
-  let kind =
-    match s.kind with
-    | Stuck_at v -> Printf.sprintf "stuck-at %d" v
-    | Bit_flip b -> Printf.sprintf "bit-flip b%d" b
-    | Drift d -> Printf.sprintf "drift %+d" d
-  in
-  Format.fprintf ppf "%s cell (unit %d, row %d, col %d): %s"
-    (if s.transient then "transient" else "persistent")
-    s.unit_index s.row s.col kind

@@ -24,22 +24,14 @@ type site = {
   transient : bool;  (** True when the fault clears on retry. *)
 }
 
-val unit_cells : Unit_gen.unit_t -> int
-val total_cells : Unit_gen.t -> int
-
 val corrupt_code : bits:int -> kind -> int -> int
 (** [corrupt_code ~bits kind code] applies the corruption to a signed
     weight code, clamped to the representable range.  The result is
     guaranteed to differ from [code], so every site is observable by an
     integer checksum comparison (zero false negatives). *)
 
-val drift_count : Unit_gen.t -> float option -> int
-(** Cells displaced by a drift rate: [max 1 (ceil (rate * total))], or 0
-    when the rate is [None]. *)
-
 val realize : Unit_gen.t -> faults:Compass_arch.Fault.t -> seed:int -> site list
 (** Sites are listed transients first, then flips, then drift, all on
-    distinct cells.  Raises [Invalid_argument] if more faults are
+    distinct cells; a drift rate displaces [max 1 (ceil (rate * cells))]
+    of the model's cells.  Raises [Invalid_argument] if more faults are
     requested than the model has cells. *)
-
-val pp : Format.formatter -> site -> unit

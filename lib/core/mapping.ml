@@ -118,14 +118,6 @@ let utilization t =
   let capacity = Array.fold_left ( + ) 0 t.capacities in
   if capacity = 0 then 0. else float_of_int t.total_tiles /. float_of_int capacity
 
-let pp ppf t =
-  Array.iteri
-    (fun c assignments ->
-      if assignments <> [] then
-        Format.fprintf ppf "core %2d: %2d tiles, %d units@." c t.tiles_used.(c)
-          (List.length assignments))
-    t.cores
-
 let core_of_unit t ~unit_index ~replica =
   let found = ref None in
   Array.iteri

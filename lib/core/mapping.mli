@@ -45,5 +45,3 @@ val utilization : t -> float
 val core_of_unit : t -> unit_index:int -> replica:int -> int
 (** Core hosting a given replica.  Raises [Invalid_argument] if that
     replica was not placed by this mapping. *)
-
-val pp : Format.formatter -> t -> unit

@@ -66,10 +66,8 @@ let free t addr =
     t.free_list <- coalesce merged
   | _ :: _ :: _, _ -> assert false
 
-let live_bytes t = t.live_total
 let live_blocks t = List.map (fun b -> (b.addr, b.bytes, b.tag)) t.live
 let high_water_bytes t = t.high_water
-let capacity t = t.arena
 
 let check_invariants t =
   let segments =

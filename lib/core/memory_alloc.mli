@@ -21,15 +21,11 @@ val free : t -> int -> unit
 (** Release by address, coalescing adjacent free blocks.  Raises
     [Invalid_argument] on an address that is not live. *)
 
-val live_bytes : t -> int
-
 val live_blocks : t -> (int * int * string) list
 (** (address, bytes, tag) of live allocations, ascending. *)
 
 val high_water_bytes : t -> int
-(** Peak [live_bytes] observed. *)
-
-val capacity : t -> int
+(** Peak live (alignment-rounded) bytes observed. *)
 
 val check_invariants : t -> (unit, string) result
 (** Free and live blocks are disjoint, sorted, within range, and cover the

@@ -82,7 +82,3 @@ let move t k ~delta =
     invalid_arg "Partition.move: would empty a partition";
   moved.(k + 1) <- cut;
   of_cuts moved
-
-let pp ppf t =
-  let span s = Format.asprintf "[%d,%d)" s.start_ s.stop in
-  Format.fprintf ppf "{%s}" (String.concat " " (List.map span (spans t)))

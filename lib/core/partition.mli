@@ -56,5 +56,3 @@ val split : t -> int -> at:int -> t
 val move : t -> int -> delta:int -> t
 (** [move t k ~delta] shifts the cut between partitions [k] and [k+1] by
     [delta] units; the result must keep both spans non-empty. *)
-
-val pp : Format.formatter -> t -> unit

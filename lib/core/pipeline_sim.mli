@@ -26,10 +26,6 @@ type result = {
   bottleneck_index : int;
 }
 
-val stages_of_span : Dataflow.ctx -> batch:int -> start_:int -> stop:int -> stage list
-(** Build the station list from the span's layers and replication
-    allocation (same inputs the estimator uses). *)
-
 val simulate : batch:int -> stage list -> result
 (** Run the pipeline for [batch] samples.  Raises [Invalid_argument] on an
     empty stage list or producer index out of range. *)

@@ -64,18 +64,15 @@ val load : string -> Compiler.t
 
 val checkpoint_to_string : Ga.checkpoint -> string
 
-val checkpoint_of_string : string -> Ga.checkpoint
-(** Raises {!Compass_util.Located.Error} on truncated, corrupt or
-    version-mismatched input.  Note the checkpoint's partitions are not
-    validated against any model here — {!Ga.optimize} re-validates them
-    against its validity map on resume. *)
-
 val save_checkpoint : string -> Ga.checkpoint -> unit
 (** Atomic, like {!save}. *)
 
 val load_checkpoint : string -> Ga.checkpoint
-(** Raises {!Compass_util.Located.Error} as {!checkpoint_of_string},
-    naming [path], or [Sys_error]. *)
+(** Raises {!Compass_util.Located.Error} (naming [path]) on truncated,
+    corrupt or version-mismatched input, or [Sys_error].  Note the
+    checkpoint's partitions are not validated against any model here —
+    {!Ga.optimize} re-validates them against its validity map on
+    resume. *)
 
 val append_checkpoint : string -> Ga.checkpoint -> unit
 (** [append_checkpoint path ck] appends a checkpoint block to a journal

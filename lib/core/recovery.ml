@@ -139,26 +139,30 @@ let run ?(policy = default_policy) ?(seed = 0) ?faults ~weights ~input plan0 =
       Hashtbl.add clean_codes node (Quant.codes spec snapped);
       Hashtbl.add spec_of node spec)
     units.Unit_gen.layer_units;
-  (* The checksum row of every unit, computed from pristine codes at
-     "unit-generation" time — before any fault is realized. *)
   let rows_of node =
     Compass_nn.Layer.weight_rows (Graph.layer model node).Compass_nn.Layer.op
   in
+  (* Unit [u]'s column-major [rows x cols] block of its layer's [codes]. *)
+  let unit_block codes (u : Unit_gen.unit_t) =
+    let rows_total = rows_of u.Unit_gen.layer in
+    let rows = u.Unit_gen.row_hi - u.Unit_gen.row_lo in
+    let cols = u.Unit_gen.col_hi - u.Unit_gen.col_lo in
+    let block = Array.make (rows * cols) 0 in
+    for c = 0 to cols - 1 do
+      for r = 0 to rows - 1 do
+        block.((c * rows) + r) <-
+          codes.(((u.Unit_gen.col_lo + c) * rows_total) + (u.Unit_gen.row_lo + r))
+      done
+    done;
+    (rows, cols, block)
+  in
+  (* The checksum row of every unit, computed from pristine codes at
+     "unit-generation" time — before any fault is realized. *)
   let unit_checksum =
     Array.map
       (fun (u : Unit_gen.unit_t) ->
-        let node = u.Unit_gen.layer in
-        let all = Hashtbl.find clean_codes node in
-        let rows_total = rows_of node in
-        Array.init
-          (u.Unit_gen.col_hi - u.Unit_gen.col_lo)
-          (fun c ->
-            let mc = u.Unit_gen.col_lo + c in
-            let sum = ref 0 in
-            for mr = u.Unit_gen.row_lo to u.Unit_gen.row_hi - 1 do
-              sum := !sum + all.((mc * rows_total) + mr)
-            done;
-            !sum))
+        let rows, cols, block = unit_block (Hashtbl.find clean_codes u.Unit_gen.layer) u in
+        Abft.checksum_row ~rows ~cols block)
       units.Unit_gen.units
   in
   (* Realize fault sites and bind each to its physical home core. *)
@@ -210,21 +214,11 @@ let run ?(policy = default_policy) ?(seed = 0) ?faults ~weights ~input plan0 =
   in
   (* One ABFT pass over every unit of a layer against the current codes. *)
   let verify_layer node codes =
-    let rows_total = rows_of node in
     List.concat_map
       (fun idx ->
         incr checks;
         metric "recovery.checks";
-        let u = units.Unit_gen.units.(idx) in
-        let rows = u.Unit_gen.row_hi - u.Unit_gen.row_lo in
-        let cols = u.Unit_gen.col_hi - u.Unit_gen.col_lo in
-        let block = Array.make (rows * cols) 0 in
-        for c = 0 to cols - 1 do
-          for r = 0 to rows - 1 do
-            block.((c * rows) + r) <-
-              codes.(((u.Unit_gen.col_lo + c) * rows_total) + (u.Unit_gen.row_lo + r))
-          done
-        done;
+        let rows, cols, block = unit_block codes units.Unit_gen.units.(idx) in
         Abft.verify ~unit_index:idx ~rows ~cols ~codes:block ~checksum:unit_checksum.(idx))
       (Unit_gen.units_of_layer units node)
   in

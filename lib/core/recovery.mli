@@ -26,10 +26,10 @@
 type policy = {
   max_retries : int;  (** Retry attempts per faulty layer (default 2). *)
   max_remaps : int;  (** Core retirements per request (default 4). *)
-  backoff_s : float;  (** Initial backoff; doubles per attempt. *)
-  allow_remap : bool;  (** False confines recovery to retry + degrade. *)
+  backoff_s : float;  (** Initial backoff (default 1e-4 s); doubles per attempt. *)
+  allow_remap : bool;  (** False confines recovery to retry + degrade (default true). *)
   budget : Compass_util.Budget.t option;
-      (** Per-request deadline: when expired, retries and remaps stop and
+      (** Per-request deadline (default none): when expired, retries and remaps stop and
           the run degrades instead of blocking the request.  Deadlines
           read the budget's own injectable clock — recovery never reads
           the wall clock directly. *)
@@ -37,8 +37,6 @@ type policy = {
 (** Retries follow {!Compass_util.Retry}: [backoff_s] doubles per
     attempt, up to 60 s.  Backoff is {e modeled}, never slept: it is
     reported in [Retried] actions and [backoff_total_s]. *)
-
-val default_policy : policy
 
 type action =
   | Detected of {
@@ -92,12 +90,6 @@ val run :
     default 0).  Raises [Invalid_argument] on missing weights, a model
     without exactly one input/output, or a policy {!Compass_util.Retry.make}
     rejects. *)
-
-val retire :
-  Compass_arch.Fault.t option -> cores:int -> int -> Compass_arch.Fault.t
-(** [retire faults ~cores victim] augments a scenario (or an all-healthy
-    one) with [victim] marked dead, preserving endurance and cell-fault
-    settings — the scenario a remap hands to [Compiler.repair]. *)
 
 val pp_action : Format.formatter -> action -> unit
 val pp_report : Format.formatter -> report -> unit

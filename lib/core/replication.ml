@@ -138,12 +138,3 @@ let allocate_packed ?faults ?layers ctx ~batch ~start_ ~stop =
 
 let allocate ?faults ?layers ctx ~batch ~start_ ~stop =
   fst (allocate_packed ?faults ?layers ctx ~batch ~start_ ~stop)
-
-let pp ctx ppf t =
-  let model = (Dataflow.units ctx).Unit_gen.model in
-  let line (node, r) =
-    let l = Compass_nn.Graph.layer model node in
-    Format.fprintf ppf "  %-18s x%d@." l.Compass_nn.Layer.name r
-  in
-  Format.fprintf ppf "replication (%d tiles used, %d spare):@." t.tiles_used t.spare_tiles;
-  List.iter line t.per_layer

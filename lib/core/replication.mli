@@ -59,5 +59,3 @@ val unit_replication : t -> Unit_gen.t -> int -> int
 (** Replication of a unit (by its layer), for [Mapping.pack]. *)
 
 val max_replication : t -> int
-
-val pp : Dataflow.ctx -> Format.formatter -> t -> unit

@@ -56,11 +56,9 @@ val speedup : row list -> over:string -> float
 
 val rows_table : row list -> Compass_util.Table.t
 
-val rows_to_csv : row list -> string
-(** Header plus one line per row; numeric fields in SI units. *)
-
 val write_csv : string -> row list -> unit
-(** [write_csv path rows] writes [rows_to_csv] to a file atomically
+(** [write_csv path rows] writes a header plus one line per row (numeric
+    fields in SI units) to a file atomically
     ({!Compass_util.Artifact.write_atomic}). *)
 
 val support_table : Compass_nn.Graph.t list -> Compass_arch.Config.chip -> Compass_util.Table.t

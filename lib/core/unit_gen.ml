@@ -25,8 +25,6 @@ type t = {
   weight_bytes_prefix : float array;
 }
 
-let ceil_div a b = (a + b - 1) / b
-
 (* Decompose one weighted layer into units for a given macro budget. *)
 let layer_units_of ~xbar ~macros ~layer ~layer_order ~next_index =
   let op = layer.Layer.op in
@@ -35,8 +33,7 @@ let layer_units_of ~xbar ~macros ~layer ~layer_order ~next_index =
   let lrows = xbar.Crossbar.rows in
   let lcols = Crossbar.logical_cols xbar in
   let weight_bits = float_of_int xbar.Crossbar.weight_bits in
-  let rb_total = ceil_div rows lrows in
-  let cb_total = ceil_div cols lcols in
+  let rb_total, cb_total = Crossbar.tile_grid xbar ~rows ~cols in
   let bytes ~row_lo ~row_hi ~col_lo ~col_hi =
     float_of_int ((row_hi - row_lo) * (col_hi - col_lo)) *. weight_bits /. 8.
   in
@@ -143,32 +140,11 @@ let layer_of_unit t i =
   if i < 0 || i >= Array.length t.units then invalid_arg "Unit_gen.layer_of_unit";
   t.units.(i).layer
 
-let span_tiles t a b =
-  if a < 0 || b > Array.length t.units || a > b then invalid_arg "Unit_gen.span_tiles";
-  t.tiles_prefix.(b) - t.tiles_prefix.(a)
-
 let span_weight_bytes t a b =
   if a < 0 || b > Array.length t.units || a > b then
     invalid_arg "Unit_gen.span_weight_bytes";
   t.weight_bytes_prefix.(b) -. t.weight_bytes_prefix.(a)
 
-let total_tiles t = span_tiles t 0 (Array.length t.units)
-
 let col_fraction u model =
   let cols = Compass_nn.Layer.weight_cols (Graph.layer model u.layer).Layer.op in
   float_of_int (u.col_hi - u.col_lo) /. float_of_int cols
-
-let pp_unit ppf u =
-  Format.fprintf ppf "u%d L%d[%d] cols[%d,%d) rows[%d,%d) %d tiles%s" u.index u.layer
-    u.layer_order u.col_lo u.col_hi u.row_lo u.row_hi u.tiles
-    (if u.partial_sum then " (psum)" else "")
-
-let pp_summary ppf t =
-  Format.fprintf ppf "%s on chip %s: %d units, %d tiles (%d macros on chip)@."
-    (Graph.name t.model) t.chip.Config.label (unit_count t) (total_tiles t)
-    (Config.total_macros t.chip);
-  let line (node, idxs) =
-    let l = Graph.layer t.model node in
-    Format.fprintf ppf "  %-18s %3d units@." l.Layer.name (List.length idxs)
-  in
-  List.iter line t.layer_units

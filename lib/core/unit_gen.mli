@@ -54,19 +54,9 @@ val units_of_layer : t -> Compass_nn.Graph.node -> int list
 
 val layer_of_unit : t -> int -> Compass_nn.Graph.node
 
-val span_tiles : t -> int -> int -> int
-(** [span_tiles t a b] sums tiles over units [a, b); O(1) via prefix sums. *)
-
 val span_weight_bytes : t -> int -> int -> float
 (** O(1) via {!field-weight_bytes_prefix}. *)
-
-val total_tiles : t -> int
 
 val col_fraction : unit_t -> Compass_nn.Graph.t -> float
 (** Fraction of the layer's output channels this unit produces
     ([0 < f <= 1]); used to scale activation transfer sizes. *)
-
-val pp_unit : Format.formatter -> unit_t -> unit
-
-val pp_summary : Format.formatter -> t -> unit
-(** Unit count, tile usage and per-layer unit histogram. *)

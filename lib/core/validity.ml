@@ -1,11 +1,9 @@
 type t = {
   units : Unit_gen.t;
   max_end_ : int array;
-  faults : Compass_arch.Fault.t option;
 }
 
 let units t = t.units
-let faults t = t.faults
 let size t = Array.length t.max_end_
 
 let build ?faults (units : Unit_gen.t) =
@@ -45,7 +43,7 @@ let build ?faults (units : Unit_gen.t) =
            a tiles.(a));
     max_end_.(a) <- !b
   done;
-  { units; max_end_; faults }
+  { units; max_end_ }
 
 let max_end t a =
   if a < 0 || a >= size t then invalid_arg "Validity.max_end: out of range";

@@ -20,9 +20,6 @@ val build : ?faults:Compass_arch.Fault.t -> Unit_gen.t -> t
 
 val units : t -> Unit_gen.t
 
-val faults : t -> Compass_arch.Fault.t option
-(** The scenario the map was built under, if any. *)
-
 val size : t -> int
 (** Number of partition units [M]. *)
 

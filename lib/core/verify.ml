@@ -345,5 +345,3 @@ let render = function
       (Printf.sprintf "%d violation(s):" (List.length vs)
       :: List.map (fun v -> "  " ^ render_violation v) vs)
 
-let pp_violation ppf v = Format.pp_print_string ppf (render_violation v)
-let pp ppf vs = Format.pp_print_string ppf (render vs)

@@ -75,6 +75,3 @@ val render_violation : violation -> string
 val render : violation list -> string
 (** Multi-line report; ["plan satisfies all verifier invariants"] when
     empty. *)
-
-val pp_violation : Format.formatter -> violation -> unit
-val pp : Format.formatter -> violation list -> unit

@@ -109,16 +109,6 @@ let pack_partition ctx group ~partition ~weights ?bits () =
       |> List.sort compare;
   }
 
-let total_macros t = List.length t.images
-
-let programmed_bytes t =
-  match t.specs with
-  | [] -> 0.
-  | (_, spec) :: _ ->
-    float_of_int (List.length t.images)
-    *. float_of_int (Array.length (List.hd t.images).codes)
-    *. float_of_int spec.Quant.bits /. 8.
-
 let reconstruct_layer ctx t node =
   let units = Dataflow.units ctx in
   let model = units.Unit_gen.model in

@@ -42,12 +42,6 @@ val pack_partition :
     weight precision).  Raises [Invalid_argument] on missing weights or an
     out-of-range partition index. *)
 
-val total_macros : t -> int
-(** Number of macro images (tiles x replicas). *)
-
-val programmed_bytes : t -> float
-(** Code storage at the quantization precision, replicas included. *)
-
 val reconstruct_layer : Dataflow.ctx -> t -> Compass_nn.Graph.node -> float array option
 (** Rebuild the layer's full (quantized) weight array from replica-0
     images; [None] if the layer has no units in this partition.  Partial

@@ -15,7 +15,6 @@ type outcome = {
 
 let create timing = { timing; row = None; ready = 0; activated_at = min_int / 2 }
 
-let open_row t = t.row
 
 let block_until t cycle = t.ready <- max t.ready cycle
 

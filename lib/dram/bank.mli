@@ -16,9 +16,6 @@ type outcome = {
 
 val create : Timing.t -> t
 
-val open_row : t -> int option
-(** Currently open row, if any. *)
-
 val access : t -> now:int -> row:int -> write:bool -> outcome
 (** [access bank ~now ~row ~write] performs one burst access at memory
     cycle [now] (or later if the bank is busy), updating the bank state and

@@ -23,6 +23,4 @@ val analytic_energy_j :
   ?timing:Timing.t -> ?energy:Controller.energy_model -> float -> float
 (** Streaming energy: per-burst read energy plus amortized activates. *)
 
-val analytic_energy_per_byte_j : ?timing:Timing.t -> ?energy:Controller.energy_model -> unit -> float
-
 val pp_stats : Format.formatter -> Controller.stats -> unit

@@ -23,12 +23,4 @@ val write : ?tag:string -> addr:int -> bytes:int -> unit -> record
     non-positive size. *)
 
 val total_bytes : record list -> float
-val read_bytes : record list -> float
-val write_bytes : record list -> float
 
-val to_lines : record list -> string
-(** DRAMsim3-style textual trace ("0x<addr> READ|WRITE <bytes> <tag>"), one
-    record per line.  Write-only debug output: nothing reads traces
-    back. *)
-
-val pp_record : Format.formatter -> record -> unit

@@ -40,14 +40,6 @@ type t =
       tag : string;
     }
 
-let mvm_count = function
-  | Mvm { count; _ } -> count
-  | Weight_write _ | Load _ | Store _ | Vfu _ | Send _ | Recv _ | Sync _ | Check _ -> 0
-
-let dram_bytes = function
-  | Weight_write { bytes; _ } | Load { bytes; _ } | Store { bytes; _ } -> bytes
-  | Mvm _ | Vfu _ | Send _ | Recv _ | Sync _ | Check _ -> 0.
-
 let pp ppf = function
   | Weight_write { macro_count; bytes; addr; tag } ->
     Format.fprintf ppf "wwrite %d macros %.0fB @0x%x (%s)" macro_count bytes addr tag

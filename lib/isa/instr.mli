@@ -53,10 +53,4 @@ type t =
           results; a pending transient fault on the core is detected
           here and charged a retry (re-run of the last [Mvm]). *)
 
-val mvm_count : t -> int
-(** MVM products carried (0 for other instructions). *)
-
-val dram_bytes : t -> float
-(** Bytes this instruction moves to or from external memory. *)
-
 val pp : Format.formatter -> t -> unit

@@ -9,10 +9,6 @@ let make ~core_id instrs =
 
 let length t = List.length t.instrs
 
-let mvm_total t = List.fold_left (fun acc i -> acc + Instr.mvm_count i) 0 t.instrs
-
-let dram_bytes t = List.fold_left (fun acc i -> acc +. Instr.dram_bytes i) 0. t.instrs
-
 let kind_name = function
   | Instr.Weight_write _ -> "weight_write"
   | Instr.Load _ -> "load"

@@ -10,12 +10,6 @@ val make : core_id:int -> Instr.t list -> t
 
 val length : t -> int
 
-val mvm_total : t -> int
-(** Total MVM products in the program. *)
-
-val dram_bytes : t -> float
-(** Total external-memory traffic of the program. *)
-
 val instruction_mix : t list -> (string * int) list
 (** Histogram of instruction kinds across programs, for reports. *)
 

@@ -11,7 +11,6 @@ type fault_event = {
 }
 
 let fail_stop ~at_s ~victim = { at_s; victim; kind = Fail_stop }
-let transient ~at_s ~victim = { at_s; victim; kind = Transient }
 
 type event = {
   core : int;

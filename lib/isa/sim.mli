@@ -44,7 +44,6 @@ type fault_event = {
 }
 
 val fail_stop : at_s:float -> victim:int -> fault_event
-val transient : at_s:float -> victim:int -> fault_event
 
 type result = {
   makespan_s : float;  (** Last core finish time. *)

@@ -50,9 +50,6 @@ val exit_nodes : t -> node list
 val shape_of : t -> node -> Shape.t
 (** Inferred output shape of a node (cached). *)
 
-val input_shapes_of : t -> node -> Shape.t list
-(** Shapes of a node's ordered inputs. *)
-
 val weighted_nodes : t -> node list
 (** Conv/Linear nodes in topological order. *)
 

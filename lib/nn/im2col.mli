@@ -31,9 +31,6 @@ type scratch
 val create_scratch : unit -> scratch
 (** An empty scratch; grown on first use, never shrunk. *)
 
-val out_dim : size:int -> kernel:int -> stride:int -> padding:int -> int
-(** Output spatial extent, [(size + 2*padding - kernel) / stride + 1]. *)
-
 val conv :
   ?scratch:scratch ->
   Layer.conv ->

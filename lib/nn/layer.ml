@@ -49,15 +49,6 @@ let conv ?stride ?padding ?(groups = 1) ~in_channels ~out_channels k =
   if stride <= 0 || padding < 0 then invalid_arg "Layer.conv: bad stride/padding";
   Conv { in_channels; out_channels; kernel_h = k; kernel_w = k; stride; padding; groups }
 
-let conv_rect ?(stride = 1) ?(padding = 0) ?(groups = 1) ~in_channels ~out_channels
-    ~kernel_h ~kernel_w () =
-  if in_channels <= 0 || out_channels <= 0 || kernel_h <= 0 || kernel_w <= 0 then
-    invalid_arg "Layer.conv_rect: non-positive dimension";
-  if groups <= 0 || in_channels mod groups <> 0 || out_channels mod groups <> 0 then
-    invalid_arg "Layer.conv_rect: groups must divide both channel counts";
-  if stride <= 0 || padding < 0 then invalid_arg "Layer.conv_rect: bad stride/padding";
-  Conv { in_channels; out_channels; kernel_h; kernel_w; stride; padding; groups }
-
 let depthwise ?stride ?padding ~channels k =
   conv ?stride ?padding ~groups:channels ~in_channels:channels ~out_channels:channels k
 
@@ -210,4 +201,3 @@ let op_kind = function
   | Flatten -> "flatten"
   | Dropout -> "dropout"
 
-let pp ppf t = Format.fprintf ppf "%s#%d(%s)" t.name t.id (op_kind t.op)

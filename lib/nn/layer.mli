@@ -62,20 +62,6 @@ val conv :
     [groups] to 1.  Raises [Invalid_argument] unless both channel counts
     divide by [groups]. *)
 
-val conv_rect :
-  ?stride:int ->
-  ?padding:int ->
-  ?groups:int ->
-  in_channels:int ->
-  out_channels:int ->
-  kernel_h:int ->
-  kernel_w:int ->
-  unit ->
-  op
-(** Rectangular-kernel convolution ([kernel_h] x [kernel_w] need not be
-    equal); [stride] defaults to 1, [padding] to 0 and [groups] to 1.
-    Raises [Invalid_argument] on bad geometry. *)
-
 val depthwise : ?stride:int -> ?padding:int -> channels:int -> int -> op
 (** [depthwise ~channels k] is [conv ~groups:channels ~in_channels:channels
     ~out_channels:channels k]. *)
@@ -119,5 +105,3 @@ val vector_ops_per_sample : op -> Shape.t list -> int
 
 val op_kind : op -> string
 (** Short operator name for reports ("conv", "linear", "pool", ...). *)
-
-val pp : Format.formatter -> t -> unit

@@ -19,31 +19,20 @@ val lenet5 : unit -> Graph.t
 (** LeNet-5 on 28x28x1 input; small enough to fit on-chip everywhere, used
     by tests and the quickstart example. *)
 
-val tiny_mlp : unit -> Graph.t
-(** Three linear layers on a vector input; the smallest weighted model. *)
-
-val tiny_resnet : unit -> Graph.t
-(** A 6-conv residual network on 32x32x3 input; exercises skip-edge
-    handling at test scale. *)
-
-val alexnet : unit -> Graph.t
-(** AlexNet (Krizhevsky et al.): large 11x11 stem and ~28 MB of linear
-    weights — another network far beyond the chips' capacity. *)
-
-val vgg11 : unit -> Graph.t
-(** The shallow VGG configuration (A). *)
-
-val resnet34 : unit -> Graph.t
-(** ResNet34: the basic-block ResNet at [3,4,6,3] depth. *)
-
-val mobilenet_v1 : unit -> Graph.t
-(** MobileNetV1 (width 1.0): 13 depthwise-separable blocks — exercises
-    grouped convolutions, the natural edge workload for PIM chips. *)
-
 val by_name : string -> Graph.t
-(** Lookup by lowercase name ("vgg16", "resnet18", "squeezenet", "lenet5",
-    "tiny_mlp", "tiny_resnet", "alexnet", "vgg11", "resnet34",
-    "mobilenet_v1").  Raises [Not_found] otherwise. *)
+(** Lookup by lowercase name: the four above, plus
+    - "tiny_mlp": three linear layers on a vector input, the smallest
+      weighted model;
+    - "tiny_resnet": a 6-conv residual network on 32x32x3 input that
+      exercises skip-edge handling at test scale;
+    - "alexnet" (Krizhevsky et al.): large 11x11 stem and ~28 MB of
+      linear weights, another network far beyond the chips' capacity;
+    - "vgg11": the shallow VGG configuration (A);
+    - "resnet34": the basic-block ResNet at [3,4,6,3] depth;
+    - "mobilenet_v1" (width 1.0): 13 depthwise-separable blocks, which
+      exercise grouped convolutions, the natural edge workload for PIM
+      chips.
+    Raises [Not_found] otherwise. *)
 
 val evaluation_models : unit -> Graph.t list
 (** The three models of the paper's evaluation, in Table II order

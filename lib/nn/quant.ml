@@ -21,15 +21,6 @@ let quantize_weights ~bits weights =
   Hashtbl.iter (fun node data -> Hashtbl.add out node (fst (quantize ~bits data))) weights;
   out
 
-let max_error ~original ~quantized =
-  if Array.length original <> Array.length quantized then
-    invalid_arg "Quant.max_error: length mismatch";
-  let worst = ref 0. in
-  Array.iteri
-    (fun i x -> worst := max !worst (abs_float (x -. quantized.(i))))
-    original;
-  !worst
-
 let mean_squared_error ~original ~quantized =
   if Array.length original <> Array.length quantized then
     invalid_arg "Quant.mean_squared_error: length mismatch";

@@ -24,9 +24,6 @@ val quantize : bits:int -> float array -> float array * spec
 val quantize_weights : bits:int -> Executor.weights -> Executor.weights
 (** Quantize every weight array (fresh table). *)
 
-val max_error : original:float array -> quantized:float array -> float
-(** Largest element-wise quantization error. *)
-
 val mean_squared_error : original:float array -> quantized:float array -> float
 
 val codes : spec -> float array -> int array

@@ -23,10 +23,6 @@ let bytes ~activation_bits t =
   if activation_bits <= 0 then invalid_arg "Shape.bytes: non-positive precision";
   float_of_int (elements t) *. float_of_int activation_bits /. 8.
 
-let channels = function
-  | Feature_map { channels; _ } -> channels
-  | Vector { features } -> features
-
 let spatial = function
   | Feature_map { height; width; _ } -> (height, width)
   | Vector _ -> (1, 1)

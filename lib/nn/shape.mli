@@ -23,15 +23,10 @@ val elements : t -> int
 val bytes : activation_bits:int -> t -> float
 (** Storage footprint of one sample at the given activation precision. *)
 
-val channels : t -> int
-(** Channel count; a vector has [features] channels of spatial size 1. *)
-
 val spatial : t -> int * int
 (** [(height, width)]; [(1, 1)] for vectors. *)
 
 val equal : t -> t -> bool
 
-val pp : Format.formatter -> t -> unit
-(** e.g. ["64x56x56"] or ["4096"]. *)
-
 val to_string : t -> string
+(** e.g. ["64x56x56"] or ["4096"]. *)

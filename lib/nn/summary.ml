@@ -52,25 +52,3 @@ let table2 ?(weight_bits = 4) graphs =
   in
   List.iter row graphs;
   table
-
-let per_layer_table g =
-  let open Compass_util in
-  let table =
-    Table.create
-      ~aligns:[ Table.Right; Table.Left; Table.Left; Table.Left; Table.Right; Table.Right ]
-      [ "id"; "name"; "kind"; "output"; "params"; "mvms/sample" ]
-  in
-  let row id =
-    let l = Graph.layer g id in
-    Table.add_row table
-      [
-        string_of_int id;
-        l.Layer.name;
-        Layer.op_kind l.Layer.op;
-        Shape.to_string (Graph.shape_of g id);
-        string_of_int (Layer.weight_params l.Layer.op);
-        string_of_int (Graph.mvms_of g id);
-      ]
-  in
-  List.iter row (Graph.nodes g);
-  table

@@ -17,7 +17,3 @@ val of_graph : ?weight_bits:int -> Graph.t -> t
 
 val table2 : ?weight_bits:int -> Graph.t list -> Compass_util.Table.t
 (** Render the summaries as a Table II lookalike (Linear/Conv/Total MB). *)
-
-val per_layer_table : Graph.t -> Compass_util.Table.t
-(** One row per layer: id, name, kind, output shape, params, per-sample
-    MVM count. *)

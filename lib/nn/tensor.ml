@@ -5,23 +5,8 @@ type t = {
 
 let create shape f = { shape; data = Array.init (Shape.elements shape) f }
 
-let zeros shape = create shape (fun _ -> 0.)
-
-let of_array shape data =
-  if Array.length data <> Shape.elements shape then
-    invalid_arg "Tensor.of_array: size mismatch";
-  { shape; data = Array.copy data }
-
 let shape t = t.shape
-let size t = Array.length t.data
 let to_array t = Array.copy t.data
-let unsafe_get t i = Array.unsafe_get t.data i
-let blit t dst ~pos = Array.blit t.data 0 dst pos (Array.length t.data)
-
-let get t i =
-  if i < 0 || i >= Array.length t.data then invalid_arg "Tensor.get: out of range";
-  t.data.(i)
-
 let dims t =
   match t.shape with
   | Shape.Feature_map { channels; height; width } -> (channels, height, width)

@@ -11,34 +11,10 @@ type t
 val create : Shape.t -> (int -> float) -> t
 (** [create shape f] fills element [i] (layout order) with [f i]. *)
 
-val zeros : Shape.t -> t
-
-val of_array : Shape.t -> float array -> t
-(** Raises [Invalid_argument] when sizes disagree.  The array is copied. *)
-
 val shape : t -> Shape.t
-
-val size : t -> int
 
 val to_array : t -> float array
 (** A fresh copy of the underlying data. *)
-
-val unsafe_get : t -> int -> float
-(** Flat indexing without a bounds check — for kernel inner loops that
-    have hoisted their range proof.  Out-of-range access is undefined
-    behaviour; external callers should use {!get}. *)
-
-val blit : t -> float array -> pos:int -> unit
-(** [blit t dst ~pos] copies [t]'s elements into [dst] starting at
-    [pos] without allocating (unlike {!to_array}).  Raises
-    [Invalid_argument] when the destination range is out of bounds. *)
-
-val get : t -> int -> float
-(** Flat indexing; raises [Invalid_argument] out of range. *)
-
-val get_chw : t -> c:int -> h:int -> w:int -> float
-(** Feature-map indexing; raises [Invalid_argument] on vectors or out of
-    range. *)
 
 val equal : ?eps:float -> t -> t -> bool
 (** Element-wise comparison within [eps] (default 1e-9); even at

@@ -3,7 +3,6 @@ type 'a t = {
   high : int;
   low : int;
   mutable shedding : bool;
-  mutable shed : int;
 }
 
 let create ?(high = 64) ?low () =
@@ -11,13 +10,10 @@ let create ?(high = 64) ?low () =
   if not (1 <= low && low <= high) then
     invalid_arg
       (Printf.sprintf "Admission.create: need 1 <= low (%d) <= high (%d)" low high);
-  { queue = Queue.create (); high; low; shedding = false; shed = 0 }
+  { queue = Queue.create (); high; low; shedding = false }
 
 let depth t = Queue.length t.queue
-let shedding t = t.shedding
-let shed_count t = t.shed
 let high t = t.high
-let low t = t.low
 
 let gauge t = Compass_util.Metrics.set "serve.queue_depth" (float_of_int (depth t))
 
@@ -30,7 +26,6 @@ let offer t x =
   end
   else begin
     t.shedding <- true;
-    t.shed <- t.shed + 1;
     Compass_util.Metrics.incr "serve.shed";
     false
   end

@@ -25,8 +25,4 @@ val offer : 'a t -> 'a -> bool
 val pop : 'a t -> 'a option
 
 val depth : 'a t -> int
-val shedding : 'a t -> bool
-val shed_count : 'a t -> int
-
 val high : 'a t -> int
-val low : 'a t -> int

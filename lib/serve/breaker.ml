@@ -91,9 +91,3 @@ let cancel_probe t cls_name =
   match c.state with
   | Half_open -> c.state <- Open (t.now ())
   | Closed | Open _ -> ()
-
-let state_name t cls_name =
-  match (find t cls_name).state with
-  | Closed -> "closed"
-  | Open _ -> "open"
-  | Half_open -> "half_open"

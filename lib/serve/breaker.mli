@@ -27,7 +27,7 @@ type decision =
 val create :
   ?threshold:int -> ?cooldown_s:float -> ?seed:int -> now:(unit -> float) -> unit -> t
 (** Defaults: threshold 5 consecutive failures, cooldown 1.0 s doubling
-    per consecutive open up to the 60 s {!Compass_util.Retry.cap_s},
+    per consecutive open up to the 60 s cap of {!Compass_util.Retry},
     jitter seeded with [seed] (default 0).  Raises [Invalid_argument] on
     a threshold < 1 or a negative or NaN cooldown. *)
 
@@ -45,6 +45,3 @@ val cancel_probe : t -> string -> unit
     dropped at drain) must not leave its class stuck half-open with no
     outcome ever coming: re-open it with the cooldown already elapsed,
     so the next [admit] probes again.  No-op unless half-open. *)
-
-val state_name : t -> string -> string
-(** ["closed"], ["open"] or ["half_open"] — for tests and gauges. *)

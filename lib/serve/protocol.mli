@@ -52,7 +52,6 @@ type kind =
   | Ping
 
 val kind_to_string : kind -> string
-val kind_of_string : string -> kind option
 
 val valid_id : string -> bool
 (** 1–64 chars of [A-Za-z0-9._:-] — the token shape request ids must
@@ -94,7 +93,6 @@ type status =
   | Error  (** malformed request or failed execution *)
 
 val status_to_string : status -> string
-val status_of_string : string -> status option
 
 type response = {
   r_id : string;

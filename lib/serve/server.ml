@@ -72,7 +72,6 @@ let create ?(config = default_config) ~respond () =
   }
 
 let pending t = Admission.depth t.queue + List.length t.deferred
-let draining t = t.state = `Draining
 let responded t = t.responses
 
 let check_live t what =
@@ -343,11 +342,9 @@ let step t =
 
 let retry_due t = match t.deferred with (due, _) :: _ -> Some due | [] -> None
 
-let begin_drain t = if t.state = `Running then t.state <- `Draining
-
 let drain t =
   check_live t "drain";
-  begin_drain t;
+  if t.state = `Running then t.state <- `Draining;
   while step t do
     ()
   done

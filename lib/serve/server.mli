@@ -85,17 +85,12 @@ val retry_due : t -> float option
 (** When the earliest queued retry's backoff ends, on the config clock;
     [None] when no retry is queued. *)
 
-val draining : t -> bool
-
-val begin_drain : t -> unit
-(** Stop admitting: every later [submit] answers [rejected] with a
-    [draining] note.  Queued work is untouched — callers finish it with
-    {!step}/{!drain}, deadlines still applying, so a drain bounded by
-    request deadlines cannot hang. *)
-
 val drain : t -> unit
-(** {!begin_drain} + run every queued request to its response.  Retries
-    give up whatever backoff remains and run at once. *)
+(** Stop admitting — every later [submit] answers [rejected] with a
+    [draining] note (a [ping] still answers [ok], flagged) — and run
+    every queued request to its response, deadlines still applying, so a
+    drain bounded by request deadlines cannot hang.  Retries give up
+    whatever backoff remains and run at once. *)
 
 val close : t -> unit
 (** Shut the worker pool down.  Idempotent; [submit]/[step] after

@@ -1,38 +1,16 @@
 type t = {
   now : unit -> float;
-  deadline : float option;  (* absolute, on [now]'s clock *)
+  deadline : float;  (* absolute, on [now]'s clock *)
   mutable last : float;  (* monotonization watermark *)
-  mutable cancelled : bool;
   mutable tripped : bool;
   mutable hooks : (unit -> unit) list;  (* run once, at the tripping poll *)
 }
 
-let default_clock = Unix.gettimeofday
-
-let unlimited () =
-  {
-    now = default_clock;
-    deadline = None;
-    last = neg_infinity;
-    cancelled = false;
-    tripped = false;
-    hooks = [];
-  }
-
-let of_deadline ?(now = default_clock) seconds =
+let of_deadline ?(now = Unix.gettimeofday) seconds =
   (* [not (>=)] also rejects NaN. *)
   if not (seconds >= 0.) then invalid_arg "Budget.of_deadline: negative or NaN deadline";
   let t0 = now () in
-  {
-    now;
-    deadline = Some (t0 +. seconds);
-    last = t0;
-    cancelled = false;
-    tripped = false;
-    hooks = [];
-  }
-
-let cancel t = t.cancelled <- true
+  { now; deadline = t0 +. seconds; last = t0; tripped = false; hooks = [] }
 
 let on_expiry t f = if t.tripped then f () else t.hooks <- f :: t.hooks
 
@@ -45,10 +23,7 @@ let clock t =
   v
 
 let expired t =
-  let e =
-    t.tripped || t.cancelled
-    || match t.deadline with None -> false | Some d -> clock t >= d
-  in
+  let e = t.tripped || clock t >= t.deadline in
   if e && not t.tripped then begin
     t.tripped <- true;
     let hooks = t.hooks in
@@ -60,8 +35,3 @@ let expired t =
   e
 
 let exhausted t = t.tripped
-
-let remaining_s t =
-  match t.deadline with
-  | None -> None
-  | Some d -> Some (if t.cancelled then 0. else max 0. (d -. clock t))

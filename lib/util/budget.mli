@@ -1,4 +1,4 @@
-(** Deadline / cancellation tokens for anytime search.
+(** Deadline tokens for anytime search.
 
     A budget is a small mutable token threaded through long-running
     searches ([Ga.optimize], [Optimal.optimize], [Explore.sweep]).  The
@@ -19,17 +19,10 @@
 
 type t
 
-val unlimited : unit -> t
-(** A fresh token with no deadline.  It only ever expires through
-    {!cancel}. *)
-
 val of_deadline : ?now:(unit -> float) -> float -> t
 (** [of_deadline seconds] expires [seconds] from now.  [?now] injects the
     clock (seconds as [float]; default [Unix.gettimeofday]).  Raises
     [Invalid_argument] when [seconds] is negative or NaN. *)
-
-val cancel : t -> unit
-(** Expire the token immediately (co-operative cancellation). *)
 
 val on_expiry : t -> (unit -> unit) -> unit
 (** [on_expiry t f] runs [f] once, at the first {!expired} poll that
@@ -39,7 +32,7 @@ val on_expiry : t -> (unit -> unit) -> unit
     deadline expiries without polluting the polling sites. *)
 
 val expired : t -> bool
-(** Whether the token is past its deadline or cancelled.  Sticky: once
+(** Whether the token is past its deadline.  Sticky: once
     observed true it stays true, and the observation is recorded for
     {!exhausted}. *)
 
@@ -47,8 +40,3 @@ val exhausted : t -> bool
 (** Whether {!expired} has ever been observed true on this token — i.e.
     whether some search was actually cut short by it.  A budget that was
     generous enough never trips this flag. *)
-
-val remaining_s : t -> float option
-(** Seconds until the deadline, clamped at 0; [None] when the token has
-    no deadline.  A cancelled token reports [Some 0.] (or [None] without
-    a deadline). *)

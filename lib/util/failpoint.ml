@@ -50,8 +50,6 @@ let spec_string : string option ref = ref None
    site was reached and the bench count guards per operation. *)
 let observed : (string, int) Hashtbl.t = Hashtbl.create 32
 
-let enabled () = Atomic.get on
-let active () = !spec_string
 
 (* {2 Spec parsing}
 
@@ -153,7 +151,7 @@ let set spec =
   end
 
 let with_schedule spec f =
-  let previous = active () in
+  let previous = !spec_string in
   set spec;
   Fun.protect
     ~finally:(fun () -> match previous with None -> clear () | Some s -> set s)

@@ -39,9 +39,6 @@ exception Injected of string
     an environment failure, and callers (the CLI guard, the supervised
     pool) treat it like one. *)
 
-val enabled : unit -> bool
-(** Whether any schedule is armed.  One atomic load. *)
-
 val set : string -> unit
 (** Parse and arm a schedule, replacing the previous one and resetting
     all hit counters.  The empty (or blank) spec disarms, like {!clear}.
@@ -50,9 +47,6 @@ val set : string -> unit
 
 val clear : unit -> unit
 (** Disarm all failpoints and reset hit counters. *)
-
-val active : unit -> string option
-(** The armed schedule's spec string, if any. *)
 
 val with_schedule : string -> (unit -> 'a) -> 'a
 (** [with_schedule spec f] arms [spec], runs [f], and restores the

@@ -185,22 +185,11 @@ let snapshot () =
     (merged_entries ()) []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let find name = List.assoc_opt name (snapshot ())
-
 let find_int name =
-  match find name with
+  match List.assoc_opt name (snapshot ()) with
   | Some (Int n) -> Some n
   | Some (Float _) | None -> None
 
 let value_to_string = function
   | Int n -> string_of_int n
   | Float v -> Printf.sprintf "%.6g" v
-
-let to_table () =
-  let t =
-    Table.create ~aligns:[ Table.Left; Table.Right ] [ "metric"; "value" ]
-  in
-  List.iter
-    (fun (name, v) -> Table.add_row t [ name; value_to_string v ])
-    (snapshot ());
-  t

@@ -53,10 +53,6 @@ val snapshot : unit -> (string * value) list
     histogram [h] appears as derived entries [h.count] (Int) and
     [h.p50] / [h.p99] (Float, {!quantile} estimates). *)
 
-val find : string -> value option
 val find_int : string -> int option
 
 val value_to_string : value -> string
-
-val to_table : unit -> Table.t
-(** {!snapshot} as a two-column table. *)

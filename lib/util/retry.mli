@@ -3,13 +3,10 @@
 
     Pure: it reads no clock and never sleeps; callers act on the delay.
     Retry [k] (from 0) waits [base_s] doubled [k] times, capped at
-    {!cap_s}; with jitter, that times a seeded factor in [\[1, 1.25)],
+    60 s; with jitter, that times a seeded factor in [\[1, 1.25)],
     capped again. *)
 
 type t
-
-val cap_s : float
-(** 60 s, the longest delay. *)
 
 val make : ?jitter_seed:int -> retries:int -> base_s:float -> unit -> t
 (** At most [retries] retries after the first attempt.  [jitter_seed]

@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* splitmix64: one 64-bit multiply-xor-shift chain per draw. *)
 let next_int64 t =
   t.state <- Int64.add t.state golden_gamma;
@@ -30,10 +28,6 @@ let float t bound =
   bound *. (mantissa /. 9007199254740992.0)
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
-
-let pick t = function
-  | [] -> invalid_arg "Rng.pick: empty list"
-  | xs -> List.nth xs (int t (List.length xs))
 
 let pick_array t xs =
   if Array.length xs = 0 then invalid_arg "Rng.pick_array: empty array";

@@ -12,9 +12,6 @@ val create : int -> t
 (** [create seed] returns a fresh generator.  Equal seeds yield equal
     streams. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator positioned at the same state. *)
-
 val int : t -> int -> int
 (** [int t bound] draws a uniform integer in [\[0, bound)].  [bound] must be
     positive. *)
@@ -28,10 +25,6 @@ val float : t -> float -> float
 
 val bool : t -> bool
 (** [bool t] draws a fair coin flip. *)
-
-val pick : t -> 'a list -> 'a
-(** [pick t xs] draws a uniform element of [xs].  Raises [Invalid_argument]
-    on the empty list. *)
 
 val pick_array : t -> 'a array -> 'a
 (** [pick_array t xs] draws a uniform element of [xs].  Raises

@@ -13,14 +13,6 @@ let geomean = function
     in
     exp (mean (List.map log_one xs))
 
-let stddev xs =
-  match xs with
-  | [] | [ _ ] -> 0.
-  | _ ->
-    let m = mean xs in
-    let sq = List.map (fun x -> (x -. m) *. (x -. m)) xs in
-    sqrt (mean sq)
-
 let minimum = function
   | [] -> invalid_arg "Stats.minimum: empty list"
   | x :: xs -> List.fold_left min x xs
@@ -40,6 +32,3 @@ let percentile p xs =
     let rank = max 1 (min n rank) in
     List.nth sorted (rank - 1)
 
-let normalize_to base xs =
-  if base = 0. then invalid_arg "Stats.normalize_to: zero base";
-  List.map (fun x -> x /. base) xs

@@ -8,9 +8,6 @@ val geomean : float list -> float
 (** Geometric mean of positive values; 0 on the empty list.  Raises
     [Invalid_argument] if any value is non-positive. *)
 
-val stddev : float list -> float
-(** Population standard deviation; 0 on lists shorter than 2. *)
-
 val minimum : float list -> float
 (** Smallest element.  Raises [Invalid_argument] on the empty list. *)
 
@@ -21,10 +18,3 @@ val percentile : float -> float list -> float
 (** [percentile p xs] is the [p]-th percentile (0 <= p <= 100) using
     nearest-rank on the sorted list.  Raises [Invalid_argument] on the empty
     list or out-of-range [p]. *)
-
-val sum : float list -> float
-(** Sum of the elements. *)
-
-val normalize_to : float -> float list -> float list
-(** [normalize_to base xs] divides every element by [base].  Raises
-    [Invalid_argument] when [base = 0]. *)

@@ -26,8 +26,6 @@ let add_row t cells =
   let padded = cells @ List.init (n - k) (fun _ -> "") in
   t.rows <- padded :: t.rows
 
-let row_count t = List.length t.rows
-
 let render t =
   let rows = List.rev t.rows in
   let all = t.headers :: rows in

@@ -19,9 +19,6 @@ val add_row : t -> string list -> unit
 (** [add_row t cells] appends a data row.  Rows shorter than the header are
     padded with empty cells; longer rows raise [Invalid_argument]. *)
 
-val row_count : t -> int
-(** Number of data rows added so far. *)
-
 val render : t -> string
 (** Render with a header separator, e.g.:
     {v

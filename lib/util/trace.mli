@@ -49,25 +49,14 @@ val events : unit -> event list
 (** All recorded events, merged across domain buffers and stably sorted
     by timestamp (same-timestamp events keep their per-buffer order). *)
 
-val to_chrome_json : unit -> string
-(** Chrome [trace_event] JSON: [{"traceEvents":[...]}] with one object
-    per event carrying the fields [name], [cat], [ph] (["B"]/["E"]),
-    [ts] (microseconds), [pid], [tid] and — Begin events only, when
+val save_chrome : string -> unit
+(** Atomically write the recorded events to a file as Chrome
+    [trace_event] JSON: [{"traceEvents":[...]}] with one object per event
+    carrying the fields [name], [cat], [ph] (["B"]/["E"]), [ts]
+    (microseconds), [pid], [tid] and — Begin events only, when
     annotations were attached — [args].  Field names and order are pinned
     by a golden test; see docs/FORMATS.md. *)
 
-val save_chrome : string -> unit
-(** Atomically write {!to_chrome_json} to a file. *)
-
-type span_stat = {
-  span_name : string;
-  count : int;
-  total_s : float;
-  max_s : float;
-}
-
-val summarize : unit -> span_stat list
-(** Per-name aggregates over all completed spans, largest total first. *)
-
 val summary_table : unit -> Table.t
-(** {!summarize} rendered as a table: span, count, total, mean, max. *)
+(** Per-name aggregates over all completed spans, largest total first:
+    span, count, total, mean, max. *)

@@ -1,4 +1,3 @@
-let kib = 1024.
 let mib = 1024. *. 1024.
 
 (* Pick the largest prefix whose scaled mantissa is >= 1. *)
@@ -19,12 +18,7 @@ let pp_with prefixes base unit ppf value =
 let byte_prefixes = [ ("G", 3.); ("M", 2.); ("K", 1.); ("", 0.) ]
 let si_down = [ ("", 0.); ("m", -1.); ("u", -2.); ("n", -3.); ("p", -4.) ]
 
-let pp_bytes ppf b = pp_with byte_prefixes 1024. "B" ppf b
-let pp_time ppf s = pp_with si_down 1000. "s" ppf s
-let pp_energy ppf j = pp_with si_down 1000. "J" ppf j
-let pp_power ppf w = pp_with si_down 1000. "W" ppf w
 let pp_rate ppf r = Format.fprintf ppf "%.4g inf/s" r
-
-let bytes_to_string b = Format.asprintf "%a" pp_bytes b
-let time_to_string s = Format.asprintf "%a" pp_time s
-let energy_to_string j = Format.asprintf "%a" pp_energy j
+let bytes_to_string b = Format.asprintf "%a" (pp_with byte_prefixes 1024. "B") b
+let time_to_string s = Format.asprintf "%a" (pp_with si_down 1000. "s") s
+let energy_to_string j = Format.asprintf "%a" (pp_with si_down 1000. "J") j

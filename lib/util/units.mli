@@ -4,33 +4,18 @@
     These helpers render them with a sensible magnitude prefix for reports
     and benchmark output. *)
 
-val kib : float
-(** 1024 bytes. *)
-
 val mib : float
 (** 1024 * 1024 bytes. *)
-
-val pp_bytes : Format.formatter -> float -> unit
-(** Render a byte count, e.g. ["1.125 MB"].  Uses binary (1024) prefixes to
-    match the paper's capacity figures. *)
-
-val pp_time : Format.formatter -> float -> unit
-(** Render a duration in seconds, e.g. ["12.8 us"]. *)
-
-val pp_energy : Format.formatter -> float -> unit
-(** Render an energy in joules, e.g. ["3.2 mJ"]. *)
 
 val pp_rate : Format.formatter -> float -> unit
 (** Render a throughput in samples per second, e.g. ["431.2 inf/s"]. *)
 
-val pp_power : Format.formatter -> float -> unit
-(** Render a power in watts. *)
-
 val bytes_to_string : float -> string
-(** [bytes_to_string b] is [Format.asprintf "%a" pp_bytes b]. *)
+(** Render a byte count, e.g. ["1.12 MB"].  Uses binary (1024) prefixes to
+    match the paper's capacity figures. *)
 
 val time_to_string : float -> string
-(** [time_to_string s] is [Format.asprintf "%a" pp_time s]. *)
+(** Render a duration in seconds, e.g. ["12.8 us"]. *)
 
 val energy_to_string : float -> string
-(** [energy_to_string j] is [Format.asprintf "%a" pp_energy j]. *)
+(** Render an energy in joules, e.g. ["3.2 mJ"]. *)

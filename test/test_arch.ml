@@ -11,7 +11,6 @@ let test_default_geometry () =
   let x = Crossbar.default in
   Alcotest.(check int) "cols/weight" 4 (Crossbar.cols_per_weight x);
   Alcotest.(check int) "logical cols" 64 (Crossbar.logical_cols x);
-  Alcotest.(check int) "capacity weights" (256 * 64) (Crossbar.weight_capacity x);
   Alcotest.(check (float 1e-9)) "8 KB per macro" 8192. (Crossbar.capacity_bytes x)
 
 let test_tile_grid () =
@@ -21,8 +20,7 @@ let test_tile_grid () =
     (Crossbar.tile_grid x ~rows:257 ~cols:65);
   (* VGG16 fc6: 25088 x 4096 -> 98 x 64 macros. *)
   Alcotest.(check (pair int int)) "fc6" (98, 64)
-    (Crossbar.tile_grid x ~rows:25088 ~cols:4096);
-  Alcotest.(check int) "fc6 tiles" (98 * 64) (Crossbar.tiles_for x ~rows:25088 ~cols:4096)
+    (Crossbar.tile_grid x ~rows:25088 ~cols:4096)
 
 let test_tile_grid_invalid () =
   Alcotest.(check bool) "zero rows" true
@@ -66,9 +64,13 @@ let test_preset_powers () =
   Alcotest.(check (float 1e-9)) "L" 6.30 Config.chip_l.Config.chip_power_w
 
 let test_core_component_power () =
-  (* Table I: 22.8 + 18.0 + 8.0 mW per core. *)
-  Alcotest.(check (float 1e-9)) "core power" 48.8e-3
-    (Config.core_static_power_w Config.chip_s.Config.core)
+  (* Table I: 22.8 + 18.0 + 8.0 mW per core.  A custom chip's default
+     power is cores x core power + macros x per-macro power, so one core
+     more and one macro fewer differ by exactly the core power. *)
+  let power cores macros_per_core =
+    (Config.custom ~label:"p" ~cores ~macros_per_core ()).Config.chip_power_w
+  in
+  Alcotest.(check (float 1e-9)) "core power" 48.8e-3 (power 2 1 -. power 1 2)
 
 let test_by_label () =
   Alcotest.(check string) "lower case" "M" (Config.by_label "m").Config.label;
@@ -80,7 +82,7 @@ let test_by_label () =
 
 let test_core_capacity () =
   Alcotest.(check (float 1e-9)) "9 macros" (9. *. 8192.)
-    (Config.core_capacity_bytes Config.chip_s)
+    (Config.capacity_bytes Config.chip_s /. float_of_int Config.chip_s.Config.cores)
 
 let test_custom_chip () =
   let chip = Config.custom ~label:"tiny" ~cores:4 ~macros_per_core:2 () in
@@ -88,13 +90,19 @@ let test_custom_chip () =
   Alcotest.(check bool) "positive default power" true (chip.Config.chip_power_w > 0.)
 
 let test_macro_static_power_positive () =
+  (* The per-macro residual power is interpolated from preset S, so a
+     custom chip of S's geometry gets S's Table I power, and every
+     preset's power exceeds the power of its cores alone. *)
+  let s = Config.custom ~label:"s" ~cores:16 ~macros_per_core:9 () in
+  Alcotest.(check (float 1e-9)) "S reproduced" 1.57 s.Config.chip_power_w;
   List.iter
     (fun (_, chip) ->
-      Alcotest.(check bool) "positive" true (Config.macro_static_power_w chip > 0.))
+      Alcotest.(check bool) "positive" true
+        (chip.Config.chip_power_w > float_of_int chip.Config.cores *. 48.8e-3))
     Config.presets
 
 let test_table1_rows () =
-  Alcotest.(check int) "three rows" 3 (Compass_util.Table.row_count (Config.table1 ()))
+  Alcotest.(check int) "three rows" 3 (Helpers.rows (Config.table1 ()))
 
 (* Interconnect *)
 
@@ -138,8 +146,12 @@ let prop_tiles_monotone =
     QCheck.(pair (int_range 1 5000) (int_range 1 5000))
     (fun (rows, cols) ->
       let x = Crossbar.default in
-      Crossbar.tiles_for x ~rows ~cols <= Crossbar.tiles_for x ~rows:(rows + 1) ~cols
-      && Crossbar.tiles_for x ~rows ~cols <= Crossbar.tiles_for x ~rows ~cols:(cols + 1))
+      let tiles ~rows ~cols =
+        let rb, cb = Crossbar.tile_grid x ~rows ~cols in
+        rb * cb
+      in
+      tiles ~rows ~cols <= tiles ~rows:(rows + 1) ~cols
+      && tiles ~rows ~cols <= tiles ~rows ~cols:(cols + 1))
 
 let prop_tiles_cover_matrix =
   QCheck.Test.make ~name:"tile grid covers the matrix" ~count:300

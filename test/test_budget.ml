@@ -1,4 +1,4 @@
-(* Deadline/cancellation tokens with an injected clock. *)
+(* Deadline tokens with an injected clock. *)
 
 open Compass_util
 
@@ -10,20 +10,14 @@ let fake_clock start =
   let set v = t := v in
   (now, set)
 
-let test_unlimited () =
-  let b = Budget.unlimited () in
-  Alcotest.(check bool) "never expires" false (Budget.expired b);
-  Alcotest.(check bool) "not exhausted" false (Budget.exhausted b);
-  Alcotest.(check (option (float 0.))) "no remaining" None (Budget.remaining_s b)
-
 let test_expiry () =
   let now, set = fake_clock 100. in
   let b = Budget.of_deadline ~now 10. in
   Alcotest.(check bool) "fresh" false (Budget.expired b);
-  Alcotest.(check (option (float 1e-9))) "remaining" (Some 10.) (Budget.remaining_s b);
   set 105.;
   Alcotest.(check bool) "mid-budget" false (Budget.expired b);
-  Alcotest.(check (option (float 1e-9))) "half left" (Some 5.) (Budget.remaining_s b);
+  set (Float.pred 110.);
+  Alcotest.(check bool) "just before the deadline" false (Budget.expired b);
   set 110.;
   Alcotest.(check bool) "at deadline" true (Budget.expired b);
   Alcotest.(check bool) "exhausted" true (Budget.exhausted b)
@@ -40,26 +34,11 @@ let test_sticky () =
 
 let test_monotonic_clock () =
   let now, set = fake_clock 50. in
-  let b = Budget.of_deadline ~now 10. in
-  (* The token's view of time never decreases even if the raw clock does. *)
-  set 55.;
-  Alcotest.(check (option (float 1e-9))) "advanced" (Some 5.) (Budget.remaining_s b);
-  set 52.;
-  Alcotest.(check (option (float 1e-9)))
-    "watermark holds" (Some 5.) (Budget.remaining_s b)
-
-let test_cancel () =
-  let now, _set = fake_clock 0. in
-  let b = Budget.of_deadline ~now 1000. in
-  Alcotest.(check bool) "fresh" false (Budget.expired b);
-  Budget.cancel b;
-  Alcotest.(check bool) "cancelled expires" true (Budget.expired b);
-  Alcotest.(check (option (float 0.))) "no time left" (Some 0.) (Budget.remaining_s b)
-
-let test_cancel_unlimited () =
-  let b = Budget.unlimited () in
-  Budget.cancel b;
-  Alcotest.(check bool) "cancel works without a deadline" true (Budget.expired b)
+  let b = Budget.of_deadline ~now 0. in
+  (* The token's view of time never decreases even if the raw clock does:
+     a zero deadline set at 50 stays expired when the clock reads 40. *)
+  set 40.;
+  Alcotest.(check bool) "watermark holds" true (Budget.expired b)
 
 let test_zero_deadline () =
   let now, _set = fake_clock 7. in
@@ -102,13 +81,14 @@ let test_on_expiry_fires_once () =
   Budget.on_expiry b (fun () -> fired := !fired + 10);
   Alcotest.(check int) "late hook runs immediately" 11 !fired
 
-let test_on_expiry_order_and_cancel () =
-  let b = Budget.unlimited () in
+let test_on_expiry_order () =
+  let now, set = fake_clock 0. in
+  let b = Budget.of_deadline ~now 1. in
   let order = ref [] in
   Budget.on_expiry b (fun () -> order := "first" :: !order);
   Budget.on_expiry b (fun () -> order := "second" :: !order);
-  Budget.cancel b;
-  Alcotest.(check (list string)) "cancel alone does not poll" [] !order;
+  set 2.;
+  Alcotest.(check (list string)) "passing the deadline alone does not poll" [] !order;
   ignore (Budget.expired b);
   Alcotest.(check (list string)) "registration order" [ "second"; "first" ] !order
 
@@ -117,18 +97,14 @@ let () =
     [
       ( "budget",
         [
-          Alcotest.test_case "unlimited" `Quick test_unlimited;
           Alcotest.test_case "expiry" `Quick test_expiry;
           Alcotest.test_case "sticky" `Quick test_sticky;
           Alcotest.test_case "monotonic clock" `Quick test_monotonic_clock;
-          Alcotest.test_case "cancel" `Quick test_cancel;
-          Alcotest.test_case "cancel unlimited" `Quick test_cancel_unlimited;
           Alcotest.test_case "zero deadline" `Quick test_zero_deadline;
           Alcotest.test_case "invalid seconds" `Quick test_invalid;
           Alcotest.test_case "exhausted needs observation" `Quick
             test_exhausted_only_after_observation;
           Alcotest.test_case "on_expiry fires once" `Quick test_on_expiry_fires_once;
-          Alcotest.test_case "on_expiry order and cancel" `Quick
-            test_on_expiry_order_and_cancel;
+          Alcotest.test_case "on_expiry order" `Quick test_on_expiry_order;
         ] );
     ]

@@ -43,7 +43,7 @@ let test_checkpoint_truncation_corpus () =
       (* Whatever salvage returns must itself survive a strict round
          trip: recovery never fabricates an unloadable state. *)
       let reparsed =
-        Plan_text.checkpoint_of_string (Plan_text.checkpoint_to_string s.Plan_text.recovered)
+        Helpers.checkpoint_of_string (Plan_text.checkpoint_to_string s.Plan_text.recovered)
       in
       if reparsed.Ga.ck_generation <> s.Plan_text.generation then
         Alcotest.failf "prefix %d: salvaged checkpoint does not round-trip" keep

@@ -37,7 +37,7 @@ let test_resume_bit_identical () =
     (fun ck ->
       (* Serialize through the text format, so the golden check covers the
          full save/load path, float precision included. *)
-      let ck = Plan_text.checkpoint_of_string (Plan_text.checkpoint_to_string ck) in
+      let ck = Helpers.checkpoint_of_string (Plan_text.checkpoint_to_string ck) in
       let resumed = Ga.optimize ~params ~resume:ck ctx v ~batch:4 in
       let tag = Printf.sprintf "gen %d: " ck.Ga.ck_generation in
       Alcotest.(check bool)
@@ -111,7 +111,7 @@ let test_roundtrip_fixed_point () =
   | None -> Alcotest.fail "no checkpoint"
   | Some ck ->
     let text = Plan_text.checkpoint_to_string ck in
-    let reparsed = Plan_text.checkpoint_of_string text in
+    let reparsed = Helpers.checkpoint_of_string text in
     Alcotest.(check string) "fixed point" text (Plan_text.checkpoint_to_string reparsed)
 
 let capture_one () =
@@ -140,7 +140,7 @@ let test_save_is_atomic () =
 
 let expect ~line ?col ~mentions text =
   Located_check.expect_located ~line ?col ~mentions (fun () ->
-      Plan_text.checkpoint_of_string text)
+      Helpers.checkpoint_of_string text)
 
 let test_corrupt_loads () =
   let ck = capture_one () in
@@ -157,7 +157,7 @@ let test_corrupt_loads () =
     let truncated =
       String.concat "\n" (List.filteri (fun i _ -> i < keep) lines) ^ "\n"
     in
-    match Plan_text.checkpoint_of_string truncated with
+    match Helpers.checkpoint_of_string truncated with
     | _ -> Alcotest.failf "truncation to %d lines parsed" keep
     | exception Compass_util.Located.Error _ -> ()
   done;
@@ -198,7 +198,7 @@ let test_legacy_crossover_line () =
            else [ l ])
     |> String.concat "\n"
   in
-  let ck = Plan_text.checkpoint_of_string (legacy "0") in
+  let ck = Helpers.checkpoint_of_string (legacy "0") in
   Alcotest.(check string) "rewritten without the legacy line" text
     (Plan_text.checkpoint_to_string ck);
   let resumed = Ga.optimize ~params ~resume:ck ctx v ~batch:4 in

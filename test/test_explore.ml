@@ -75,7 +75,7 @@ let test_cheapest_prefers_small_chip () =
 
 let test_points_table () =
   Alcotest.(check int) "one row per point" 4
-    (Compass_util.Table.row_count (Explore.points_table (Lazy.force points)))
+    (Helpers.rows (Explore.points_table (Lazy.force points)))
 
 let () =
   Alcotest.run "explore"

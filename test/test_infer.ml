@@ -25,15 +25,10 @@ let random_conv_case rng =
   let height = kernel_h + Compass_util.Rng.int rng 8 in
   let width = kernel_w + Compass_util.Rng.int rng 8 in
   let conv =
-    match
-      Layer.conv_rect ~stride ~padding ~groups ~in_channels ~out_channels ~kernel_h
-        ~kernel_w ()
-    with
-    | Layer.Conv c -> c
-    | _ -> assert false
+    { Layer.in_channels; out_channels; kernel_h; kernel_w; stride; padding; groups }
   in
   let input =
-    Tensor.of_array
+    Helpers.tensor_of_array
       (Shape.feature_map ~channels:in_channels ~height ~width)
       (rng_floats rng (in_channels * height * width))
   in
@@ -71,7 +66,7 @@ let prop_linear_gemm_bit_identical =
       let in_features = 1 + Compass_util.Rng.int rng 64 in
       let out_features = 1 + Compass_util.Rng.int rng 64 in
       let input =
-        Tensor.of_array (Shape.vector in_features) (rng_floats rng in_features)
+        Helpers.tensor_of_array (Shape.vector in_features) (rng_floats rng in_features)
       in
       let weights = rng_floats rng (in_features * out_features) in
       let reference = Tensor.linear ~in_features ~out_features ~weights input in
@@ -112,28 +107,33 @@ let prop_conv_special_values =
       let extent o = ((o - 1) * stride) + kernel - (2 * padding) in
       let in_channels = groups * group_in and out_channels = groups * group_out in
       let conv =
-        match
-          Layer.conv_rect ~stride ~padding ~groups ~in_channels ~out_channels
-            ~kernel_h:kernel ~kernel_w:kernel ()
-        with
-        | Layer.Conv c -> c
-        | _ -> assert false
+        {
+          Layer.in_channels;
+          out_channels;
+          kernel_h = kernel;
+          kernel_w = kernel;
+          stride;
+          padding;
+          groups;
+        }
       in
       let input =
-        Tensor.of_array
+        Helpers.tensor_of_array
           (Shape.feature_map ~channels:in_channels ~height:(extent oh) ~width:(extent ow))
           (special_floats rng (in_channels * extent oh * extent ow))
       in
       let weights = special_floats rng (out_channels * group_in * kernel * kernel) in
       let fast = Tensor.conv2d_gemm conv ~weights input in
-      Tensor.size fast mod 4 = out_channels * residue mod 4
+      Array.length (Tensor.to_array fast) mod 4 = out_channels * residue mod 4
       && Tensor.same_bits (Tensor.conv2d conv ~weights input) fast)
 
 (* Test-local oracles for the element-wise operators both engines share
    (so no engine comparison can catch a change in their semantics):
    polymorphic [Stdlib.max], zero padding, the pre-optimisation window
    walk. *)
-let oracle_relu t = Tensor.create (Tensor.shape t) (fun i -> max 0. (Tensor.get t i))
+let oracle_relu t =
+  let data = Tensor.to_array t in
+  Tensor.create (Tensor.shape t) (fun i -> max 0. data.(i))
 
 let oracle_pool ~reduce ~init ~finish ~kernel ~stride ~padding t =
   match Tensor.shape t with
@@ -141,6 +141,7 @@ let oracle_pool ~reduce ~init ~finish ~kernel ~stride ~padding t =
   | Shape.Feature_map { channels; height; width } ->
     let out n = ((n + (2 * padding) - kernel) / stride) + 1 in
     let oh = out height and ow = out width in
+    let data = Tensor.to_array t in
     Tensor.create (Shape.feature_map ~channels ~height:oh ~width:ow) (fun i ->
         let c = i / (oh * ow) and y = i / ow mod oh and x = i mod ow in
         let acc = ref init in
@@ -149,7 +150,7 @@ let oracle_pool ~reduce ~init ~finish ~kernel ~stride ~padding t =
             let h = (y * stride) + ky - padding and w = (x * stride) + kx - padding in
             let v =
               if h < 0 || h >= height || w < 0 || w >= width then 0.
-              else Tensor.get_chw t ~c ~h ~w
+              else data.((((c * height) + h) * width) + w)
             in
             acc := reduce !acc v
           done
@@ -168,7 +169,7 @@ let prop_pool_relu_oracle =
          and the padding's 0. (or a -0.) wins them. *)
       let negative = seed mod 3 = 0 in
       let t =
-        Tensor.of_array
+        Helpers.tensor_of_array
           (Shape.feature_map ~channels ~height ~width)
           (Array.map
              (fun x -> if negative && not (Float.is_nan x) then -.Float.abs x else x)
@@ -189,7 +190,7 @@ let test_max_pool_edge_cases () =
   (* Hand-picked windows: NaN first and last in a window, -0. against the
      padding's 0., an all-negative window that touches the padding. *)
   let t =
-    Tensor.of_array
+    Helpers.tensor_of_array
       (Shape.feature_map ~channels:1 ~height:2 ~width:3)
       [| nan; -0.; -3.; -1.; -2.; nan |]
   in
@@ -202,7 +203,7 @@ let test_max_pool_edge_cases () =
         (Tensor.max_pool ~kernel ~stride ~padding t))
     [ (1, 1, 0); (2, 1, 0); (2, 1, 1); (3, 2, 1); (2, 2, 1) ];
   bit_identical "relu" (oracle_relu t) (Tensor.relu t);
-  let scalar x = Tensor.of_array (Shape.vector 1) [| x |] in
+  let scalar x = Helpers.tensor_of_array (Shape.vector 1) [| x |] in
   Alcotest.(check bool) "same_bits tells -0. from 0." false
     (Tensor.same_bits (scalar (-0.)) (scalar 0.))
 
@@ -212,16 +213,19 @@ let test_asymmetric_kernels () =
   List.iter
     (fun (kernel_h, kernel_w, stride, padding) ->
       let conv =
-        match
-          Layer.conv_rect ~stride ~padding ~groups:1 ~in_channels:3 ~out_channels:4
-            ~kernel_h ~kernel_w ()
-        with
-        | Layer.Conv c -> c
-        | _ -> assert false
+        {
+          Layer.in_channels = 3;
+          out_channels = 4;
+          kernel_h;
+          kernel_w;
+          stride;
+          padding;
+          groups = 1;
+        }
       in
       let rng = Compass_util.Rng.create (kernel_h + (10 * kernel_w)) in
       let input =
-        Tensor.of_array
+        Helpers.tensor_of_array
           (Shape.feature_map ~channels:3 ~height:9 ~width:9)
           (rng_floats rng (3 * 9 * 9))
       in
@@ -269,7 +273,7 @@ let test_run_batch_equals_per_sample () =
 let test_run_batch_any_worker_count () =
   (* Fanning the batch across a pool never changes a single bit,
      whatever the worker count. *)
-  let g = Models.tiny_resnet () in
+  let g = Models.by_name "tiny_resnet" in
   let w = Executor.random_weights g in
   let inputs = batch_inputs g 6 in
   let sequential = Executor.output_batch g w inputs in
@@ -285,7 +289,7 @@ let test_run_batch_any_worker_count () =
 
 let test_run_batch_all_nodes () =
   (* The batched lookup exposes every node, matching single-sample runs. *)
-  let g = Models.tiny_mlp () in
+  let g = Models.by_name "tiny_mlp" in
   let w = Executor.random_weights g in
   let inputs = batch_inputs g 3 in
   let lookup = Executor.run_batch g w inputs in
@@ -302,7 +306,7 @@ let test_run_batch_all_nodes () =
     (Graph.nodes g)
 
 let test_run_batch_rejects_empty () =
-  let g = Models.tiny_mlp () in
+  let g = Models.by_name "tiny_mlp" in
   let w = Executor.random_weights g in
   Alcotest.(check bool) "empty batch rejected" true
     (try
@@ -352,7 +356,7 @@ let test_located_weight_diagnostic () =
     [ Executor.Naive; Executor.Gemm ]
 
 let test_linear_weight_diagnostic () =
-  let g = Models.tiny_mlp () in
+  let g = Models.by_name "tiny_mlp" in
   let w = Executor.random_weights g in
   let x = Executor.random_input g in
   let lin_node =

@@ -12,13 +12,6 @@ let prog core_id instrs = Program.make ~core_id instrs
 
 (* Instr / Program *)
 
-let test_instr_accessors () =
-  Alcotest.(check int) "mvm count" 10
-    (Instr.mvm_count (Instr.Mvm { count = 10; tiles = 2; tag = "" }));
-  Alcotest.(check (float 0.)) "load bytes" 64.
-    (Instr.dram_bytes (Instr.Load { bytes = 64.; addr = 0; tag = "" }));
-  Alcotest.(check (float 0.)) "vfu has no dram" 0. (Instr.dram_bytes (Instr.Vfu { ops = 5 }))
-
 let test_program_totals () =
   let p =
     prog 0
@@ -28,8 +21,8 @@ let test_program_totals () =
         Instr.Load { bytes = 100.; addr = 0; tag = "" };
       ]
   in
-  Alcotest.(check int) "mvms" 7 (Program.mvm_total p);
-  Alcotest.(check (float 0.)) "dram" 100. (Program.dram_bytes p);
+  Alcotest.(check (list (pair string int)))
+    "mix" [ ("load", 1); ("mvm", 2) ] (Program.instruction_mix [ p ]);
   Alcotest.(check int) "length" 3 (Program.length p)
 
 let test_program_validate_duplicates () =
@@ -280,7 +273,6 @@ let () =
     [
       ( "instr",
         [
-          Alcotest.test_case "accessors" `Quick test_instr_accessors;
           Alcotest.test_case "program totals" `Quick test_program_totals;
           Alcotest.test_case "validate duplicates" `Quick test_program_validate_duplicates;
           Alcotest.test_case "validate range" `Quick test_program_validate_range;

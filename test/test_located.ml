@@ -178,8 +178,8 @@ let grammars () =
       name = "checkpoint";
       samples = checkpoint_samples ();
       reprint =
-        (fun t -> Plan_text.checkpoint_to_string (Plan_text.checkpoint_of_string t));
-      parse = (fun t -> ignore (Plan_text.checkpoint_of_string t));
+        (fun t -> Plan_text.checkpoint_to_string (Helpers.checkpoint_of_string t));
+      parse = (fun t -> ignore (Helpers.checkpoint_of_string t));
     };
     {
       name = "fault spec";

@@ -135,7 +135,7 @@ let test_full_compile_catalogue () =
       Alcotest.(check int) "ga.generations" ga.Ga.generations_run (metric "ga.generations");
       Alcotest.(check int) "ga.fitness_evaluations" ga.Ga.evaluations
         (metric "ga.fitness_evaluations");
-      (match Metrics.find "ga.best_fitness" with
+      (match List.assoc_opt "ga.best_fitness" (Metrics.snapshot ()) with
       | Some (Metrics.Float v) ->
         Alcotest.(check (float 0.)) "ga.best_fitness" ga.Ga.best.Ga.fitness v
       | _ -> Alcotest.fail "ga.best_fitness missing");

@@ -2,7 +2,7 @@
 
 open Compass_nn
 
-let check_shape = Alcotest.testable Shape.pp Shape.equal
+let check_shape = Alcotest.testable (Fmt.of_to_string Shape.to_string) Shape.equal
 
 (* Shape *)
 
@@ -265,7 +265,7 @@ let test_alexnet_structure () =
   (* 5 convs + 3 fc; fc6 dominates (9216 x 4096). *)
   Alcotest.(check int) "weighted" 8 s.Summary.weighted_layers;
   Alcotest.(check bool) "linear-heavy" true (s.Summary.linear_mb > s.Summary.conv_mb);
-  let g = Models.alexnet () in
+  let g = Models.by_name "alexnet" in
   let out = List.hd (Graph.exit_nodes g) in
   Alcotest.check check_shape "1000 classes" (Shape.vector 1000) (Graph.shape_of g out)
 
@@ -282,7 +282,7 @@ let test_resnet34_structure () =
   Alcotest.(check int) "weighted" 37 s.Summary.weighted_layers;
   Alcotest.(check bool) "about 10 MB of conv" true
     (s.Summary.conv_mb > 9. && s.Summary.conv_mb < 11.);
-  let g = Models.resnet34 () in
+  let g = Models.by_name "resnet34" in
   let adds = List.filter (fun n -> (Graph.layer g n).Layer.op = Layer.Add) (Graph.nodes g) in
   Alcotest.(check int) "16 residual adds" 16 (List.length adds)
 
@@ -310,7 +310,7 @@ let test_mobilenet_structure () =
     (params > 4_100_000 && params < 4_300_000);
   (* 1 stem + 13 dw + 13 pw + 1 fc. *)
   Alcotest.(check int) "weighted layers" 28 s.Summary.weighted_layers;
-  let g = Models.mobilenet_v1 () in
+  let g = Models.by_name "mobilenet_v1" in
   let out = List.hd (Graph.exit_nodes g) in
   Alcotest.check check_shape "1000 classes" (Shape.vector 1000) (Graph.shape_of g out)
 

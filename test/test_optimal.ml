@@ -188,10 +188,11 @@ let test_golden_ga_traced_unchanged () =
         (Metrics.find_int "ga.fitness_evaluations");
       Alcotest.(check (option int)) "generations counted" (Some golden_generations)
         (Metrics.find_int "ga.generations");
-      Alcotest.(check bool) "generation spans recorded" true
-        (List.exists
-           (fun s -> s.Trace.span_name = "ga.generation" && s.Trace.count = golden_generations)
-           (Trace.summarize ())))
+      Alcotest.(check int) "generation spans recorded" golden_generations
+        (List.length
+           (List.filter
+              (fun (e : Trace.event) -> e.Trace.name = "ga.generation" && e.Trace.phase = Trace.Begin)
+              (Trace.events ()))))
 
 let test_warm_start_seeds_population () =
   let _, v, ctx = setup "resnet18" Config.chip_s in

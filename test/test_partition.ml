@@ -2,7 +2,7 @@
 
 open Compass_core
 
-let group = Alcotest.testable Partition.pp Partition.equal
+let group = Alcotest.testable Fmt.(using Partition.cuts (Dump.array int)) Partition.equal
 
 let test_of_cuts_ok () =
   let g = Partition.of_cuts [| 0; 3; 7; 10 |] in

@@ -111,7 +111,7 @@ let test_plan_layer_table () =
       (fun acc sp -> acc + List.length sp.Estimator.stage_times)
       0 plan.Compiler.perf.Estimator.spans
   in
-  Alcotest.(check int) "row per stage" stage_rows (Compass_util.Table.row_count table)
+  Alcotest.(check int) "row per stage" stage_rows (Helpers.rows table)
 
 let () =
   Alcotest.run "plan_text"

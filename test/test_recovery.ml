@@ -99,10 +99,27 @@ let test_realize_deterministic_and_distinct () =
     (List.length (List.sort_uniq compare keys));
   let transients = List.filter (fun s -> s.Inject.transient) sites in
   Alcotest.(check int) "transient count" 3 (List.length transients);
-  Alcotest.(check int) "site count" (3 + 2 + Inject.drift_count units (Some 0.0001))
-    (List.length sites)
+  (* Drift displaces [max 1 (ceil (rate * cells))] cells. *)
+  let cells =
+    Array.fold_left
+      (fun acc u ->
+        let rows = u.Unit_gen.row_hi - u.Unit_gen.row_lo in
+        acc + (rows * (u.Unit_gen.col_hi - u.Unit_gen.col_lo)))
+      0 units.Unit_gen.units
+  in
+  let drift = max 1 (int_of_float (Float.ceil (0.0001 *. float_of_int cells))) in
+  Alcotest.(check int) "site count" (3 + 2 + drift) (List.length sites)
 
 (* Recovery engine *)
+
+let default_policy =
+  {
+    Recovery.max_retries = 2;
+    max_remaps = 4;
+    backoff_s = 1e-4;
+    allow_remap = true;
+    budget = None;
+  }
 
 let plan_weights_input () =
   let chip = Config.chip_s in
@@ -150,7 +167,7 @@ let test_transient_clears_on_retry () =
 let test_backoff_simulated_not_slept () =
   let chip, plan, weights, input = plan_weights_input () in
   let faults = faults_of "transient:2" ~seed:0 chip in
-  let policy = { Recovery.default_policy with Recovery.backoff_s = 2.0 } in
+  let policy = { default_policy with Recovery.backoff_s = 2.0 } in
   let t0 = Unix.gettimeofday () in
   let r = Recovery.run ~policy ~seed:42 ~faults ~weights ~input plan in
   let wall = Unix.gettimeofday () -. t0 in
@@ -173,7 +190,7 @@ let test_backoff_simulated_not_slept () =
    (both retries run, then a remap heals it). *)
 let test_backoff_schedule_pinned () =
   let chip, plan, weights, input = plan_weights_input () in
-  let policy = { Recovery.default_policy with Recovery.backoff_s = 2.0 } in
+  let policy = { default_policy with Recovery.backoff_s = 2.0 } in
   List.iter
     (fun (spec, want, want_total) ->
       let faults = faults_of spec ~seed:0 chip in
@@ -199,7 +216,7 @@ let test_backoff_schedule_pinned () =
 let test_remap_disabled_degrades () =
   let chip, plan, weights, input = plan_weights_input () in
   let faults = faults_of "flip:1" ~seed:0 chip in
-  let policy = { Recovery.default_policy with Recovery.allow_remap = false } in
+  let policy = { default_policy with Recovery.allow_remap = false } in
   let r = Recovery.run ~policy ~seed:42 ~faults ~weights ~input plan in
   Alcotest.(check bool) "degraded" true (r.Recovery.outcome = Recovery.Degraded_output);
   Alcotest.(check int) "no remaps" 0 r.Recovery.remaps;
@@ -209,23 +226,45 @@ let test_expired_budget_degrades () =
   let chip, plan, weights, input = plan_weights_input () in
   let faults = faults_of "flip:1" ~seed:0 chip in
   let budget = Compass_util.Budget.of_deadline 0. in
-  let policy = { Recovery.default_policy with Recovery.budget = Some budget } in
+  let policy = { default_policy with Recovery.budget = Some budget } in
   let r = Recovery.run ~policy ~seed:42 ~faults ~weights ~input plan in
   Alcotest.(check bool) "degrades instead of blocking" true
     (r.Recovery.outcome = Recovery.Degraded_output);
   Alcotest.(check int) "no retries after expiry" 0 r.Recovery.retries;
   Alcotest.(check int) "no remaps after expiry" 0 r.Recovery.remaps
 
+(* A remap retires the victim core on top of the plan's own scenario:
+   the repaired plan keeps every other fault setting. *)
 let test_retire_preserves_scenario () =
-  let chip = Config.chip_s in
+  let chip, _, weights, input = plan_weights_input () in
   let faults = faults_of "degraded:1=4;endurance:1e6;flip:2" ~seed:0 chip in
-  let f = Recovery.retire (Some faults) ~cores:chip.Config.cores 3 in
-  Alcotest.(check bool) "victim dead" true (Fault.status f 3 = Fault.Dead);
-  Alcotest.(check bool) "degradation kept" true (Fault.status f 1 = Fault.Degraded 4);
+  let model = Compass_nn.Models.by_name "lenet5" in
+  let plan = Compiler.compile ~faults ~model ~chip ~batch:1 Compiler.Greedy in
+  let remapped (r : Recovery.report) =
+    let victims =
+      List.filter_map
+        (function Recovery.Remapped { core; _ } -> Some core | _ -> None)
+        r.Recovery.actions
+    in
+    Alcotest.(check bool) "remapped" true (victims <> []);
+    (victims, Option.get r.Recovery.plan.Compiler.faults)
+  in
+  let victims, f = remapped (Recovery.run ~seed:42 ~weights ~input plan) in
+  List.iter
+    (fun v -> Alcotest.(check bool) "victim dead" true (Fault.status f v = Fault.Dead))
+    victims;
+  if not (List.mem 1 victims) then
+    Alcotest.(check bool) "degradation kept" true (Fault.status f 1 = Fault.Degraded 4);
   Alcotest.(check int) "flips kept" 2 (Fault.weight_flips f);
   Alcotest.(check bool) "endurance kept" true (Fault.endurance_budget f = Some 1e6);
-  let fresh = Recovery.retire None ~cores:4 0 in
-  Alcotest.(check bool) "from healthy" true (Fault.status fresh 0 = Fault.Dead)
+  (* From an all-healthy plan, the victims are the only faults. *)
+  let _, healthy, _, _ = plan_weights_input () in
+  let faults = faults_of "flip:1" ~seed:0 chip in
+  let victims, f = remapped (Recovery.run ~seed:42 ~faults ~weights ~input healthy) in
+  for c = 0 to Fault.cores f - 1 do
+    Alcotest.(check bool) "from healthy" true
+      (Fault.status f c = if List.mem c victims then Fault.Dead else Fault.Healthy)
+  done
 
 (* Transient strikes in the chip simulator *)
 
@@ -249,7 +288,7 @@ let test_sim_transient_detected_and_retried () =
     | Some p -> p.Compass_isa.Program.core_id
     | None -> Alcotest.fail "abft schedule emitted no Check instructions"
   in
-  let events = [ Compass_isa.Sim.transient ~at_s:1e-6 ~victim ] in
+  let events = [ { Compass_isa.Sim.at_s = 1e-6; victim; kind = Compass_isa.Sim.Transient } ] in
   let struck = Compass_isa.Sim.run ~fault_events:events chip programs in
   Alcotest.(check bool) "checks ran" true (struck.Compass_isa.Sim.checks_run > 0);
   Alcotest.(check int) "strike detected" 1 struck.Compass_isa.Sim.detections;
@@ -280,8 +319,8 @@ let test_sim_malformed_events_located () =
   in
   expect_msg
     [
-      Compass_isa.Sim.transient ~at_s:1. ~victim:1;
-      Compass_isa.Sim.transient ~at_s:(-2.) ~victim:0;
+      { Compass_isa.Sim.at_s = 1.; victim = 1; kind = Compass_isa.Sim.Transient };
+      { Compass_isa.Sim.at_s = (-2.); victim = 0; kind = Compass_isa.Sim.Transient };
     ]
     "Sim.run: fault event #1 has negative time -2 s";
   expect_msg

@@ -16,7 +16,7 @@ let test_alloc_basic () =
   let x = Memory_alloc.alloc a ~bytes:100 ~tag:"x" in
   let y = Memory_alloc.alloc a ~bytes:100 ~tag:"y" in
   Alcotest.(check bool) "disjoint" true (y >= x + 128 || x >= y + 128);
-  Alcotest.(check int) "live rounds to alignment" 256 (Memory_alloc.live_bytes a);
+  Alcotest.(check int) "live rounds to alignment" 256 (Memory_alloc.high_water_bytes a);
   Alcotest.(check bool) "invariants" true (Memory_alloc.check_invariants a = Ok ())
 
 let test_alloc_free_reuse () =

@@ -17,12 +17,12 @@ let test_write_path_ordering () =
   let lat t = t.Technology.row_write_latency_s in
   let en t = t.Technology.write_energy_per_bit_j in
   Alcotest.(check bool) "sram fastest" true
-    (lat Technology.sram < lat Technology.mram && lat Technology.mram < lat Technology.reram);
+    (lat (Technology.by_name "sram") < lat (Technology.by_name "mram") && lat (Technology.by_name "mram") < lat Technology.reram);
   Alcotest.(check bool) "sram cheapest" true
-    (en Technology.sram < en Technology.mram && en Technology.mram < en Technology.reram)
+    (en (Technology.by_name "sram") < en (Technology.by_name "mram") && en (Technology.by_name "mram") < en Technology.reram)
 
 let test_crossbar_retarget () =
-  let x = Technology.crossbar Technology.reram in
+  let x = (Technology.chip Technology.reram Config.chip_s).Config.crossbar in
   Alcotest.(check (float 0.)) "write latency" 10e-6 x.Crossbar.row_write_latency_s;
   (* Geometry and read path untouched. *)
   Alcotest.(check int) "rows" Crossbar.default.Crossbar.rows x.Crossbar.rows;
@@ -30,7 +30,7 @@ let test_crossbar_retarget () =
     x.Crossbar.mvm_latency_s
 
 let test_chip_retarget () =
-  let chip = Technology.chip Technology.mram Config.chip_s in
+  let chip = Technology.chip (Technology.by_name "mram") Config.chip_s in
   Alcotest.(check (float 1e-9)) "capacity unchanged"
     (Config.capacity_bytes Config.chip_s)
     (Config.capacity_bytes chip);
@@ -40,7 +40,7 @@ let test_chip_retarget () =
 
 let test_lifetime () =
   Alcotest.(check bool) "sram unlimited" true
-    (Technology.lifetime_s Technology.sram ~rewrites_per_cell_per_s:100. = None);
+    (Technology.lifetime_s (Technology.by_name "sram") ~rewrites_per_cell_per_s:100. = None);
   (match Technology.lifetime_s Technology.reram ~rewrites_per_cell_per_s:10. with
   | Some s -> Alcotest.(check (float 1.)) "1e6/10" 1e5 s
   | None -> Alcotest.fail "reram must be finite");
@@ -60,7 +60,7 @@ let compile_tech tech =
     ~batch:16 Compiler.Compass
 
 let test_reram_slower_than_sram () =
-  let sram = compile_tech Technology.sram in
+  let sram = compile_tech (Technology.by_name "sram") in
   let reram = compile_tech Technology.reram in
   Alcotest.(check bool) "writes dominate reram" true
     (reram.Compiler.perf.Estimator.throughput_per_s
@@ -70,7 +70,7 @@ let test_reram_slower_than_sram () =
     > sram.Compiler.perf.Estimator.energy_per_sample_j)
 
 let test_reram_prefers_fewer_partitions () =
-  let sram = compile_tech Technology.sram in
+  let sram = compile_tech (Technology.by_name "sram") in
   let reram = compile_tech Technology.reram in
   Alcotest.(check bool) "partition count does not grow" true
     (Partition.partition_count reram.Compiler.group

@@ -128,24 +128,24 @@ let test_golden_chrome_json () =
      {\"name\":\"a\",\"cat\":\"compass\",\"ph\":\"E\",\"ts\":40.000,\"pid\":0,\"tid\":0}\n\
      ]}\n"
   in
-  Alcotest.(check string) "pinned trace_event schema" expected (Trace.to_chrome_json ())
+  let path = Filename.temp_file "compass" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Trace.save_chrome path;
+  Alcotest.(check string) "pinned trace_event schema" expected
+    (In_channel.with_open_bin path In_channel.input_all)
 
 let test_summarize () =
   with_observability ~clock:(fake_clock ~step:1e-3 ()) @@ fun () ->
   Trace.with_span "outer" (fun () ->
       Trace.with_span "inner" (fun () -> ());
       Trace.with_span "inner" (fun () -> ()));
-  let stats = Trace.summarize () in
-  let stat name =
-    match List.find_opt (fun s -> s.Trace.span_name = name) stats with
-    | Some s -> s
-    | None -> Alcotest.failf "no stat for %s" name
-  in
-  Alcotest.(check int) "two stats" 2 (List.length stats);
-  Alcotest.(check int) "inner count" 2 (stat "inner").Trace.count;
-  Alcotest.(check int) "outer count" 1 (stat "outer").Trace.count;
-  Alcotest.(check bool) "outer dominates" true
-    ((stat "outer").Trace.total_s > (stat "inner").Trace.total_s)
+  (* One row per span name, largest total first. *)
+  Alcotest.(check string) "summary"
+    "span  | count | total | mean |  max\n\
+     ------+-------+-------+------+-----\n\
+     outer |     1 |  5 ms | 5 ms | 5 ms\n\
+     inner |     2 |  2 ms | 1 ms | 1 ms"
+    (Table.render (Trace.summary_table ()))
 
 let test_pool_spans_merge () =
   (* Spans recorded inside pool worker domains appear in the merged
@@ -177,7 +177,7 @@ let test_counter_and_gauge_basics () =
   Metrics.set "g" 1.5;
   Metrics.set "g" 2.5;
   Alcotest.(check (option int)) "counter sums" (Some 42) (Metrics.find_int "c");
-  (match Metrics.find "g" with
+  (match List.assoc_opt "g" (Metrics.snapshot ()) with
   | Some (Metrics.Float v) -> Alcotest.(check (float 0.)) "gauge last write" 2.5 v
   | _ -> Alcotest.fail "gauge missing");
   Alcotest.(check bool) "kind mismatch raises" true

@@ -113,22 +113,28 @@ let test_total_tiles_match_grid () =
       (fun acc node ->
         let op = (Compass_nn.Graph.layer model node).Compass_nn.Layer.op in
         acc
-        + Crossbar.tiles_for xbar
-            ~rows:(Compass_nn.Layer.weight_rows op)
-            ~cols:(Compass_nn.Layer.weight_cols op))
+        +
+        let rb, cb =
+          Crossbar.tile_grid xbar ~rows:(Compass_nn.Layer.weight_rows op)
+            ~cols:(Compass_nn.Layer.weight_cols op)
+        in
+        rb * cb)
       0
       (Compass_nn.Graph.weighted_nodes model)
   in
-  Alcotest.(check int) "tiles match per-layer grids" expected (Unit_gen.total_tiles t)
+  Alcotest.(check int) "tiles match per-layer grids" expected
+    (Array.fold_left (fun acc u -> acc + u.Unit_gen.tiles) 0 t.Unit_gen.units)
 
 let test_span_helpers () =
   let t = gen "lenet5" Config.chip_s in
   let m = Unit_gen.unit_count t in
-  Alcotest.(check int) "full span" (Unit_gen.total_tiles t) (Unit_gen.span_tiles t 0 m);
-  Alcotest.(check int) "empty span" 0 (Unit_gen.span_tiles t 2 2);
+  Alcotest.(check (float 0.)) "full span"
+    (Array.fold_left (fun acc u -> acc +. u.Unit_gen.weight_bytes) 0. t.Unit_gen.units)
+    (Unit_gen.span_weight_bytes t 0 m);
+  Alcotest.(check (float 0.)) "empty span" 0. (Unit_gen.span_weight_bytes t 2 2);
   Alcotest.(check bool) "bad span" true
     (try
-       ignore (Unit_gen.span_tiles t 3 1);
+       ignore (Unit_gen.span_weight_bytes t 3 1);
        false
      with Invalid_argument _ -> true)
 

@@ -164,9 +164,9 @@ let test_macro_count_matches_mapping () =
   let span = Partition.span_at group 0 in
   let span_units = span.Partition.stop - span.Partition.start_ in
   Alcotest.(check bool) "at least one image per unit" true
-    (Weight_layout.total_macros layout >= span_units);
-  Alcotest.(check bool) "programmed bytes positive" true
-    (Weight_layout.programmed_bytes layout > 0.);
+    (List.length layout.Weight_layout.images >= span_units);
+  Alcotest.(check bool) "codes programmed" true
+    (List.for_all (fun m -> Array.length m.Weight_layout.codes > 0) layout.Weight_layout.images);
   ignore units
 
 let test_replicas_are_copies () =
