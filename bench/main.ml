@@ -959,7 +959,7 @@ let dp () =
          evaluations than the DP\n"
         ga.Ga.evaluations ga.Ga.cache_spans
         (float_of_int ga.Ga.evaluations /. float_of_int s.Optimal.group_evaluations);
-      Printf.printf "all four schemes (shared span cache): %.1f ms\n"
+      Printf.eprintf "all four schemes (shared span cache): %.1f ms\n"
         (1000. *. dp_s))
     [ ("resnet18", "S", 16); ("resnet18", "M", 16) ]
 

@@ -5,8 +5,8 @@ type mismatch = {
   actual : int;
 }
 
-(* Column-major code block, matching [Weight_layout]: element (row r,
-   column c) is codes.(c * rows + r). *)
+(* Column-major code block: element (row r, column c) is
+   codes.(c * rows + r). *)
 let checksum_row ~rows ~cols codes =
   if Array.length codes <> rows * cols then
     invalid_arg "Abft.checksum_row: code block size mismatch";

@@ -23,8 +23,8 @@ type mismatch = {
 
 val checksum_row : rows:int -> cols:int -> int array -> int array
 (** Per-column code sums of a column-major block
-    ([codes.(c * rows + r)], as in [Weight_layout]).  Raises
-    [Invalid_argument] on a size mismatch. *)
+    ([codes.(c * rows + r)]).  Raises [Invalid_argument] on a size
+    mismatch. *)
 
 val verify :
   unit_index:int ->

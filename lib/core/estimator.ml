@@ -70,34 +70,9 @@ let span_perf ?(options = default_options) ctx ~batch ~start_ ~stop =
   let units = Dataflow.units ctx in
   let chip = units.Unit_gen.chip in
   let io = Dataflow.span_io ctx ~start_ ~stop in
-  let layers, replication, mapping =
-    match Dataflow.table ctx with
-    | Some _ ->
-      (* Span-table path: IO and layer timings are computed exactly once
-         (the layer list threads into the allocator) and the allocator's
-         final feasibility packing is reused instead of packing again. *)
-      let layers = Perf_model.span_layers ~io ctx ~start_ ~stop in
-      let replication, packed =
-        Replication.allocate_packed ?faults:options.faults ~layers ctx ~batch ~start_
-          ~stop
-      in
-      (match packed with
-      | Ok m -> (layers, replication, m)
-      | Error msg -> invalid_arg ("Estimator.span_perf: infeasible span: " ^ msg))
-    | None ->
-      (* Reference path: the original control flow, recomputing the span IO
-         inside [span_layers] and the layer list inside [allocate] — kept
-         as the differential-testing oracle and the benchmark baseline. *)
-      let layers = Perf_model.span_layers ctx ~start_ ~stop in
-      let replication =
-        Replication.allocate ?faults:options.faults ctx ~batch ~start_ ~stop
-      in
-      (match
-         Mapping.pack ?faults:options.faults units ~start_ ~stop
-           ~replication:(Replication.unit_replication replication units)
-       with
-      | Ok m -> (layers, replication, m)
-      | Error msg -> invalid_arg ("Estimator.span_perf: infeasible span: " ^ msg))
+  let layers = Perf_model.span_layers ~io ctx ~start_ ~stop in
+  let { Replication.replication; mapping } =
+    Replication.place ?faults:options.faults ~layers ctx ~batch ~start_ ~stop
   in
   let fbatch = float_of_int batch in
   (* Per-node replication as an array (same values [replication_of] would

@@ -79,7 +79,7 @@ let realize units ~faults ~seed =
         let u = units.Unit_gen.units.(unit_index) in
         let rows = u.Unit_gen.row_hi - u.Unit_gen.row_lo in
         let local = cell - prefix.(unit_index) in
-        (* Column-major within the unit, matching [Weight_layout]. *)
+        (* Column-major within the unit. *)
         let col = local / rows and row = local mod rows in
         let kind, transient =
           if i < n_transient then (Stuck_at (Compass_util.Rng.int_in rng (-q) q), true)

@@ -6,7 +6,6 @@ type block = {
 
 type t = {
   base : int;
-  alignment : int;
   arena : int;
   mutable free_list : (int * int) list; (* (addr, bytes), ascending, coalesced *)
   mutable live : block list; (* ascending by addr *)
@@ -14,13 +13,14 @@ type t = {
   mutable high_water : int;
 }
 
-let create ?(base = 0) ?(alignment = 64) ~capacity () =
+(* Sizes and addresses are rounded to this many bytes. *)
+let alignment = 64
+
+let create ?(base = 0) ~capacity () =
   if capacity <= 0 then invalid_arg "Memory_alloc.create: non-positive capacity";
-  if alignment <= 0 then invalid_arg "Memory_alloc.create: non-positive alignment";
   if base < 0 then invalid_arg "Memory_alloc.create: negative base";
   {
     base;
-    alignment;
     arena = capacity;
     free_list = [ (base, capacity) ];
     live = [];
@@ -28,11 +28,11 @@ let create ?(base = 0) ?(alignment = 64) ~capacity () =
     high_water = 0;
   }
 
-let round_up t n = (n + t.alignment - 1) / t.alignment * t.alignment
+let round_up n = (n + alignment - 1) / alignment * alignment
 
 let alloc t ~bytes ~tag =
   if bytes <= 0 then invalid_arg "Memory_alloc.alloc: non-positive size";
-  let need = round_up t bytes in
+  let need = round_up bytes in
   let rec take acc = function
     | [] -> raise (Failure (Printf.sprintf "Memory_alloc: no block for %d bytes (%s)" need tag))
     | (addr, avail) :: rest when avail >= need ->

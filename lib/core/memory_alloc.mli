@@ -8,10 +8,10 @@
 
 type t
 
-val create : ?base:int -> ?alignment:int -> capacity:int -> unit -> t
-(** [create ~capacity ()] manages [\[base, base + capacity)].
-    [alignment] (default 64) rounds sizes and addresses.  Raises
-    [Invalid_argument] on non-positive capacity or alignment. *)
+val create : ?base:int -> capacity:int -> unit -> t
+(** [create ~capacity ()] manages [\[base, base + capacity)].  Sizes and
+    addresses are rounded to 64 bytes.  Raises [Invalid_argument] on a
+    non-positive capacity. *)
 
 val alloc : t -> bytes:int -> tag:string -> int
 (** First-fit allocation; returns the address.  Raises [Failure] when no

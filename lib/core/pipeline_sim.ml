@@ -37,7 +37,7 @@ let stages_of_span ctx ~batch ~start_ ~stop =
   let units = Dataflow.units ctx in
   let model = units.Unit_gen.model in
   let layers = Perf_model.span_layers ctx ~start_ ~stop in
-  let replication = Replication.allocate ctx ~batch ~start_ ~stop in
+  let replication = (Replication.place ~layers ctx ~batch ~start_ ~stop).replication in
   let index = Hashtbl.create 16 in
   List.iteri (fun i (p : Perf_model.layer_perf) -> Hashtbl.add index p.Perf_model.node i) layers;
   let in_span node = Hashtbl.mem index node in

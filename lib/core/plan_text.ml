@@ -365,20 +365,13 @@ let load_checkpoint path =
   Compass_util.Failpoint.guard "plan_text.checkpoint.load";
   Located.in_file path (fun () -> checkpoint_of_string (Compass_util.Artifact.read_file path))
 
-let append_checkpoint path ck =
-  Compass_util.Failpoint.guard "plan_text.checkpoint.save";
-  Compass_util.Artifact.append_durable path (checkpoint_to_string ck)
-
 (* {1 Checkpoint salvage}
 
-   A torn checkpoint — truncated by a crash mid-write or a torn journal
-   append — is recovered instead of failing resume.  The file is split
-   into blocks at "compass-ga-checkpoint" header lines (a journal holds
-   several; an atomic snapshot holds one) and blocks are tried newest
-   first.  Within a torn block, a final partial line (no trailing
-   newline) is untrustworthy and dropped — a truncated "cuts" line can
-   still parse as a {e different} individual, which would silently break
-   resume determinism.  The population must survive complete; truncated
+   A torn checkpoint — a snapshot truncated by a crash mid-write — is
+   recovered instead of failing resume.  A final partial line (no
+   trailing newline) is untrustworthy and dropped — a truncated "cuts"
+   line can still parse as a {e different} individual, which would
+   silently break resume determinism.  The population must survive complete; truncated
    trailing history records are dropped (history is reporting-only, so
    the resumed trajectory is unaffected). *)
 
@@ -389,23 +382,6 @@ type salvage = {
   dropped_records : int;
 }
 
-let header_token = "compass-ga-checkpoint"
-
-(* Start offsets of every block header at a line start, each with its
-   1-based line. *)
-let block_starts text =
-  let n = String.length text and hn = String.length header_token in
-  let at i = i + hn <= n && String.sub text i hn = header_token in
-  let starts = ref (if at 0 then [ (0, 1) ] else []) and line = ref 1 in
-  String.iteri
-    (fun i c ->
-      if c = '\n' then begin
-        incr line;
-        if at (i + 1) then starts := (i + 1, !line) :: !starts
-      end)
-    text;
-  List.rev !starts
-
 (* A well-formed record line, reusing the strict parser so tolerance
    never accepts what the strict reader would reject. *)
 let record_line_ok l =
@@ -414,12 +390,14 @@ let record_line_ok l =
     match parse_record v with _ -> true | exception Located.Error _ -> false)
   | _ -> false
 
-let salvage_block text =
-  (* A block whose final line lacks its newline is torn mid-line; a torn
+let salvage_of_string text =
+  if not (String.starts_with ~prefix:"compass-ga-checkpoint" text) then
+    Located.fail "not a compass-ga-checkpoint file (missing header)";
+  (* A text whose final line lacks its newline is torn mid-line; a torn
      line must never be trusted even when it happens to parse (a
      truncated "record" pairs token still reads as a — shorter — valid
      token), so the strict path only runs on newline-terminated text. *)
-  let torn_tail = text <> "" && text.[String.length text - 1] <> '\n' in
+  let torn_tail = text.[String.length text - 1] <> '\n' in
   match if torn_tail then Located.fail "torn final line" else checkpoint_of_string text with
   | ck ->
     { recovered = ck; generation = ck.Ga.ck_generation; complete = true; dropped_records = 0 }
@@ -461,34 +439,6 @@ let salvage_block text =
       complete = false;
       dropped_records = (match declared with Some n -> max 0 (n - nkept) | None -> 0);
     }
-
-let salvage_of_string text =
-  match block_starts text with
-  | [] -> Located.fail "not a compass-ga-checkpoint file (missing header)"
-  | starts ->
-    let n = String.length text in
-    let blocks =
-      let rec spans = function
-        | [] -> []
-        | [ (s, line) ] -> [ (line, String.sub text s (n - s)) ]
-        | (s, line) :: ((s', _) :: _ as rest) -> (line, String.sub text s (s' - s)) :: spans rest
-      in
-      spans starts
-    in
-    (* A block's errors are re-based onto the file's lines. *)
-    let salvage (line, b) = Located.shift ~line ~col:1 (fun () -> salvage_block b) in
-    let rec newest_first = function
-      | [] -> assert false
-      | [ b ] -> salvage b
-      | b :: earlier -> (
-        match salvage b with
-        | s -> s
-        | exception (Located.Error _ as e) -> (
-          (* The newest block's diagnostic is the one that matters. *)
-          try newest_first earlier with Located.Error _ -> raise e))
-    in
-    (* Blocks were built oldest-first; try newest first. *)
-    newest_first (List.rev blocks)
 
 let salvage_checkpoint path =
   Compass_util.Failpoint.guard "plan_text.checkpoint.load";

@@ -74,34 +74,25 @@ val load_checkpoint : string -> Ga.checkpoint
     {!Ga.optimize} re-validates them against its validity map on
     resume. *)
 
-val append_checkpoint : string -> Ga.checkpoint -> unit
-(** [append_checkpoint path ck] appends a checkpoint block to a journal
-    file (durable append, {!Compass_util.Artifact.append_durable}).  A
-    crash mid-append tears only the final block; {!salvage_checkpoint}
-    recovers the newest complete one. *)
-
 (** {1 Salvage}
 
-    Recovery from torn checkpoints — a file truncated by a crash
-    mid-write, or a journal whose final append was interrupted. *)
+    Recovery from a torn checkpoint — a snapshot truncated by a crash
+    mid-write. *)
 
 type salvage = {
-  recovered : Ga.checkpoint;  (** the newest recoverable checkpoint *)
+  recovered : Ga.checkpoint;  (** the recovered checkpoint *)
   generation : int;  (** its generation ([ck_generation]) *)
   complete : bool;  (** whether it parsed strictly, nothing dropped *)
   dropped_records : int;  (** truncated trailing history records dropped *)
 }
 
 val salvage_of_string : string -> salvage
-(** [salvage_of_string text] recovers the most recent fully-valid
-    checkpoint from possibly-torn input.  The text is split into blocks
-    at ["compass-ga-checkpoint"] header lines and blocks are tried
-    newest first.  A block with a torn tail is accepted if its
-    population survives complete; a final partial line and truncated
-    trailing history records are dropped (history is reporting-only, so
-    resume determinism is unaffected — the resumed trajectory equals an
-    untorn resume).  Raises {!Compass_util.Located.Error} with the newest
-    block's diagnostic when nothing is recoverable. *)
+(** [salvage_of_string text] recovers the checkpoint from a possibly-torn
+    snapshot.  A torn tail is accepted if the population survives
+    complete; a final partial line and truncated trailing history records
+    are dropped (history is reporting-only, so resume determinism is
+    unaffected — the resumed trajectory equals an untorn resume).  Raises
+    {!Compass_util.Located.Error} when nothing is recoverable. *)
 
 val salvage_checkpoint : string -> salvage
 (** [salvage_checkpoint path] is {!salvage_of_string} on the file's

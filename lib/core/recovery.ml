@@ -63,14 +63,11 @@ type bound_site = {
 
 let metric = Compass_util.Metrics.incr
 
-(* Replica-0 placement of every unit under [plan]'s group and fault
-   scenario — the same replication + first-fit packing the scheduler
-   uses, so localization names the core the schedule programs. *)
+(* Replica-0 placement of every unit under [plan]'s group, batch and fault
+   scenario — the placement the scheduler programs, so localization names
+   the core that holds the unit. *)
 let core_map plan =
-  let units = plan.Compiler.units in
-  let ctx = plan.Compiler.ctx in
   let group = plan.Compiler.group in
-  let faults = plan.Compiler.faults in
   let cache = Hashtbl.create 8 in
   fun unit_index ->
     let p = Partition.partition_of_unit group unit_index in
@@ -79,18 +76,11 @@ let core_map plan =
       | Some m -> m
       | None ->
         let span = Partition.span_at group p in
-        let replication =
-          Replication.allocate ?faults ctx ~batch:1 ~start_:span.Partition.start_
-            ~stop:span.Partition.stop
-        in
         let m =
-          match
-            Mapping.pack ?faults units ~start_:span.Partition.start_
-              ~stop:span.Partition.stop
-              ~replication:(Replication.unit_replication replication units)
-          with
-          | Ok m -> m
-          | Error msg -> invalid_arg ("Recovery: mapping failed: " ^ msg)
+          (Replication.place ?faults:plan.Compiler.faults plan.Compiler.ctx
+             ~batch:plan.Compiler.batch ~start_:span.Partition.start_
+             ~stop:span.Partition.stop)
+            .mapping
         in
         Hashtbl.add cache p m;
         m

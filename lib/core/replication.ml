@@ -6,16 +6,18 @@ type t = {
   spare_tiles : int;
 }
 
+type placement = {
+  replication : t;
+  mapping : Mapping.t;
+}
+
 let replication_of t node =
   Option.value ~default:1 (List.assoc_opt node t.per_layer)
 
-let unit_replication t units i =
-  replication_of t (Unit_gen.layer_of_unit units i)
-
 let max_replication t = List.fold_left (fun acc (_, r) -> max acc r) 1 t.per_layer
 
-let allocate_packed ?faults ?layers ctx ~batch ~start_ ~stop =
-  if batch < 1 then invalid_arg "Replication.allocate: batch < 1";
+let place ?faults ?layers ctx ~batch ~start_ ~stop =
+  if batch < 1 then invalid_arg "Replication.place: batch < 1";
   let units = Dataflow.units ctx in
   let chip = units.Unit_gen.chip in
   let budget =
@@ -112,8 +114,8 @@ let allocate_packed ?faults ?layers ctx ~batch ~start_ ~stop =
   let per_layer () =
     List.mapi (fun l p -> (p.Perf_model.node, rep.(l))) (Array.to_list layers)
   in
-  (* Same replication function [unit_replication] would compute from the
-     assoc list, as a per-node array lookup (absent nodes replicate 1x). *)
+  (* Per-unit replication by the unit's layer, as a per-node array lookup
+     (absent nodes replicate 1x). *)
   let nnodes = Compass_nn.Graph.node_count units.Unit_gen.model in
   let try_pack () =
     let rep_of_node = Array.make nnodes 1 in
@@ -123,18 +125,18 @@ let allocate_packed ?faults ?layers ctx ~batch ~start_ ~stop =
   in
   let rec shrink () =
     match try_pack () with
-    | Ok m -> Ok m
-    | Error _ as e -> (
+    | Ok m -> m
+    | Error msg -> (
       match !incremented with
-      | [] -> e (* replication 1 must fit: the span came from the validity map *)
+      | [] -> invalid_arg ("Replication.place: infeasible span: " ^ msg)
       | l :: rest ->
         set_rep l (rep.(l) - 1);
         used := !used - tiles l;
         incremented := rest;
         shrink ())
   in
-  let packed = shrink () in
-  ({ per_layer = per_layer (); tiles_used = !used; spare_tiles = budget - !used }, packed)
-
-let allocate ?faults ?layers ctx ~batch ~start_ ~stop =
-  fst (allocate_packed ?faults ?layers ctx ~batch ~start_ ~stop)
+  let mapping = shrink () in
+  {
+    replication = { per_layer = per_layer (); tiles_used = !used; spare_tiles = budget - !used };
+    mapping;
+  }

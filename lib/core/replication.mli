@@ -23,39 +23,32 @@ type t = {
   spare_tiles : int;
 }
 
-val allocate :
+type placement = {
+  replication : t;
+  mapping : Mapping.t;  (** The final bin-packing of the replicated span. *)
+}
+
+val place :
   ?faults:Compass_arch.Fault.t ->
   ?layers:Perf_model.layer_perf list ->
   Dataflow.ctx ->
   batch:int ->
   start_:int ->
   stop:int ->
-  t
-(** Greedy bottleneck replication for the span; [batch] sets how many
+  placement
+(** Greedy bottleneck replication for the span, and the first-fit packing
+    of the replicated units onto cores: the one placement step the
+    estimator, the scheduler and recovery all read.  [batch] sets how many
     samples amortize the write cost of each replica.  Under [faults] the
     tile budget and the placement check both use effective capacities, so
     replicas never spill onto dead or degraded macros.  [?layers] supplies
     the span's precomputed [Perf_model.span_layers] result (it must be for
-    the same span) so the allocator does not recompute it. *)
-
-val allocate_packed :
-  ?faults:Compass_arch.Fault.t ->
-  ?layers:Perf_model.layer_perf list ->
-  Dataflow.ctx ->
-  batch:int ->
-  start_:int ->
-  stop:int ->
-  t * (Mapping.t, string) result
-(** Like {!allocate}, additionally returning the final bin-packing the
-    allocator's feasibility loop already computed (so callers need not
-    re-pack the span).  The packing is [Error] only when replication 1
-    itself does not place — impossible for spans drawn from a validity
-    map built with the same fault scenario. *)
+    the same span) so the allocator does not recompute it.  Raises
+    [Invalid_argument] on a non-positive batch, or when replication 1
+    itself does not place — impossible for spans drawn from a validity map
+    built with the same fault scenario. *)
 
 val replication_of : t -> Compass_nn.Graph.node -> int
 (** 1 for layers absent from the allocation. *)
-
-val unit_replication : t -> Unit_gen.t -> int -> int
-(** Replication of a unit (by its layer), for [Mapping.pack]. *)
 
 val max_replication : t -> int

@@ -113,22 +113,12 @@ let build ?faults ?(abft = false) ctx group ~batch ?(chunks = 4) () =
     List.map
       (fun (s : Partition.span) ->
         let start_ = s.Partition.start_ and stop = s.Partition.stop in
-        let replication = Replication.allocate ?faults ctx ~batch ~start_ ~stop in
-        let mapping =
-          match
-            Mapping.pack ?faults units ~start_ ~stop
-              ~replication:(Replication.unit_replication replication units)
-          with
-          | Ok m -> m
-          | Error msg -> invalid_arg ("Scheduler.build: " ^ msg)
+        let io = Dataflow.span_io ctx ~start_ ~stop in
+        let layers = Perf_model.span_layers ~io ctx ~start_ ~stop in
+        let { Replication.replication; mapping } =
+          Replication.place ?faults ~layers ctx ~batch ~start_ ~stop
         in
-        {
-          span = s;
-          io = Dataflow.span_io ctx ~start_ ~stop;
-          replication;
-          mapping;
-          layers = Perf_model.span_layers ctx ~start_ ~stop;
-        })
+        { span = s; io; replication; mapping; layers })
       (Partition.spans group)
   in
   let plan_arr = Array.of_list plans in

@@ -28,7 +28,8 @@ let check_budget budget =
   | Some b when Compass_util.Budget.expired b -> raise Cancelled
   | Some _ | None -> ()
 
-let random_weights ?(seed = 7) ?(scale = 0.1) g =
+let random_weights ?(seed = 7) g =
+  let scale = 0.1 in
   let rng = Compass_util.Rng.create seed in
   let weights = Hashtbl.create 32 in
   List.iter

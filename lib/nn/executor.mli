@@ -33,9 +33,9 @@ val engine_of_string : string -> engine option
 
 val engine_to_string : engine -> string
 
-val random_weights : ?seed:int -> ?scale:float -> Graph.t -> weights
-(** Deterministic pseudo-random weights in [[-scale, scale]] (default
-    scale 0.1) for every weighted node. *)
+val random_weights : ?seed:int -> Graph.t -> weights
+(** Deterministic pseudo-random weights in [[-0.1, 0.1]] for every
+    weighted node. *)
 
 val random_input : ?seed:int -> Graph.t -> Tensor.t
 (** A deterministic random tensor matching the graph's [Input] shape.

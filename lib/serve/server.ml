@@ -358,7 +358,10 @@ let close t =
 (* ------------------------------------------------------------------ *)
 (* Wire loop                                                           *)
 
-let run_fd t ?(idle_timeout_s = 0.05) ~stop fd =
+(* Bound on each select wait, so [stop] is polled at least this often. *)
+let idle_timeout_s = 0.05
+
+let run_fd t ~stop fd =
   check_live t "run_fd";
   let framer = Protocol.Framer.create () in
   let carry = Buffer.create 256 in

@@ -101,7 +101,6 @@ val responded : t -> int
 
 val run_fd :
   t ->
-  ?idle_timeout_s:float ->
   stop:(unit -> bool) ->
   Unix.file_descr ->
   [ `Eof | `Stopped ]
@@ -114,5 +113,5 @@ val run_fd :
     between reads).  A torn trailing block is answered with an [error]
     envelope — even EOF mid-request leaks no response.  The caller
     still runs {!drain} afterwards.  While only backing-off retries are
-    queued it reads input until the earliest is due.  [idle_timeout_s]
-    (default 0.05) bounds each select wait. *)
+    queued it reads input until the earliest is due.  Each select wait
+    is bounded by 0.05 s. *)

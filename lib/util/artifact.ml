@@ -85,37 +85,6 @@ let write_atomic path contents =
     (try Sys.remove tmp with Sys_error _ | Unix.Unix_error _ -> ());
     raise (located path !step e)
 
-(* Durable append, for journal-style artifacts (checkpoint journals): a
-   torn tail loses only the last record, and the salvage path recovers
-   the previous complete one. *)
-let append_durable path contents =
-  Failpoint.guard "artifact.append.open";
-  let step = ref "open" in
-  let fd = ref None in
-  let close_fd () =
-    match !fd with
-    | Some d ->
-      fd := None;
-      (try Unix.close d with Unix.Unix_error _ -> ())
-    | None -> ()
-  in
-  try
-    let d =
-      Unix.openfile path
-        [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND; Unix.O_CLOEXEC ]
-        0o644
-    in
-    fd := Some d;
-    step := "append";
-    let payload = Failpoint.guard_write "artifact.append.mid" contents in
-    write_all ~path ~site:"artifact.append.syscall" d payload;
-    step := "fsync";
-    Unix.fsync d;
-    close_fd ()
-  with e ->
-    close_fd ();
-    raise (located path !step e)
-
 let float_token f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else

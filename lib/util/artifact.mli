@@ -9,9 +9,7 @@
     Failpoint sites (catalogue in docs/FORMATS.md):
     [artifact.write.open], [artifact.write.mid] (payload truncation),
     [artifact.write.syscall] (per-chunk, e.g. [eintr]/[enospc]),
-    [artifact.write.fsync], [artifact.write.rename],
-    [artifact.append.open], [artifact.append.mid],
-    [artifact.append.syscall], [artifact.read]. *)
+    [artifact.write.fsync], [artifact.write.rename], [artifact.read]. *)
 
 val write_atomic : string -> string -> unit
 (** [write_atomic path contents] writes [contents] to a fresh temporary
@@ -21,14 +19,6 @@ val write_atomic : string -> string -> unit
     other error the temporary file is removed and the {e original}
     failure is reported — never the cleanup's — as a [Sys_error] naming
     the path and the failing step; [path] is left untouched. *)
-
-val append_durable : string -> string -> unit
-(** [append_durable path contents] appends [contents] to [path]
-    (creating it if needed) and fsyncs before returning.  Appends are
-    not atomic: a crash mid-append leaves a torn tail, which is exactly
-    what journal salvage ({!Compass_core.Plan_text.salvage_checkpoint})
-    recovers from — only the last record is ever at risk.  [EINTR] is
-    retried; other failures raise a located [Sys_error]. *)
 
 val float_token : float -> string
 (** Serialize a float so [float_of_string] reads back the identical bit

@@ -56,7 +56,22 @@ let test_checkpoint_truncation_corpus () =
   (* The full text is complete and drops nothing. *)
   let s = Plan_text.salvage_of_string text in
   Alcotest.(check bool) "full text complete" true s.Plan_text.complete;
-  Alcotest.(check int) "nothing dropped" 0 s.Plan_text.dropped_records
+  Alcotest.(check int) "nothing dropped" 0 s.Plan_text.dropped_records;
+  (* Nothing recoverable: the strict parser's located diagnostic, at the
+     offending line; a missing file is an error, not a crash. *)
+  let rec corrupt n = function
+    | l :: rest when String.starts_with ~prefix:"batch " l -> (n, "batch many" :: rest)
+    | l :: rest ->
+      let line, rest = corrupt (n + 1) rest in
+      (line, l :: rest)
+    | [] -> Alcotest.fail "checkpoint has no batch line"
+  in
+  let line, lines = corrupt 1 (String.split_on_char '\n' text) in
+  Located_check.expect_located ~line ~col:7 ~mentions:"bad batch" (fun () ->
+      Plan_text.salvage_of_string (String.concat "\n" lines));
+  match Plan_text.salvage_checkpoint "nonexistent-checkpoint.txt" with
+  | _ -> Alcotest.fail "missing checkpoint salvaged"
+  | exception (Compass_util.Located.Error _ | Sys_error _) -> ()
 
 (* A salvaged resume must continue the search exactly as the untorn
    checkpoint would have: tearing only the history section changes
@@ -103,73 +118,6 @@ let with_temp_dir f =
       Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
       Unix.rmdir dir)
     (fun () -> f dir)
-
-let test_journal_salvage () =
-  let _, cks = capture_checkpoints () in
-  let first = List.hd cks and last = List.nth cks (List.length cks - 1) in
-  with_temp_dir @@ fun dir ->
-  let path = Filename.concat dir "journal.txt" in
-  Plan_text.append_checkpoint path first;
-  Plan_text.append_checkpoint path last;
-  (* Intact journal: the newest block wins, strictly. *)
-  let s = Plan_text.salvage_checkpoint path in
-  Alcotest.(check int) "newest block" last.Ga.ck_generation s.Plan_text.generation;
-  Alcotest.(check bool) "strict" true s.Plan_text.complete;
-  (* Torn final append: fall back to the previous complete block. *)
-  let t1 = Plan_text.checkpoint_to_string first in
-  let contents = Artifact.read_file path in
-  let torn = String.sub contents 0 (String.length t1 + 40) in
-  let s = Plan_text.salvage_of_string torn in
-  Alcotest.(check int) "previous block recovered" first.Ga.ck_generation
-    s.Plan_text.generation;
-  Alcotest.(check bool) "previous block is strict" true s.Plan_text.complete
-
-(* Journal edge cases: a journal file with no content at all, and one
-   whose very FIRST block is torn (no earlier complete block to fall
-   back on), must both be rejected with a located diagnostic — never
-   mis-salvaged into a bogus resume — while a torn first block followed
-   by a complete append salvages the complete one. *)
-let test_journal_salvage_edges () =
-  let _, cks = capture_checkpoints () in
-  let first = List.hd cks in
-  with_temp_dir @@ fun dir ->
-  let path = Filename.concat dir "journal.txt" in
-  (* Empty journal file. *)
-  Artifact.append_durable path "";
-  (match Plan_text.salvage_checkpoint path with
-  | _ -> Alcotest.fail "empty journal salvaged"
-  | exception Compass_util.Located.Error _ -> ());
-  (* Torn first block: the only block is incomplete, nothing salvages. *)
-  let t1 = Plan_text.checkpoint_to_string first in
-  let torn_first =
-    (* Tear on a record boundary, the way a durable append tears. *)
-    let cut = String.rindex_from t1 (String.length t1 / 2) '\n' in
-    String.sub t1 0 (cut + 1)
-  in
-  Artifact.append_durable path torn_first;
-  (match Plan_text.salvage_checkpoint path with
-  | _ -> Alcotest.fail "torn-first-block journal salvaged"
-  | exception Compass_util.Located.Error _ -> ());
-  (* A later durable append of a complete block makes the journal
-     salvageable again: the torn prefix is skipped, not fatal. *)
-  Artifact.append_durable path t1;
-  let s = Plan_text.salvage_checkpoint path in
-  Alcotest.(check int) "complete block recovered past the torn prefix"
-    first.Ga.ck_generation s.Plan_text.generation;
-  (* Nothing recoverable: the newest block's diagnostic points at its
-     line of the journal, not at its line within the block. *)
-  let corrupt =
-    String.split_on_char '\n' t1
-    |> List.map (fun l -> if String.starts_with ~prefix:"batch " l then "batch many" else l)
-    |> String.concat "\n"
-  in
-  let block_lines = List.length (String.split_on_char '\n' t1) - 1 in
-  Located_check.expect_located ~line:(block_lines + 3) ~col:7 ~mentions:"bad batch"
-    (fun () -> Plan_text.salvage_of_string (corrupt ^ corrupt));
-  (* Missing journal: located error, not a crash. *)
-  match Plan_text.salvage_checkpoint (Filename.concat dir "nonexistent.txt") with
-  | _ -> Alcotest.fail "missing journal salvaged"
-  | exception (Compass_util.Located.Error _ | Sys_error _) -> ()
 
 (* Crash-consistent writes: under every injected failure the destination
    keeps its previous contents and the directory keeps no litter; the
@@ -244,20 +192,6 @@ let test_eintr_handling () =
   Alcotest.(check int) "destination preserved" (String.length big)
     (String.length (Artifact.read_file path))
 
-let test_append_durable () =
-  with_temp_dir @@ fun dir ->
-  let path = Filename.concat dir "journal.txt" in
-  Artifact.append_durable path "one\n";
-  Artifact.append_durable path "two\n";
-  Alcotest.(check string) "appends accumulate" "one\ntwo\n" (Artifact.read_file path);
-  (* A failed append leaves the previous contents readable. *)
-  (Failpoint.with_schedule "artifact.append.syscall=enospc" @@ fun () ->
-   match Artifact.append_durable path "three\n" with
-   | () -> Alcotest.fail "injected ENOSPC ignored"
-   | exception Sys_error _ -> ());
-  Alcotest.(check string) "prefix intact after torn append" "one\ntwo\n"
-    (Artifact.read_file path)
-
 (* Supervised recovery is invisible in the results: a GA run whose
    evaluations crash (and are retried) emits the same checkpoint stream
    as an unfailed run, for any worker count. *)
@@ -331,15 +265,12 @@ let () =
           Alcotest.test_case "salvaged resume deterministic" `Quick
             test_salvaged_resume_is_deterministic;
           Alcotest.test_case "plan truncation corpus" `Quick test_plan_truncation_corpus;
-          Alcotest.test_case "journal salvage" `Quick test_journal_salvage;
-          Alcotest.test_case "journal salvage edges" `Quick test_journal_salvage_edges;
         ] );
       ( "artifact",
         [
           Alcotest.test_case "atomic write under chaos" `Quick
             test_atomic_write_under_chaos;
           Alcotest.test_case "EINTR bounded and transparent" `Quick test_eintr_handling;
-          Alcotest.test_case "durable append" `Quick test_append_durable;
         ] );
       ( "supervision",
         [

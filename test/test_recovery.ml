@@ -233,6 +233,43 @@ let test_expired_budget_degrades () =
   Alcotest.(check int) "no retries after expiry" 0 r.Recovery.retries;
   Alcotest.(check int) "no remaps after expiry" 0 r.Recovery.remaps
 
+(* Localization names the core the schedule programs: every detection
+   before the first remap reports the replica-0 core of its unit under the
+   placement at the plan's own batch (not batch 1, which places this
+   squeezenet plan differently). *)
+let test_detection_names_scheduled_core () =
+  let chip = Config.chip_m in
+  let model = Compass_nn.Models.by_name "squeezenet" in
+  let faults = faults_of "flip:3" ~seed:3 chip in
+  let plan = Compiler.compile ~faults ~model ~chip ~batch:8 Compiler.Optimal in
+  let weights = Compass_nn.Executor.random_weights model in
+  let input = Compass_nn.Executor.random_input model in
+  let r = Recovery.run ~seed:3 ~weights ~input plan in
+  let scheduled_core unit_index =
+    let span =
+      Partition.span_at plan.Compiler.group
+        (Partition.partition_of_unit plan.Compiler.group unit_index)
+    in
+    let placed =
+      Replication.place ?faults:plan.Compiler.faults plan.Compiler.ctx
+        ~batch:plan.Compiler.batch ~start_:span.Partition.start_ ~stop:span.Partition.stop
+    in
+    Mapping.core_of_unit placed.Replication.mapping ~unit_index ~replica:0
+  in
+  let rec before_remap = function
+    | Recovery.Remapped _ :: _ | [] -> []
+    | Recovery.Detected { unit_index; core; _ } :: rest -> (unit_index, core) :: before_remap rest
+    | _ :: rest -> before_remap rest
+  in
+  let detected = before_remap r.Recovery.actions in
+  Alcotest.(check bool) "a fault is detected" true (detected <> []);
+  List.iter
+    (fun (unit_index, core) ->
+      Alcotest.(check int)
+        (Printf.sprintf "unit %d core" unit_index)
+        (scheduled_core unit_index) core)
+    detected
+
 (* A remap retires the victim core on top of the plan's own scenario:
    the repaired plan keeps every other fault setting. *)
 let test_retire_preserves_scenario () =
@@ -424,6 +461,8 @@ let () =
           Alcotest.test_case "remap disabled" `Quick test_remap_disabled_degrades;
           Alcotest.test_case "expired budget" `Quick test_expired_budget_degrades;
           Alcotest.test_case "retire" `Quick test_retire_preserves_scenario;
+          Alcotest.test_case "detection names scheduled core" `Quick
+            test_detection_names_scheduled_core;
         ] );
       ( "simulator",
         [

@@ -59,10 +59,14 @@ let test_max_useful_replication () =
 
 (* Replication allocator *)
 
+(* Per-unit replication by layer, for re-packing an allocation. *)
+let unit_replication alloc units i =
+  Replication.replication_of alloc (Unit_gen.layer_of_unit units i)
+
 let test_replication_at_least_one () =
   let _, v, ctx = setup "resnet18" Config.chip_s in
   let stop = Validity.max_end v 0 in
-  let alloc = Replication.allocate ctx ~batch:16 ~start_:0 ~stop in
+  let alloc = (Replication.place ctx ~batch:16 ~start_:0 ~stop).replication in
   List.iter
     (fun (_, r) -> Alcotest.(check bool) "r >= 1" true (r >= 1))
     alloc.Replication.per_layer
@@ -80,7 +84,7 @@ let test_replication_within_budget () =
       in
       List.iter
         (fun (a, b) ->
-          let alloc = Replication.allocate ctx ~batch:16 ~start_:a ~stop:b in
+          let alloc = (Replication.place ctx ~batch:16 ~start_:a ~stop:b).replication in
           Alcotest.(check bool) "tiles within budget" true
             (alloc.Replication.tiles_used <= budget);
           Alcotest.(check int) "spare consistent" budget
@@ -92,10 +96,10 @@ let test_replication_packs () =
   (* The allocation must always be placeable. *)
   let units, v, ctx = setup "squeezenet" Config.chip_s in
   let m = Validity.size v in
-  let alloc = Replication.allocate ctx ~batch:16 ~start_:0 ~stop:m in
+  let alloc = (Replication.place ctx ~batch:16 ~start_:0 ~stop:m).replication in
   match
     Mapping.pack units ~start_:0 ~stop:m
-      ~replication:(Replication.unit_replication alloc units)
+      ~replication:(unit_replication alloc units)
   with
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("final allocation does not pack: " ^ e)
@@ -104,7 +108,7 @@ let test_replication_helps_bottleneck () =
   (* With spare space, the early high-pixel-count conv gets replicated. *)
   let units, v, ctx = setup "squeezenet" Config.chip_s in
   let m = Validity.size v in
-  let alloc = Replication.allocate ctx ~batch:16 ~start_:0 ~stop:m in
+  let alloc = (Replication.place ctx ~batch:16 ~start_:0 ~stop:m).replication in
   let model = units.Unit_gen.model in
   let conv1 =
     List.find
@@ -121,7 +125,7 @@ let test_replication_reduces_bottleneck () =
   let _, v, ctx = setup "squeezenet" Config.chip_m in
   let m = Validity.size v in
   let layers = Perf_model.span_layers ctx ~start_:0 ~stop:m in
-  let alloc = Replication.allocate ctx ~batch:16 ~start_:0 ~stop:m in
+  let alloc = (Replication.place ctx ~batch:16 ~start_:0 ~stop:m).replication in
   let bottleneck rep_of =
     List.fold_left
       (fun acc (p : Perf_model.layer_perf) ->
@@ -134,7 +138,7 @@ let test_replication_reduces_bottleneck () =
 
 let test_default_replication_for_absent_layer () =
   let _, v, ctx = setup "lenet5" Config.chip_s in
-  let alloc = Replication.allocate ctx ~batch:16 ~start_:0 ~stop:(Validity.size v) in
+  let alloc = (Replication.place ctx ~batch:16 ~start_:0 ~stop:(Validity.size v)).replication in
   Alcotest.(check int) "absent node defaults to 1" 1
     (Replication.replication_of alloc 99999)
 
@@ -147,7 +151,8 @@ let test_greedy_spans_little_spare () =
     List.map
       (fun (s : Partition.span) ->
         let alloc =
-          Replication.allocate ctx ~batch:16 ~start_:s.Partition.start_ ~stop:s.Partition.stop
+          (Replication.place ctx ~batch:16 ~start_:s.Partition.start_ ~stop:s.Partition.stop)
+            .replication
         in
         float_of_int alloc.Replication.spare_tiles
         /. float_of_int (Config.total_macros Config.chip_s))
@@ -167,13 +172,13 @@ let prop_allocation_valid_on_random_spans =
       let rng = Compass_util.Rng.create seed in
       let a = Compass_util.Rng.int rng (Validity.size v) in
       let b = Compass_util.Rng.int_in rng (a + 1) (Validity.max_end v a) in
-      let alloc = Replication.allocate ctx ~batch:16 ~start_:a ~stop:b in
+      let alloc = (Replication.place ctx ~batch:16 ~start_:a ~stop:b).replication in
       alloc.Replication.tiles_used <= Config.total_macros Config.chip_m
       && List.for_all (fun (_, r) -> r >= 1) alloc.Replication.per_layer
       &&
       match
         Mapping.pack units ~start_:a ~stop:b
-          ~replication:(Replication.unit_replication alloc units)
+          ~replication:(unit_replication alloc units)
       with
       | Ok _ -> true
       | Error _ -> false)
