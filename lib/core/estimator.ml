@@ -65,75 +65,80 @@ type perf = {
   endurance : endurance;
 }
 
+(* [Stdlib.max] specialised to floats: the same comparison, without the
+   polymorphic compare on boxed values. *)
+let fmax (a : float) b = if a >= b then a else b
+
 let span_perf ?(options = default_options) ctx ~batch ~start_ ~stop =
   if batch < 1 then invalid_arg "Estimator.span_perf: batch < 1";
   let units = Dataflow.units ctx in
   let chip = units.Unit_gen.chip in
+  let core = chip.Config.core in
   let io = Dataflow.span_io ctx ~start_ ~stop in
   let layers = Perf_model.span_layers ~io ctx ~start_ ~stop in
   let { Replication.replication; mapping } =
     Replication.place ?faults:options.faults ~layers ctx ~batch ~start_ ~stop
   in
   let fbatch = float_of_int batch in
-  (* Per-node replication as an array (same values [replication_of] would
-     walk the assoc list for; absent nodes replicate 1x). *)
-  let rep_of =
-    let arr = Array.make (Compass_nn.Graph.node_count units.Unit_gen.model) 1 in
-    List.iter (fun (n, r) -> arr.(n) <- r) replication.Replication.per_layer;
-    arr
-  in
-  (* Compute phase.  With ABFT on, every layer's per-sample stage gains
-     the checksum verification its primary core runs after each MVM —
-     the same per-MVM op count the scheduler's [Check] emission uses, at
-     one core's VFU rate, so estimate and simulation agree. *)
-  let check_of (p : Perf_model.layer_perf) =
-    if not options.abft then 0.
-    else
-      float_of_int
-        (p.Perf_model.mvms
-        * Abft.check_ops_per_mvm ~macro_ops:p.Perf_model.macro_ops_per_mvm)
-      /. float_of_int chip.Config.core.Config.vfus_per_core
-      /. chip.Config.core.Config.clock_hz
-  in
-  let stage_times =
-    List.map
-      (fun (p : Perf_model.layer_perf) ->
-        ( p.Perf_model.node,
-          Perf_model.stage_time_s p ~replication:rep_of.(p.Perf_model.node)
-          +. check_of p ))
-      layers
-  in
-  let check_s =
-    fbatch *. List.fold_left (fun acc p -> acc +. check_of p) 0. layers
-  in
   let cores_used = Mapping.cores_used mapping in
   let attached_ops = Perf_model.attached_vfu_ops ctx io in
-  let lanes =
-    float_of_int (max 1 cores_used * chip.Config.core.Config.vfus_per_core)
-  in
-  let attached_stage_s =
-    float_of_int attached_ops /. lanes /. chip.Config.core.Config.clock_hz
-  in
-  let bottleneck_s =
-    List.fold_left (fun acc (_, s) -> max acc s) attached_stage_s stage_times
-  in
-  let fill_s =
-    List.fold_left (fun acc (p : Perf_model.layer_perf) -> acc +. p.Perf_model.op_time_s) 0. layers
-  in
+  let lanes = float_of_int (Int.max 1 cores_used * core.Config.vfus_per_core) in
+  let attached_stage_s = float_of_int attached_ops /. lanes /. core.Config.clock_hz in
+  (* One pass over the span's layers, walking [per_layer] (which is in
+     [layers] order) alongside.  Each accumulator adds its layers in
+     order, exactly as a fold of its own would.  With ABFT on, every
+     layer's per-sample stage gains the checksum verification its primary
+     core runs after each MVM — the same per-MVM op count the scheduler's
+     [Check] emission uses, at one core's VFU rate, so estimate and
+     simulation agree. *)
+  let stage_times = ref [] in
+  let bottleneck_s = ref attached_stage_s in
+  let check_sum = ref 0. and check_ops_sum = ref 0. in
+  let fill_s = ref 0. and programmed_bytes = ref 0. in
+  let macro_ops_sum = ref 0. and vfu_ops_sum = ref 0. in
+  let layers_left = ref layers and reps_left = ref replication.Replication.per_layer in
+  let walking = ref true in
+  while !walking do
+    match (!layers_left, !reps_left) with
+    | (p : Perf_model.layer_perf) :: ps, (_, rep) :: rs ->
+      let mvms = p.Perf_model.mvms in
+      let check_ops =
+        if options.abft then
+          mvms * Abft.check_ops_per_mvm ~macro_ops:p.Perf_model.macro_ops_per_mvm
+        else 0
+      in
+      let check =
+        if not options.abft then 0.
+        else
+          float_of_int check_ops
+          /. float_of_int core.Config.vfus_per_core
+          /. core.Config.clock_hz
+      in
+      let stage = Perf_model.stage_time_s p ~replication:rep +. check in
+      stage_times := (p.Perf_model.node, stage) :: !stage_times;
+      bottleneck_s := fmax !bottleneck_s stage;
+      check_sum := !check_sum +. check;
+      check_ops_sum := !check_ops_sum +. float_of_int check_ops;
+      fill_s := !fill_s +. p.Perf_model.op_time_s;
+      programmed_bytes :=
+        !programmed_bytes +. (float_of_int rep *. p.Perf_model.weight_bytes_in_span);
+      macro_ops_sum :=
+        !macro_ops_sum +. float_of_int (mvms * p.Perf_model.macro_ops_per_mvm);
+      vfu_ops_sum := !vfu_ops_sum +. float_of_int (mvms * p.Perf_model.vfu_ops_per_mvm);
+      layers_left := ps;
+      reps_left := rs
+    | _ -> walking := false
+  done;
+  let bottleneck_s = !bottleneck_s and fill_s = !fill_s in
+  let programmed_bytes = !programmed_bytes in
+  let check_s = fbatch *. !check_sum in
   let compute_s = fill_s +. (fbatch *. bottleneck_s) in
   (* Weight replacement phase. *)
   let unique_weight_bytes = Unit_gen.span_weight_bytes units start_ stop in
-  let programmed_bytes =
-    List.fold_left
-      (fun acc (p : Perf_model.layer_perf) ->
-        acc
-        +. (float_of_int rep_of.(p.Perf_model.node) *. p.Perf_model.weight_bytes_in_span))
-      0. layers
-  in
   let xbar = chip.Config.crossbar in
   let program_parallel_s =
     (* Cores program their macros serially; cores in parallel. *)
-    let worst = Array.fold_left max 0 mapping.Mapping.tiles_used in
+    let worst = Array.fold_left Int.max 0 mapping.Mapping.tiles_used in
     float_of_int worst *. Crossbar.write_latency_s xbar
   in
   let dram_fetch_s = Compass_dram.Dram.analytic_seconds unique_weight_bytes in
@@ -141,7 +146,7 @@ let span_perf ?(options = default_options) ctx ~batch ~start_ ~stop =
     Interconnect.transfer_time_s chip.Config.bus ~bytes:unique_weight_bytes
   in
   let write_s =
-    if options.charge_writes then max (max dram_fetch_s bus_fetch_s) program_parallel_s
+    if options.charge_writes then fmax (fmax dram_fetch_s bus_fetch_s) program_parallel_s
     else 0.
   in
   (* IO phase (per batch).  Inter-partition tensors live in the cores'
@@ -153,58 +158,43 @@ let span_perf ?(options = default_options) ctx ~batch ~start_ ~stop =
   let goes_to_dram node =
     (not options.onchip_buffering) || Dataflow.spills_to_dram ctx ~batch node
   in
+  (* Endpoints that stream through DRAM: their count and batch bytes. *)
+  let dram_endpoints = ref 0 in
   let dram_endpoint_bytes endpoints =
-    List.fold_left
-      (fun (n, bytes) (node, b) ->
-        if goes_to_dram node then (n + 1, bytes +. (fbatch *. b)) else (n, bytes))
-      (0, 0.) endpoints
+    let bytes = ref 0. and left = ref endpoints and walking = ref true in
+    while !walking do
+      match !left with
+      | (node, b) :: rest ->
+        if goes_to_dram node then begin
+          incr dram_endpoints;
+          bytes := !bytes +. (fbatch *. b)
+        end;
+        left := rest
+      | [] -> walking := false
+    done;
+    !bytes
   in
-  let n_dram_loads, dram_load_bytes = dram_endpoint_bytes io.Dataflow.loads in
-  let n_dram_stores, dram_store_bytes = dram_endpoint_bytes io.Dataflow.stores in
+  let dram_load_bytes = dram_endpoint_bytes io.Dataflow.loads in
+  let dram_store_bytes = dram_endpoint_bytes io.Dataflow.stores in
   let io_dram_bytes = dram_load_bytes +. dram_store_bytes in
   let io_s =
     if io_bytes <= 0. then 0.
     else
       let stream =
-        max
+        fmax
           (Interconnect.transfer_time_s chip.Config.bus ~bytes:io_bytes)
           (Compass_dram.Dram.analytic_seconds io_dram_bytes)
       in
       stream
       +. (fbatch
-         *. float_of_int (n_dram_loads + n_dram_stores)
+         *. float_of_int !dram_endpoints
          *. chip.Config.dram.Config.request_overhead_s)
   in
-  let span_s = write_s +. max compute_s io_s in
+  let span_s = write_s +. fmax compute_s io_s in
   (* Energy. *)
-  let macro_ops =
-    fbatch
-    *. List.fold_left
-         (fun acc (p : Perf_model.layer_perf) ->
-           acc +. float_of_int (p.Perf_model.mvms * p.Perf_model.macro_ops_per_mvm))
-         0. layers
-  in
-  let check_ops =
-    if not options.abft then 0.
-    else
-      fbatch
-      *. List.fold_left
-           (fun acc (p : Perf_model.layer_perf) ->
-             acc
-             +. float_of_int
-                  (p.Perf_model.mvms
-                  * Abft.check_ops_per_mvm ~macro_ops:p.Perf_model.macro_ops_per_mvm))
-           0. layers
-  in
-  let vfu_ops =
-    check_ops
-    +. fbatch
-       *. (float_of_int attached_ops
-          +. List.fold_left
-               (fun acc (p : Perf_model.layer_perf) ->
-                 acc +. float_of_int (p.Perf_model.mvms * p.Perf_model.vfu_ops_per_mvm))
-               0. layers)
-  in
+  let macro_ops = fbatch *. !macro_ops_sum in
+  let check_ops = if not options.abft then 0. else fbatch *. !check_ops_sum in
+  let vfu_ops = check_ops +. (fbatch *. (float_of_int attached_ops +. !vfu_ops_sum)) in
   let dram_bytes = unique_weight_bytes +. io_dram_bytes in
   let bus_bytes = unique_weight_bytes +. io_bytes in
   (* Per-sample macro-programming time: the wear-penalty surrogate the
@@ -222,7 +212,7 @@ let span_perf ?(options = default_options) ctx ~batch ~start_ ~stop =
     replication;
     cores_used;
     utilization = Mapping.utilization mapping;
-    stage_times;
+    stage_times = List.rev !stage_times;
     bottleneck_s;
     fill_s;
     compute_s;
@@ -235,7 +225,7 @@ let span_perf ?(options = default_options) ctx ~batch ~start_ ~stop =
     io_dram_bytes;
     io_s;
     span_s;
-    tiles_per_core = Array.copy mapping.Mapping.tiles_used;
+    tiles_per_core = mapping.Mapping.tiles_used;
     wear_cost_s;
     mvm_energy_j = Energy.mvm_j chip ~macro_ops;
     vfu_energy_j = Energy.vfu_j chip ~ops:vfu_ops;
@@ -335,31 +325,46 @@ let evaluate ?(options = default_options) ctx ~batch group =
   if Partition.total_units group <> Unit_gen.unit_count (Dataflow.units ctx) then
     invalid_arg "Estimator.evaluate: group does not cover the decomposition";
   let spans =
-    List.map
-      (fun (s : Partition.span) ->
-        span_perf ~options ctx ~batch ~start_:s.Partition.start_ ~stop:s.Partition.stop)
-      (Partition.spans group)
+    List.init (Partition.partition_count group) (fun k ->
+        span_perf ~options ctx ~batch ~start_:(Partition.cut group k)
+          ~stop:(Partition.cut group (k + 1)))
   in
   combine ~options ctx ~batch spans
+
+(* A span [\[start_, stop)] as one int: unit counts stay far below 2^31. *)
+let span_key start_ stop = (start_ lsl 31) lor stop
+
+module Key_table = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  (* Multiply-xorshift, so that [start_] reaches the low bits the bucket
+     index reads; the key alone would put every span with the same [stop]
+     in one bucket. *)
+  let hash k =
+    let h = (k lxor (k lsr 31)) * 0x2545F4914F6CDD1D in
+    (h lxor (h lsr 32)) land max_int
+end)
 
 module Span_cache = struct
   type cache = {
     batch : int;
     options : model_options;
-    table : (int * int, span_perf) Hashtbl.t;
+    table : span_perf Key_table.t;
+    mutable hits : int;
+    mutable misses : int;
   }
 
   type t = cache
 
   let create ?(options = default_options) ~batch () =
     if batch < 1 then invalid_arg "Estimator.Span_cache.create: batch < 1";
-    { batch; options; table = Hashtbl.create 1024 }
+    { batch; options; table = Key_table.create 1024; hits = 0; misses = 0 }
 
   let batch t = t.batch
   let options t = t.options
-  let length t = Hashtbl.length t.table
-  let find_opt t key = Hashtbl.find_opt t.table key
-  let add t key sp = Hashtbl.replace t.table key sp
+  let length t = Key_table.length t.table
 
   (* span_perf results depend on (batch, options) as much as on the span
      itself; a cache is branded with both at creation and refuses to mix. *)
@@ -369,51 +374,72 @@ module Span_cache = struct
         (Printf.sprintf "%s: cache batch mismatch (%d vs %d)" what a.batch b.batch);
     if a.options <> b.options then invalid_arg (what ^ ": cache options mismatch")
 
+  (* The lookups counted on [t] since its last publication. *)
+  let publish_lookups t =
+    if t.hits > 0 then Compass_util.Metrics.incr ~by:t.hits "estimator.span_cache.hits";
+    if t.misses > 0 then
+      Compass_util.Metrics.incr ~by:t.misses "estimator.span_cache.misses";
+    t.hits <- 0;
+    t.misses <- 0
+
   let merge_into dst ~src =
     check_compatible ~what:"Estimator.Span_cache.merge_into" dst src;
-    Hashtbl.iter
-      (fun key sp -> if not (Hashtbl.mem dst.table key) then Hashtbl.add dst.table key sp)
+    publish_lookups src;
+    Key_table.iter
+      (fun key sp -> if not (Key_table.mem dst.table key) then Key_table.add dst.table key sp)
       src.table
 end
 
-(* One span through [shared] then [cache], counting the outcome in
-   [hits]/[misses].  Unchecked: callers check the [shared] brand once and
-   publish their counts once with [publish_lookups]. *)
-let lookup ?shared ~cache ~hits ~misses ctx ~start_ ~stop =
-  let key = (start_, stop) in
-  let hit =
+(* One span through [shared] then [cache], counting the outcome on
+   [cache].  Unchecked: callers check the [shared] brand once. *)
+let lookup shared (cache : Span_cache.t) ctx ~start_ ~stop =
+  let key = span_key start_ stop in
+  match
     match shared with
-    | Some s -> (
-      match Span_cache.find_opt s key with
-      | Some _ as found -> found
-      | None -> Span_cache.find_opt cache key)
-    | None -> Span_cache.find_opt cache key
-  in
-  match hit with
-  | Some sp ->
-    incr hits;
+    | Some (s : Span_cache.t) -> (
+      match Key_table.find s.Span_cache.table key with
+      | sp -> sp
+      | exception Not_found -> Key_table.find cache.Span_cache.table key)
+    | None -> Key_table.find cache.Span_cache.table key
+  with
+  | sp ->
+    cache.Span_cache.hits <- cache.Span_cache.hits + 1;
     sp
-  | None ->
-    incr misses;
+  | exception Not_found ->
+    cache.Span_cache.misses <- cache.Span_cache.misses + 1;
     let sp =
-      span_perf ~options:(Span_cache.options cache) ctx ~batch:(Span_cache.batch cache)
+      span_perf ~options:cache.Span_cache.options ctx ~batch:cache.Span_cache.batch
         ~start_ ~stop
     in
-    Span_cache.add cache key sp;
+    Key_table.add cache.Span_cache.table key sp;
     sp
 
-let publish_lookups ~hits ~misses =
-  if !hits > 0 then Compass_util.Metrics.incr ~by:!hits "estimator.span_cache.hits";
-  if !misses > 0 then Compass_util.Metrics.incr ~by:!misses "estimator.span_cache.misses"
+let check_shared ~what ~cache shared =
+  Option.iter (fun s -> Span_cache.check_compatible ~what cache s) shared
 
 let span_perf_cached ?shared ~cache ctx ~start_ ~stop =
-  Option.iter
-    (fun s -> Span_cache.check_compatible ~what:"Estimator.span_perf_cached" cache s)
-    shared;
-  let hits = ref 0 and misses = ref 0 in
-  let sp = lookup ?shared ~cache ~hits ~misses ctx ~start_ ~stop in
-  publish_lookups ~hits ~misses;
+  check_shared ~what:"Estimator.span_perf_cached" ~cache shared;
+  let sp = lookup shared cache ctx ~start_ ~stop in
+  Span_cache.publish_lookups cache;
   sp
+
+(* The group's spans in order, looked up straight from its cuts. *)
+let group_spans shared cache ctx group =
+  let n = Partition.partition_count group in
+  let rec from k =
+    if k = n then []
+    else
+      let sp =
+        lookup shared cache ctx ~start_:(Partition.cut group k)
+          ~stop:(Partition.cut group (k + 1))
+      in
+      sp :: from (k + 1)
+  in
+  from 0
+
+let spans_cached ?shared ~cache ctx group =
+  check_shared ~what:"Estimator.spans_cached" ~cache shared;
+  group_spans shared cache ctx group
 
 let evaluate_cached ?shared ~cache ctx ~batch group =
   if batch < 1 then invalid_arg "Estimator.evaluate_cached: batch < 1";
@@ -422,20 +448,10 @@ let evaluate_cached ?shared ~cache ctx ~batch group =
     invalid_arg
       (Printf.sprintf "Estimator.evaluate_cached: cache built for batch %d, called with %d"
          (Span_cache.batch cache) batch);
-  Option.iter
-    (fun s -> Span_cache.check_compatible ~what:"Estimator.evaluate_cached" cache s)
-    shared;
-  let options = Span_cache.options cache in
-  let hits = ref 0 and misses = ref 0 in
-  let spans =
-    List.map
-      (fun (s : Partition.span) ->
-        lookup ?shared ~cache ~hits ~misses ctx ~start_:s.Partition.start_
-          ~stop:s.Partition.stop)
-      (Partition.spans group)
-  in
-  publish_lookups ~hits ~misses;
-  combine ~options ctx ~batch spans
+  check_shared ~what:"Estimator.evaluate_cached" ~cache shared;
+  let spans = group_spans shared cache ctx group in
+  Span_cache.publish_lookups cache;
+  combine ~options:(Span_cache.options cache) ctx ~batch spans
 
 let pp_breakdown model ppf perf =
   let open Compass_util in

@@ -160,10 +160,11 @@ module Span_cache : sig
   val merge_into : t -> src:t -> unit
   (** [merge_into dst ~src] copies [src]'s entries into [dst], keeping
       [dst]'s entry on key collisions (entries are pure functions of the
-      key under a fixed brand, so both are equal).  Raises
-      [Invalid_argument] when the brands differ.  The GA merges the
-      domain-local caches of a generation into the run-wide cache with
-      this. *)
+      key under a fixed brand, so both are equal), and publishes the
+      [estimator.span_cache.hits]/[.misses] that {!spans_cached} counted
+      on [src] since.  Raises [Invalid_argument] when the brands differ.
+      The GA merges the domain-local caches of each evaluation wave into
+      the run-wide cache with this. *)
 end
 
 val span_perf_cached :
@@ -175,9 +176,21 @@ val span_perf_cached :
   span_perf
 (** One span through the cache: consult [?shared] (read-only), then
     [cache]; on a miss compute {!span_perf} under the cache's brand and
-    record it in [cache].  The primitive behind {!evaluate_cached} and the
-    DP optimizer's span sweep.  Raises [Invalid_argument] when the brands
-    disagree. *)
+    record it in [cache].  The DP optimizer's span sweep reads spans
+    through this.  Raises [Invalid_argument] when the brands disagree. *)
+
+val spans_cached :
+  ?shared:Span_cache.t ->
+  cache:Span_cache.t ->
+  Dataflow.ctx ->
+  Partition.t ->
+  span_perf list
+(** The group's [span_perf]s in order, each through the caches as
+    {!span_perf_cached} does, without assembling a [perf]: what the GA
+    scores a candidate from.  The lookups are counted on [cache] and
+    published when it is merged into another cache
+    ({!Span_cache.merge_into}).  Raises [Invalid_argument] when the
+    brands disagree. *)
 
 val evaluate_cached :
   ?shared:Span_cache.t ->

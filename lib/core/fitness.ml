@@ -33,32 +33,41 @@ let span_fitness objective (sp : Estimator.span_perf) =
        devices less, so the GA wear-levels without abandoning speed. *)
     sp.Estimator.span_s +. sp.Estimator.wear_cost_s
 
-let group_fitness objective (perf : Estimator.perf) =
-  List.fold_left (fun acc sp -> acc +. span_fitness objective sp) 0. perf.Estimator.spans
+let spans_fitness objective spans =
+  let acc = ref 0. and left = ref spans and walking = ref true in
+  while !walking do
+    match !left with
+    | sp :: rest ->
+      acc := !acc +. span_fitness objective sp;
+      left := rest
+    | [] -> walking := false
+  done;
+  !acc
 
-let population_profile objective perfs ~total_units =
+let group_fitness objective (perf : Estimator.perf) =
+  spans_fitness objective perf.Estimator.spans
+
+let population_profile objective population ~total_units =
   let profile = Array.make (total_units + 1) 0. in
-  let npop = float_of_int (Array.length perfs) in
+  let npop = float_of_int (Array.length population) in
   Array.iter
-    (fun (perf : Estimator.perf) ->
-      List.iter
-        (fun (sp : Estimator.span_perf) ->
-          let len = sp.Estimator.stop - sp.Estimator.start_ in
-          let share = span_fitness objective sp /. float_of_int len /. npop in
-          for i = sp.Estimator.start_ + 1 to sp.Estimator.stop do
-            profile.(i) <- profile.(i) +. share
-          done)
-        perf.Estimator.spans)
-    perfs;
+    (List.iter (fun (sp : Estimator.span_perf) ->
+         let len = sp.Estimator.stop - sp.Estimator.start_ in
+         let share = span_fitness objective sp /. float_of_int len /. npop in
+         for i = sp.Estimator.start_ + 1 to sp.Estimator.stop do
+           profile.(i) <- profile.(i) +. share
+         done))
+    population;
   for i = 0 to total_units - 1 do
     profile.(i + 1) <- profile.(i) +. profile.(i + 1)
   done;
   profile
 
-let partition_scores ~population_profile objective (perf : Estimator.perf) =
-  let expected a b = population_profile.(b) -. population_profile.(a) in
+let partition_scores ~population_profile objective spans =
   let score (sp : Estimator.span_perf) =
-    let e = expected sp.Estimator.start_ sp.Estimator.stop in
+    let e = population_profile.(sp.Estimator.stop) -. population_profile.(sp.Estimator.start_) in
     if e <= 0. then 1. else span_fitness objective sp /. e
   in
-  Array.of_list (List.map score perf.Estimator.spans)
+  let scores = Array.make (List.length spans) 0. in
+  List.iteri (fun k sp -> scores.(k) <- score sp) spans;
+  scores

@@ -24,21 +24,26 @@ val objective_to_string : objective -> string
 val span_fitness : objective -> Estimator.span_perf -> float
 (** Lower is better; strictly positive for non-trivial spans. *)
 
+val spans_fitness : objective -> Estimator.span_perf list -> float
+(** PGF: the sum of [span_fitness] over a group's partitions, folded left
+    to right. *)
+
 val group_fitness : objective -> Estimator.perf -> float
-(** PGF: the sum of [span_fitness] over the group's partitions. *)
+(** [spans_fitness] of the group's [perf.spans]. *)
 
 val population_profile :
-  objective -> Estimator.perf array -> total_units:int -> float array
+  objective -> Estimator.span_perf list array -> total_units:int -> float array
 (** The prefix-summed population mean of the m(x) vector of Sec. III-C2,
-    where each unit inherits its partition's fitness divided by the
-    partition's unit count.  Cell [i] is the sum of that mean over units
-    [0 .. i-1], so the result has length [total_units + 1] and is the
-    [population_profile] that {!partition_scores} reads.  Each unit's
-    mean is accumulated one individual at a time, in array order, with
-    no per-individual array. *)
+    over a population given as each individual's spans, where each unit
+    inherits its partition's fitness divided by the partition's unit
+    count.  Cell [i] is the sum of that mean over units [0 .. i-1], so the
+    result has length [total_units + 1] and is the [population_profile]
+    that {!partition_scores} reads.  Each unit's mean is accumulated one
+    individual at a time, in array order, with no per-individual array. *)
 
-val partition_scores : population_profile:float array -> objective -> Estimator.perf -> float array
-(** R for every partition of an individual:
+val partition_scores :
+  population_profile:float array -> objective -> Estimator.span_perf list -> float array
+(** R for every partition of an individual, given its spans:
     [f(P) / E_population(sum of m over P's span)].
     [population_profile] is the prefix sum of the population-mean m(x)
     (length [total_units + 1]).  Partitions whose expected span fitness is

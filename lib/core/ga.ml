@@ -61,6 +61,15 @@ type individual = {
   fitness : float;
 }
 
+(* A candidate as the search holds it: the group, its cached span
+   records, and the span-fitness sum.  Only the final best is assembled
+   into an [individual] with a full [Estimator.perf]. *)
+type scored = {
+  group : Partition.t;
+  spans : Estimator.span_perf list;
+  fitness : float;
+}
+
 type generation_record = {
   generation : int;
   selected : (float * int) list;
@@ -90,54 +99,57 @@ type checkpoint = {
   ck_history : generation_record list;
 }
 
-(* The random-cover walk (and its bias policy) lives in [Validity]; both
-   the initial population and the FixedRandom mutation draw through it. *)
-let random_cover = Validity.random_cover
-let random_group = Validity.random_group
-
 (* The four mutation schemes of Sec. III-C3.  Each returns a candidate group
    or raises; the caller validity-checks and retries. *)
 
-let argmax_by f arr =
+let argmax (scores : float array) =
   let best = ref 0 in
-  Array.iteri (fun i x -> if f x > f arr.(!best) then best := i) arr;
+  for i = 1 to Array.length scores - 1 do
+    if scores.(i) > scores.(!best) then best := i
+  done;
   !best
 
-let argmin_by f arr =
+let argmin (scores : float array) =
   let best = ref 0 in
-  Array.iteri (fun i x -> if f x < f arr.(!best) then best := i) arr;
+  for i = 1 to Array.length scores - 1 do
+    if scores.(i) < scores.(!best) then best := i
+  done;
   !best
 
 let mutate_merge _rng scores group =
   let k = Partition.partition_count group in
   if k < 2 then invalid_arg "merge: single partition";
-  (* Worst-performing neighbouring pair. *)
-  let pair_scores = Array.init (k - 1) (fun i -> scores.(i) +. scores.(i + 1)) in
-  let worst = argmax_by (fun x -> x) pair_scores in
-  Partition.merge group worst
+  (* Worst-performing neighbouring pair (the first, on ties). *)
+  let worst = ref 0 and worst_score = ref (scores.(0) +. scores.(1)) in
+  for i = 1 to k - 2 do
+    let pair = scores.(i) +. scores.(i + 1) in
+    if pair > !worst_score then begin
+      worst := i;
+      worst_score := pair
+    end
+  done;
+  Partition.merge group !worst
 
 let mutate_split rng scores group =
   let k = Partition.partition_count group in
-  (* Worst partition that can be split. *)
-  let candidates =
-    List.filter
-      (fun i -> Partition.span_length (Partition.span_at group i) >= 2)
-      (List.init k (fun i -> i))
+  (* Worst partition that can be split: the first of the highest-scoring
+     partitions spanning two units or more. *)
+  let victim = ref (-1) in
+  for i = 0 to k - 1 do
+    if Partition.cut group (i + 1) - Partition.cut group i >= 2
+       && (!victim < 0 || scores.(i) > scores.(!victim))
+    then victim := i
+  done;
+  if !victim < 0 then invalid_arg "split: no splittable partition";
+  let at =
+    Rng.int_in rng (Partition.cut group !victim + 1) (Partition.cut group (!victim + 1) - 1)
   in
-  if candidates = [] then invalid_arg "split: no splittable partition";
-  let victim =
-    List.fold_left
-      (fun acc i -> if scores.(i) > scores.(acc) then i else acc)
-      (List.hd candidates) candidates
-  in
-  let span = Partition.span_at group victim in
-  let at = Rng.int_in rng (span.Partition.start_ + 1) (span.Partition.stop - 1) in
-  Partition.split group victim ~at
+  Partition.split group !victim ~at
 
 let mutate_move rng scores group =
   let k = Partition.partition_count group in
   if k < 2 then invalid_arg "move: single partition";
-  let victim = argmax_by (fun x -> x) scores in
+  let victim = argmax scores in
   (* Move one unit across one of the victim's boundaries. *)
   let boundary =
     if victim = 0 then 0
@@ -149,12 +161,7 @@ let mutate_move rng scores group =
   Partition.move group boundary ~delta
 
 let mutate_fixed_random rng validity scores group =
-  let keep = argmin_by (fun x -> x) scores in
-  let span = Partition.span_at group keep in
-  let m = Validity.size validity in
-  let prefix = random_cover rng validity ~lo:0 ~hi:span.Partition.start_ in
-  let suffix = random_cover rng validity ~lo:span.Partition.stop ~hi:m in
-  Partition.of_spans (prefix @ (span :: suffix))
+  Validity.random_group_around rng validity (Partition.span_at group (argmin scores))
 
 let mutate scheme rng validity ~scores group =
   match scheme with
@@ -228,18 +235,20 @@ let optimize ?(params = default_params) ?(objective = Fitness.Latency)
      the hot path, and cache hits still accumulate across generations. *)
   let evaluate_batch groups =
     Failpoint.guard "ga.evaluate";
-    evaluations := !evaluations + Array.length groups;
-    Metrics.incr ~by:(Array.length groups) "ga.fitness_evaluations";
-    let perfs, locals =
+    let n = Array.length groups in
+    evaluations := !evaluations + n;
+    Metrics.incr ~by:n "ga.fitness_evaluations";
+    Metrics.incr ~by:n "estimator.group_evaluations";
+    let scored, locals =
       Pool.map_init ?supervision pool
         ~init:(fun () -> Estimator.Span_cache.create ~options ~batch ())
-        ~f:(fun local group -> Estimator.evaluate_cached ~shared ~cache:local ctx ~batch group)
+        ~f:(fun local group ->
+          let spans = Estimator.spans_cached ~shared ~cache:local ctx group in
+          { group; spans; fitness = Fitness.spans_fitness objective spans })
         groups
     in
     List.iter (fun local -> Estimator.Span_cache.merge_into shared ~src:local) locals;
-    Array.map2
-      (fun group perf -> { group; perf; fitness = Fitness.group_fitness objective perf })
-      groups perfs
+    scored
   in
   (* Budget-aware evaluation: the deadline is polled before every wave of
      [jobs] candidates (a single candidate at [jobs = 1]), so an expired
@@ -276,7 +285,7 @@ let optimize ?(params = default_params) ?(objective = Fitness.Latency)
       in
       let nseeds = min (Array.length seeds) params.population in
       Array.init params.population (fun i ->
-          if i < nseeds then seeds.(i) else random_group (Rng.split rng) validity)
+          if i < nseeds then seeds.(i) else Validity.random_group (Rng.split rng) validity)
   in
   (* Resumed populations are re-evaluated rather than deserialized with
      their fitness: evaluation is pure, so the trajectory is bit-identical
@@ -291,7 +300,7 @@ let optimize ?(params = default_params) ?(objective = Fitness.Latency)
        if Array.length inds = 0 then evaluate_batch (Array.sub initial_groups 0 1)
        else inds)
   in
-  let by_fitness arr = Array.sort (fun a b -> compare a.fitness b.fitness) arr in
+  let by_fitness arr = Array.sort (fun (a : scored) b -> compare a.fitness b.fitness) arr in
   let history =
     ref (match resume with None -> [] | Some ck -> List.rev ck.ck_history)
   in
@@ -343,15 +352,15 @@ let optimize ?(params = default_params) ?(objective = Fitness.Latency)
        let selected = Array.sub pop 0 (min params.n_sel (Array.length pop)) in
        let profile =
          Fitness.population_profile objective
-           (Array.map (fun ind -> ind.perf) pop)
+           (Array.map (fun ind -> ind.spans) pop)
            ~total_units
        in
        let propose_mutation crng parent =
          let scores =
-           Fitness.partition_scores ~population_profile:profile objective parent.perf
+           Fitness.partition_scores ~population_profile:profile objective parent.spans
          in
          let rec attempt tries =
-           if tries = 0 then random_group crng validity
+           if tries = 0 then Validity.random_group crng validity
            else
              match mutate (Rng.pick_array crng scheme_array) crng validity ~scores parent.group with
              | child when Validity.group_valid validity child -> child
@@ -394,9 +403,15 @@ let optimize ?(params = default_params) ?(objective = Fitness.Latency)
      done
    with Exit -> ());
   by_fitness !population;
-  Metrics.set "ga.best_fitness" !population.(0).fitness;
+  let best = !population.(0) in
+  Metrics.set "ga.best_fitness" best.fitness;
   {
-    best = !population.(0);
+    best =
+      {
+        group = best.group;
+        perf = Estimator.combine ~options ctx ~batch best.spans;
+        fitness = best.fitness;
+      };
     history = List.rev !history;
     generations_run = !generations_run;
     evaluations = !evaluations;

@@ -64,6 +64,9 @@ val quick_params : params
 type individual = {
   group : Partition.t;
   perf : Estimator.perf;
+      (** The full estimator evaluation of [group].  The search scores
+          candidates from their span records alone and assembles this only
+          for the best. *)
   fitness : float;
 }
 

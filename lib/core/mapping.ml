@@ -35,11 +35,11 @@ let pack ?faults (units : Unit_gen.t) ~start_ ~stop ~replication =
     invalid_arg
       (Printf.sprintf "Mapping.pack: bad span [%d, %d) over %d units" start_ stop
          (Unit_gen.unit_count units));
-  (* Expand replicas into per-tile-count buckets, then first-fit-decreasing.
-     Tile counts are bounded by the core capacity, so a bucket pass replaces
-     the comparison sort.  Equal-tile items must keep the order the previous
-     [List.sort] (stable, over the prepend-reversed build list) gave them —
-     reverse build order — which prepending into buckets reproduces. *)
+  (* First-fit-decreasing over per-tile-count buckets.  Tile counts are
+     bounded by the core capacity, so buckets replace the comparison sort;
+     within a bucket, items keep the order a stable sort of the
+     prepend-built list gave them (reverse build order), which prepending
+     into the bucket reproduces. *)
   let buckets = Array.make (capacity + 1) [] in
   for i = start_ to stop - 1 do
     let u = units.Unit_gen.units.(i) in
@@ -55,41 +55,31 @@ let pack ?faults (units : Unit_gen.t) ~start_ ~stop ~replication =
         { unit_index = i; replica; tiles = u.Unit_gen.tiles } :: buckets.(u.Unit_gen.tiles)
     done
   done;
-  let sorted = ref [] in
-  for t = 0 to capacity do
-    (* Prepending each bucket while walking the tile counts upward leaves
-       the flat list sorted by decreasing tiles, buckets in stored order. *)
-    sorted := List.rev_append (List.rev buckets.(t)) !sorted
-  done;
-  let sorted = !sorted in
   let cores = Array.make ncores [] in
   let tiles_used = Array.make ncores 0 in
-  (* Cores below [first_open] are filled to capacity, so no item with tiles
-     > 0 can land there; first-fit may start the scan at [first_open]
-     without changing any placement (zero-tile items still scan from 0). *)
-  let first_open = ref 0 in
-  let place item =
-    let rec fit c =
-      if c >= ncores then false
-      else if tiles_used.(c) + item.tiles <= capacities.(c) then begin
-        cores.(c) <- item :: cores.(c);
-        tiles_used.(c) <- tiles_used.(c) + item.tiles;
-        while
-          !first_open < ncores && tiles_used.(!first_open) >= capacities.(!first_open)
-        do
-          incr first_open
-        done;
-        true
-      end
-      else fit (c + 1)
-    in
-    fit (if item.tiles > 0 then !first_open else 0)
-  in
-  let rec place_all = function
+  (* First-fit of equal-size items is a front-to-back fill: the cores
+     before the one that took an item could not take it, and nothing
+     placed since has made room there, so the next equal item's first
+     fit starts at that same core. *)
+  let rec fill tiles c = function
     | [] -> Ok ()
-    | item :: rest -> if place item then place_all rest else Error item
+    | item :: rest as items ->
+      if c >= ncores then Error item
+      else if tiles_used.(c) + tiles <= capacities.(c) then begin
+        cores.(c) <- item :: cores.(c);
+        tiles_used.(c) <- tiles_used.(c) + tiles;
+        fill tiles c rest
+      end
+      else fill tiles (c + 1) items
   in
-  match place_all sorted with
+  let rec fill_from tiles =
+    if tiles < 0 then Ok ()
+    else
+      match fill tiles 0 buckets.(tiles) with
+      | Ok () -> fill_from (tiles - 1)
+      | Error _ as e -> e
+  in
+  match fill_from capacity with
   | Error item ->
     Error
       (Printf.sprintf "unit %d replica %d (%d tiles) does not fit" item.unit_index

@@ -60,36 +60,31 @@ let extend_wear acc _prev (sp : Estimator.span_perf) =
 (* Shortest path over the valid-span DAG with one state per valid span:
    state (a, b) = "the chain's last span is [a, b)".  The incoming span is
    part of the state because the write-overlap credit of span [b, c)
-   depends on the idle time of its predecessor.  Positions are processed
-   in ascending end order; ties keep the first (smallest-predecessor)
-   chain, so the result is deterministic. *)
+   depends on the idle time of its predecessor.  Starts are processed in
+   ascending order: every chain ending at [a] is final by then, so its
+   last span is fetched once and relaxed into every valid [a, b).  Each
+   state sees the root edge first, then predecessors in ascending order,
+   and keeps the first minimum, so the result is deterministic. *)
 let run_dp ~m ~validity ~perf_of ~extend =
   let best = Array.make_matrix (m + 1) (m + 1) infinity in
   let parent = Array.make_matrix (m + 1) (m + 1) min_int in
   let edges = ref 0 in
-  for b = 1 to m do
-    for a = 0 to b - 1 do
-      if Validity.is_valid validity ~start_:a ~stop:b then begin
-        let sp = perf_of a b in
-        if a = 0 then begin
-          incr edges;
-          let v = extend 0. None sp in
-          if v < best.(a).(b) then begin
-            best.(a).(b) <- v;
-            parent.(a).(b) <- -1
-          end
-        end;
-        for p = 0 to a - 1 do
-          if best.(p).(a) < infinity then begin
-            incr edges;
-            let v = extend best.(p).(a) (Some (perf_of p a)) sp in
-            if v < best.(a).(b) then begin
-              best.(a).(b) <- v;
-              parent.(a).(b) <- p
-            end
-          end
-        done
-      end
+  let relax a b p v =
+    incr edges;
+    if v < best.(a).(b) then begin
+      best.(a).(b) <- v;
+      parent.(a).(b) <- p
+    end
+  in
+  for a = 0 to m - 1 do
+    let preds = ref [] in
+    for p = a - 1 downto 0 do
+      if best.(p).(a) < infinity then preds := (p, Some (perf_of p a)) :: !preds
+    done;
+    for b = a + 1 to Validity.max_end validity a do
+      let sp = perf_of a b in
+      if a = 0 then relax a b (-1) (extend 0. None sp);
+      List.iter (fun (p, prev) -> relax a b p (extend best.(p).(a) prev sp)) !preds
     done
   done;
   (* Smallest start among the minima: scan upward with strict improvement. *)

@@ -14,10 +14,11 @@ let check cuts =
       invalid_arg "Partition.of_cuts: cuts must strictly increase"
   done
 
-let of_cuts cuts =
-  let copy = Array.copy cuts in
-  check copy;
-  copy
+let checked cuts =
+  check cuts;
+  cuts
+
+let of_cuts cuts = checked (Array.copy cuts)
 
 let of_spans spans =
   match spans with
@@ -43,13 +44,13 @@ let partition_count t = Array.length t - 1
 
 let total_units t = t.(Array.length t - 1)
 
+let cut t k = t.(k)
+
 let span_at t k =
   if k < 0 || k >= partition_count t then invalid_arg "Partition.span_at: out of range";
   { start_ = t.(k); stop = t.(k + 1) }
 
 let spans t = List.init (partition_count t) (span_at t)
-
-let span_length s = s.stop - s.start_
 
 let partition_of_unit t u =
   if u < 0 || u >= total_units t then invalid_arg "Partition.partition_of_unit";
@@ -65,14 +66,14 @@ let equal a b = a = b
 
 let merge t k =
   if k < 0 || k + 1 >= partition_count t then invalid_arg "Partition.merge: out of range";
-  of_cuts (Array.append (Array.sub t 0 (k + 1)) (Array.sub t (k + 2) (Array.length t - k - 2)))
+  checked (Array.init (Array.length t - 1) (fun i -> if i <= k then t.(i) else t.(i + 1)))
 
 let split t k ~at =
   let s = span_at t k in
   if at <= s.start_ || at >= s.stop then invalid_arg "Partition.split: cut outside span";
-  let before = Array.sub t 0 (k + 1) in
-  let after = Array.sub t (k + 1) (Array.length t - k - 1) in
-  of_cuts (Array.concat [ before; [| at |]; after ])
+  checked
+    (Array.init (Array.length t + 1) (fun i ->
+         if i <= k then t.(i) else if i = k + 1 then at else t.(i - 1)))
 
 let move t k ~delta =
   if k < 0 || k + 1 >= partition_count t then invalid_arg "Partition.move: out of range";
@@ -81,4 +82,4 @@ let move t k ~delta =
   if cut <= moved.(k) || cut >= moved.(k + 2) then
     invalid_arg "Partition.move: would empty a partition";
   moved.(k + 1) <- cut;
-  of_cuts moved
+  checked moved

@@ -29,6 +29,11 @@ val cuts : t -> int array
 
 val spans : t -> span list
 
+val cut : t -> int -> int
+(** [cut t k] is the [k]-th cut, for [0 <= k <= partition_count t]:
+    partition [k] is [\[cut t k, cut t (k + 1))].  Reading the cuts this
+    way allocates nothing, unlike {!spans} or {!cuts}. *)
+
 val partition_count : t -> int
 
 val total_units : t -> int
@@ -40,8 +45,6 @@ val span_at : t -> int -> span
 val partition_of_unit : t -> int -> int
 (** Index of the partition containing a unit (binary search).  Raises
     [Invalid_argument] for units outside [\[0, total_units)]. *)
-
-val span_length : span -> int
 
 val equal : t -> t -> bool
 

@@ -26,12 +26,12 @@ let place ?faults ?layers ctx ~batch ~start_ ~stop =
     | Some f ->
       Fault.total_capacity f ~macros_per_core:chip.Config.core.Config.macros_per_core
   in
-  let layers =
-    Array.of_list
-      (match layers with
-      | Some l -> l
-      | None -> Perf_model.span_layers ctx ~start_ ~stop)
+  let layer_list =
+    match layers with
+    | Some l -> l
+    | None -> Perf_model.span_layers ctx ~start_ ~stop
   in
+  let layers = Array.of_list layer_list in
   let n = Array.length layers in
   let rep = Array.make n 1 in
   let tiles l = layers.(l).Perf_model.tiles_in_span in
@@ -97,7 +97,9 @@ let place ?faults ?layers ctx ~batch ~start_ ~stop =
          replicable stage is not the global bottleneck, stop. *)
       let global_worst = ref 0. in
       for l = 0 to n - 1 do
-        global_worst := max !global_worst (stage l)
+        let s = stage l in
+        (* [max] on floats, without the polymorphic compare. *)
+        if not (!global_worst >= s) then global_worst := s
       done;
       if stage !bottleneck >= !global_worst *. (1. -. 1e-9) then begin
         let l = !bottleneck in
@@ -109,20 +111,22 @@ let place ?faults ?layers ctx ~batch ~start_ ~stop =
     end
   in
   if n > 0 then grow ();
+  (* Pack asks for the units in ascending order and the span's layers are
+     in unit order, so a cursor over [layers] finds each unit's layer
+     moving forward; a unit whose layer is absent replicates 1x. *)
+  let cursor = ref 0 in
+  let rep_of_unit i =
+    let node = Unit_gen.layer_of_unit units i in
+    let steps = ref 0 in
+    while !steps < n && layers.(!cursor).Perf_model.node <> node do
+      cursor := (!cursor + 1) mod n;
+      incr steps
+    done;
+    if !steps < n then rep.(!cursor) else 1
+  in
   (* Bin-packing may fail even under the tile budget (fragmentation): undo
      the most recent increments until placement succeeds. *)
-  let per_layer () =
-    List.mapi (fun l p -> (p.Perf_model.node, rep.(l))) (Array.to_list layers)
-  in
-  (* Per-unit replication by the unit's layer, as a per-node array lookup
-     (absent nodes replicate 1x). *)
-  let nnodes = Compass_nn.Graph.node_count units.Unit_gen.model in
-  let try_pack () =
-    let rep_of_node = Array.make nnodes 1 in
-    Array.iteri (fun l p -> rep_of_node.(p.Perf_model.node) <- rep.(l)) layers;
-    Mapping.pack ?faults units ~start_ ~stop ~replication:(fun i ->
-        rep_of_node.(Unit_gen.layer_of_unit units i))
-  in
+  let try_pack () = Mapping.pack ?faults units ~start_ ~stop ~replication:rep_of_unit in
   let rec shrink () =
     match try_pack () with
     | Ok m -> m
@@ -137,6 +141,11 @@ let place ?faults ?layers ctx ~batch ~start_ ~stop =
   in
   let mapping = shrink () in
   {
-    replication = { per_layer = per_layer (); tiles_used = !used; spare_tiles = budget - !used };
+    replication =
+      {
+        per_layer = List.mapi (fun l p -> (p.Perf_model.node, rep.(l))) layer_list;
+        tiles_used = !used;
+        spare_tiles = budget - !used;
+      };
     mapping;
   }

@@ -53,11 +53,13 @@ let is_valid t ~start_ ~stop =
   start_ >= 0 && start_ < size t && stop > start_ && stop <= t.max_end_.(start_)
 
 let group_valid t group =
-  Partition.total_units group = size t
-  && List.for_all
-       (fun (s : Partition.span) ->
-         is_valid t ~start_:s.Partition.start_ ~stop:s.Partition.stop)
-       (Partition.spans group)
+  let n = Partition.partition_count group in
+  let rec from k =
+    k = n
+    || is_valid t ~start_:(Partition.cut group k) ~stop:(Partition.cut group (k + 1))
+       && from (k + 1)
+  in
+  Partition.total_units group = size t && from 0
 
 let density t =
   let m = size t in
@@ -72,25 +74,39 @@ let density t =
   end
 
 (* Randomly tile [lo, hi) with valid spans, clamping each step so the walk
-   lands exactly on [hi].  Half the time jump as far as possible; otherwise
-   uniform — this biases early populations towards fewer partitions.  The
-   single bias policy shared by {!random_group} and the GA's FixedRandom
-   mutation: the draw sequence (bool, then maybe int_in) is part of the
-   bit-identical-results contract. *)
-let random_cover rng t ~lo ~hi =
-  let rec walk acc pos =
-    if pos >= hi then List.rev acc
-    else
-      let bound = min t.max_end_.(pos) hi in
-      let stop =
-        if Compass_util.Rng.bool rng then bound
-        else Compass_util.Rng.int_in rng (pos + 1) bound
-      in
-      walk ({ Partition.start_ = pos; stop } :: acc) stop
-  in
-  walk [] lo
+   lands exactly on [hi], and prepend the stops to [acc], last stop first.
+   Half the time jump as far as possible; otherwise uniform — this biases
+   early populations towards fewer partitions.  The single bias policy
+   shared by {!random_group} and {!random_group_around}: the draw sequence
+   (bool, then maybe int_in) is part of the bit-identical-results
+   contract. *)
+let random_stops rng t ~lo ~hi acc =
+  let acc = ref acc and pos = ref lo in
+  while !pos < hi do
+    let bound = Int.min t.max_end_.(!pos) hi in
+    let stop =
+      if Compass_util.Rng.bool rng then bound
+      else Compass_util.Rng.int_in rng (!pos + 1) bound
+    in
+    acc := stop :: !acc;
+    pos := stop
+  done;
+  !acc
 
-let random_group rng t = Partition.of_spans (random_cover rng t ~lo:0 ~hi:(size t))
+(* The group whose cuts are [rev_cuts], last cut first. *)
+let group_of_rev_cuts rev_cuts =
+  let n = List.length rev_cuts in
+  let cuts = Array.make n 0 in
+  List.iteri (fun i c -> cuts.(n - 1 - i) <- c) rev_cuts;
+  Partition.of_cuts cuts
+
+let random_group rng t = group_of_rev_cuts (random_stops rng t ~lo:0 ~hi:(size t) [ 0 ])
+
+let random_group_around rng t (span : Partition.span) =
+  let prefix = random_stops rng t ~lo:0 ~hi:span.Partition.start_ [ 0 ] in
+  group_of_rev_cuts
+    (random_stops rng t ~lo:span.Partition.stop ~hi:(size t)
+       (span.Partition.stop :: prefix))
 
 let render ?(cells = 32) t =
   let m = size t in

@@ -39,17 +39,18 @@ val density : t -> float
     portion" the paper shows shrinking for larger models on smaller
     chips. *)
 
-val random_cover : Compass_util.Rng.t -> t -> lo:int -> hi:int -> Partition.span list
-(** Randomly tile [\[lo, hi)] with valid spans, clamping each step so the
-    walk lands exactly on [hi].  Half the time each step jumps as far as
-    the map allows (biasing towards fewer partitions); otherwise the end is
-    uniform in the valid range.  The single random-cover policy shared by
-    {!random_group} and the GA's FixedRandom mutation — its draw sequence
-    is part of the GA's bit-identical-results contract. *)
-
 val random_group : Compass_util.Rng.t -> t -> Partition.t
-(** Draw a uniformly-covering valid partition group:
-    [random_cover rng t ~lo:0 ~hi:(size t)] as a partition group. *)
+(** Draw a valid partition group by a random walk over [\[0, size t)]:
+    half the time each step jumps as far as the map allows (biasing
+    towards fewer partitions); otherwise the end is uniform in the valid
+    range.  The walk is the GA's single random-cover policy — its draw
+    sequence (a coin, then maybe a uniform end, per step) is part of the
+    GA's bit-identical-results contract. *)
+
+val random_group_around : Compass_util.Rng.t -> t -> Partition.span -> Partition.t
+(** A group with the given valid span as one of its partitions, the units
+    before and after it covered by the walk of {!random_group} (the
+    prefix drawn first): the GA's FixedRandom mutation. *)
 
 val render : ?cells:int -> t -> string
 (** ASCII heat map ([cells] x [cells], default 32): ['#'] valid span,

@@ -72,14 +72,14 @@ let reset () =
   List.iter (fun b -> Hashtbl.reset b.table) !registry;
   Mutex.unlock registry_mutex
 
+(* [Hashtbl.find] rather than [find_opt]: a hit allocates nothing. *)
 let incr ?(by = 1) name =
   if Atomic.get on then begin
     let b = buffer () in
-    match Hashtbl.find_opt b.table name with
-    | Some (Counter r) -> r := !r + by
-    | Some (Gauge _ | Hist _) ->
-      invalid_arg (Printf.sprintf "Metrics.incr: %s is not a counter" name)
-    | None -> Hashtbl.add b.table name (Counter (ref by))
+    match Hashtbl.find b.table name with
+    | Counter r -> r := !r + by
+    | Gauge _ | Hist _ -> invalid_arg (Printf.sprintf "Metrics.incr: %s is not a counter" name)
+    | exception Not_found -> Hashtbl.add b.table name (Counter (ref by))
   end
 
 let set name v =

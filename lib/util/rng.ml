@@ -1,13 +1,21 @@
-type t = { mutable state : int64 }
+(* The 64-bit state, unboxed in an 8-byte buffer: a mutable [int64] field
+   would box a fresh [int64] on every draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-(* splitmix64: one 64-bit multiply-xor-shift chain per draw. *)
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let create seed = of_state (Int64.of_int seed)
+
+(* splitmix64: one 64-bit multiply-xor-shift chain per draw.  Inlined so
+   that no caller boxes the result. *)
+let[@inline] next_int64 t =
+  let z = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -47,6 +55,5 @@ let sample_without_replacement t n bound =
   shuffle t pool;
   Array.to_list (Array.sub pool 0 n)
 
-let split t = { state = next_int64 t }
-let state t = t.state
-let of_state s = { state = s }
+let split t = of_state (next_int64 t)
+let state t = Bytes.get_int64_le t 0

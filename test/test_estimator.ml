@@ -317,7 +317,9 @@ let test_unit_profile_covers_units () =
   let units, v, ctx = setup "resnet18" Config.chip_s in
   let p = eval ctx v `Greedy in
   let m = Unit_gen.unit_count units in
-  let profile = Fitness.population_profile Fitness.Latency [| p |] ~total_units:m in
+  let profile =
+    Fitness.population_profile Fitness.Latency [| p.Estimator.spans |] ~total_units:m
+  in
   Alcotest.(check int) "length" (m + 1) (Array.length profile);
   Alcotest.(check (float 0.)) "starts at zero" 0. profile.(0);
   (* Every unit carries a positive share, so the prefix sum rises strictly. *)
@@ -329,8 +331,12 @@ let test_partition_scores_positive () =
   let units, v, ctx = setup "resnet18" Config.chip_s in
   let p = eval ctx v `Greedy in
   let m = Unit_gen.unit_count units in
-  let prefix = Fitness.population_profile Fitness.Latency [| p |] ~total_units:m in
-  let scores = Fitness.partition_scores ~population_profile:prefix Fitness.Latency p in
+  let prefix =
+    Fitness.population_profile Fitness.Latency [| p.Estimator.spans |] ~total_units:m
+  in
+  let scores =
+    Fitness.partition_scores ~population_profile:prefix Fitness.Latency p.Estimator.spans
+  in
   Alcotest.(check int) "one per partition" (List.length p.Estimator.spans)
     (Array.length scores);
   (* With the population = this single individual, every score is 1. *)
@@ -374,7 +380,8 @@ let prop_population_profile_bit_equal =
       List.for_all
         (fun objective ->
           let bits a = Array.map Int64.bits_of_float a in
-          bits (Fitness.population_profile objective perfs ~total_units:m)
+          let spans = Array.map (fun p -> p.Estimator.spans) perfs in
+          bits (Fitness.population_profile objective spans ~total_units:m)
           = bits (reference_profile objective perfs ~total_units:m))
         [ Fitness.Latency; Fitness.Energy; Fitness.Edp; Fitness.Wear ])
 

@@ -269,6 +269,39 @@ let test_ga_evaluation_count () =
   let minimum = params.Ga.population + (params.Ga.generations * params.Ga.n_mut) in
   Alcotest.(check bool) "evaluations counted" true (r.Ga.evaluations >= minimum)
 
+(* The search scores candidates from span records and assembles a [perf]
+   only for the best; that [perf] must be exactly what a fresh evaluation
+   of the group gives, under every objective and non-default options. *)
+let test_ga_best_perf_is_evaluate () =
+  let faults =
+    Fault.make ~endurance_budget:1e6
+      (Array.init Config.chip_s.Config.cores (fun c ->
+           if c = 3 then Fault.Dead else if c = 5 then Fault.Degraded 4 else Fault.Healthy))
+  in
+  List.iter
+    (fun (name, objective, options) ->
+      let units = Unit_gen.generate (Compass_nn.Models.by_name name) Config.chip_s in
+      let v = Validity.build ?faults:options.Estimator.faults units in
+      let ctx = Dataflow.context units in
+      let r = Ga.optimize ~params:(quick 4) ~objective ~options ctx v ~batch:16 in
+      let best = r.Ga.best in
+      let fresh = Estimator.evaluate ~options ctx ~batch:16 best.Ga.group in
+      let bits p = Marshal.to_string p [ Marshal.No_sharing ] in
+      let label = name ^ "/" ^ Fitness.objective_to_string objective in
+      Alcotest.(check bool) (label ^ ": perf bit-identical") true
+        (String.equal (bits best.Ga.perf) (bits fresh));
+      Alcotest.(check string) (label ^ ": fitness of the perf")
+        (Printf.sprintf "%h" (Fitness.group_fitness objective fresh))
+        (Printf.sprintf "%h" best.Ga.fitness))
+    [
+      ("resnet18", Fitness.Latency, Estimator.default_options);
+      ("squeezenet", Fitness.Energy, { Estimator.default_options with Estimator.abft = true });
+      ( "mobilenet_v1",
+        Fitness.Wear,
+        { Estimator.default_options with Estimator.faults = Some faults } );
+      ("resnet18", Fitness.Edp, { Estimator.default_options with Estimator.write_overlap = false });
+    ]
+
 (* Trajectory pins: vgg16 on chip S at batch 1 (the longest unit profile
    in the benchmark sweep), [Ga.default_params] with seed 1 and one job,
    under every objective.  Any change to the estimator, the fitness
@@ -431,6 +464,7 @@ let () =
           Alcotest.test_case "history sane" `Quick test_ga_history_partitions_positive;
           Alcotest.test_case "evaluation count" `Quick test_ga_evaluation_count;
           Alcotest.test_case "trajectory pins" `Quick test_ga_trajectory_pins;
+          Alcotest.test_case "best perf = evaluate" `Quick test_ga_best_perf_is_evaluate;
           Alcotest.test_case "compass >= greedy" `Slow test_compass_not_worse_than_greedy;
           QCheck_alcotest.to_alcotest prop_ga_valid_across_seeds;
         ] );

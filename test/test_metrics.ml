@@ -143,6 +143,36 @@ let test_full_compile_catalogue () =
       Alcotest.(check bool) "dram bursts counted" true
         (metric "dram.reads" + metric "dram.writes" > 0))
 
+(* The GA publishes [estimator.group_evaluations] once per evaluation
+   wave and the span-cache lookups once per merged cache; the totals are
+   the ones per-candidate publication gave (pinned from it). *)
+let test_ga_counters_pinned () =
+  let model = Compass_nn.Models.by_name "resnet18" in
+  let chip = Compass_arch.Config.chip_s in
+  List.iter
+    (fun jobs ->
+      with_metrics (fun () ->
+          let plan =
+            Compiler.compile
+              ~ga_params:{ Ga.quick_params with Ga.seed = 3; jobs }
+              ~jobs ~model ~chip ~batch:16 Compiler.Compass
+          in
+          let label = Printf.sprintf "j=%d " jobs in
+          Alcotest.(check int) (label ^ "ga evaluations") 204
+            (Option.get plan.Compiler.ga).Ga.evaluations;
+          (* One per GA candidate, plus the compile's final evaluation. *)
+          Alcotest.(check int) (label ^ "group evaluations") 205
+            (metric "estimator.group_evaluations");
+          let hits = metric "estimator.span_cache.hits" in
+          let misses = metric "estimator.span_cache.misses" in
+          Alcotest.(check int) (label ^ "lookups") 1550 (hits + misses);
+          (* Which domain misses first depends on scheduling above one job. *)
+          if jobs = 1 then begin
+            Alcotest.(check int) "hits" 1131 hits;
+            Alcotest.(check int) "misses" 419 misses
+          end))
+    [ 1; 2 ]
+
 let test_dp_counters_match_stats () =
   let model = Compass_nn.Models.by_name "lenet5" in
   let chip = Compass_arch.Config.chip_s in
@@ -231,6 +261,7 @@ let () =
           Alcotest.test_case "dp counters match stats" `Quick
             test_dp_counters_match_stats;
           Alcotest.test_case "full compile catalogue" `Quick test_full_compile_catalogue;
+          Alcotest.test_case "ga counters pinned" `Quick test_ga_counters_pinned;
         ] );
       ( "histogram",
         [

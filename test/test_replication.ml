@@ -183,6 +183,97 @@ let prop_allocation_valid_on_random_spans =
       | Ok _ -> true
       | Error _ -> false)
 
+(* Packing: the bucket fill against per-item first-fit-decreasing. *)
+
+(* First-fit-decreasing one item at a time: every replica of every unit,
+   stably sorted by decreasing tiles over the list built by prepending
+   (so equal-tile items come in reverse build order), each placed on the
+   first core with room. *)
+let reference_pack ~capacities (units : Unit_gen.t) ~start_ ~stop ~replication =
+  let items = ref [] in
+  for i = start_ to stop - 1 do
+    for replica = 0 to replication i - 1 do
+      items :=
+        { Mapping.unit_index = i; replica; tiles = units.Unit_gen.units.(i).Unit_gen.tiles }
+        :: !items
+    done
+  done;
+  let sorted =
+    List.stable_sort (fun a b -> compare b.Mapping.tiles a.Mapping.tiles) !items
+  in
+  let ncores = Array.length capacities in
+  let cores = Array.make ncores [] and tiles_used = Array.make ncores 0 in
+  let rec place = function
+    | [] -> Ok (Array.map List.rev cores, tiles_used)
+    | (item : Mapping.assignment) :: rest -> (
+      let rec first c =
+        if c = ncores then None
+        else if tiles_used.(c) + item.Mapping.tiles <= capacities.(c) then Some c
+        else first (c + 1)
+      in
+      match first 0 with
+      | None ->
+        Error
+          (Printf.sprintf "unit %d replica %d (%d tiles) does not fit" item.Mapping.unit_index
+             item.Mapping.replica item.Mapping.tiles)
+      | Some c ->
+        cores.(c) <- item :: cores.(c);
+        tiles_used.(c) <- tiles_used.(c) + item.Mapping.tiles;
+        place rest)
+  in
+  place sorted
+
+(* Random unit tile counts (zero included), replication and per-core
+   health (dead and degraded cores included) on a small custom chip, with
+   units borrowed from lenet5 and given new tile counts. *)
+let prop_pack_matches_first_fit =
+  QCheck.Test.make ~name:"pack = per-item first-fit-decreasing" ~count:300
+    QCheck.small_int (fun seed ->
+      let rng = Compass_util.Rng.create seed in
+      let draw lo hi = Compass_util.Rng.int_in rng lo hi in
+      let macros = draw 1 8 in
+      let chip = Config.custom ~label:"P" ~cores:(draw 1 6) ~macros_per_core:macros () in
+      let base = Unit_gen.generate (Compass_nn.Models.by_name "lenet5") chip in
+      let m = draw 1 12 in
+      let units =
+        {
+          base with
+          Unit_gen.chip;
+          units =
+            Array.init m (fun i ->
+                { (base.Unit_gen.units.(0)) with Unit_gen.index = i; tiles = draw 0 macros });
+        }
+      in
+      let faults =
+        if Compass_util.Rng.bool rng then None
+        else
+          Some
+            (Fault.make
+               (Array.init chip.Config.cores (fun _ ->
+                    match draw 0 3 with
+                    | 0 -> Fault.Dead
+                    | 1 -> Fault.Degraded (draw 1 macros)
+                    | _ -> Fault.Healthy)))
+      in
+      let capacities =
+        match faults with
+        | None -> Array.make chip.Config.cores macros
+        | Some f -> Fault.capacities f ~macros_per_core:macros
+      in
+      let start_ = draw 0 (m - 1) in
+      let stop = draw (start_ + 1) m in
+      let reps = Array.init m (fun _ -> draw 1 4) in
+      let replication i = reps.(i) in
+      let expected = reference_pack ~capacities units ~start_ ~stop ~replication in
+      match (Mapping.pack ?faults units ~start_ ~stop ~replication, expected) with
+      | Ok got, Ok (cores, tiles_used) ->
+        got.Mapping.cores = cores
+        && got.Mapping.tiles_used = tiles_used
+        && got.Mapping.total_tiles = Array.fold_left ( + ) 0 tiles_used
+        && got.Mapping.capacities = capacities
+      | Error got, Error want -> String.equal got want
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
 let () =
   Alcotest.run "replication"
     [
@@ -209,4 +300,5 @@ let () =
             test_greedy_spans_little_spare;
           QCheck_alcotest.to_alcotest prop_allocation_valid_on_random_spans;
         ] );
+      ("packing", [ QCheck_alcotest.to_alcotest prop_pack_matches_first_fit ]);
     ]

@@ -12,6 +12,37 @@ let test_rng_deterministic () =
     Alcotest.(check int) "same stream" (Rng.int a 1000) (Rng.int b 1000)
   done
 
+(* The streams as the boxed-[int64] generator drew them: storing the
+   state differently must not change a single draw. *)
+let test_rng_stream_pinned () =
+  let draws rng = List.init 16 (fun _ -> Rng.int rng max_int) in
+  Alcotest.(check (list int)) "create 42"
+    [
+      4456085495900499605; 2949826092126892291; 527597730035375954;
+      1737512041830867860; 701532786141963250; 2180923070380825350;
+      4028864712777624925; 933993271705612196; 1658934859185094101;
+      2185608355395893166; 3779771651426294207; 4482359323033751742;
+      247114729376335590; 369180215851445687; 3046653382386749148;
+      3752715396868486130;
+    ]
+    (draws (Rng.create 42));
+  let parent = Rng.create 42 in
+  let child = Rng.split parent in
+  Alcotest.(check (list int)) "split of create 42"
+    [
+      1720932211098677764; 3795357200955883605; 4359879407727870898;
+      1242533817266198696; 3263519356654262073; 1245346008178237623;
+      3603600226484403572; 4329828226119001998; 2054659106654809599;
+      4011493483211790408; 2602377593303479106; 3235472545740854204;
+      4195714335116181330; 250879283243153340; 2740020272425578604;
+      360678484330399714;
+    ]
+    (draws child);
+  Alcotest.(check int64) "parent state after split" (-7046029254386353089L)
+    (Rng.state parent);
+  Alcotest.(check int64) "child state after 16 draws" (-6823290168878616603L)
+    (Rng.state child)
+
 let test_rng_bounds () =
   let rng = Rng.create 11 in
   for _ = 1 to 10_000 do
@@ -209,6 +240,7 @@ let () =
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
+          Alcotest.test_case "stream pinned" `Quick test_rng_stream_pinned;
           Alcotest.test_case "int bounds" `Quick test_rng_bounds;
           Alcotest.test_case "int_in bounds" `Quick test_rng_int_in_bounds;
           Alcotest.test_case "int_in covers range" `Quick test_rng_int_in_covers_range;
