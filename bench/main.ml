@@ -61,6 +61,7 @@ let gate_table =
     ("recover", "worst ABFT overhead (%)", Lt, 5.);
     ("recover", "clean/healed runs not bit-identical", Eq, 0.);
     ("observe", "tracing+metrics overhead (%)", Lt, 2.);
+    ("observe", "tracing+metrics extra minor words per compile", Lt, 1000.);
     ("infer", "resnet18 gemm speedup over naive (x)", Ge, 3.);
     ("infer", "outputs not bit-identical", Eq, 0.);
     ("chaos", "disarmed guard overhead (% of a compile)", Lt, 1.);
@@ -119,7 +120,8 @@ let paired n a b =
     median (List.map (fun (ta, tb) -> (tb /. ta) -. 1.) pairs) )
 
 (* resnet18-S-16 under the quick GA, seed 7: the compile whose cost the
-   observe and chaos gates measure. *)
+   observe and chaos gates measure.  [?jobs] overrides the GA's worker
+   count. *)
 let quick_compile =
   lazy
     (let prepared =
@@ -127,8 +129,9 @@ let quick_compile =
          ~chip:Compass_arch.Config.chip_s ()
      in
      let ga_params = { Ga.quick_params with Ga.seed = 7 } in
-     fun () ->
-       ignore (Compiler.compile_prepared ~ga_params ~batch:16 prepared Compiler.Compass))
+     fun ?jobs () ->
+       ignore
+         (Compiler.compile_prepared ~ga_params ?jobs ~batch:16 prepared Compiler.Compass))
 
 let models = [ "vgg16"; "resnet18"; "squeezenet" ]
 let chips = [ "S"; "M"; "L" ]
@@ -1139,10 +1142,10 @@ let observe () =
   section_banner "observe"
     "tracing/metrics instrumentation overhead (budget: <2% enabled)";
   let compile = Lazy.force quick_compile in
-  let traced () =
+  let traced ?jobs () =
     Trace.enable ();
     Metrics.enable ();
-    compile ();
+    compile ?jobs ();
     Trace.disable ();
     Metrics.disable ()
   in
@@ -1153,7 +1156,24 @@ let observe () =
   Printf.printf "disabled: %s/compile (median of %d pairs)\nenabled:  %s/compile\n"
     (Units.time_to_string off) pairs
     (Units.time_to_string on_);
-  [ ("tracing+metrics overhead (%)", 100. *. overhead) ]
+  (* The deterministic companion of the wall-clock gate: the words the
+     instrumentation allocates over one single-job compile, where every
+     allocation lands on this domain's counter, from empty trace and
+     metric tables. *)
+  let minor_words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let words_off = minor_words (compile ~jobs:1) in
+  let words_on = minor_words (traced ~jobs:1) in
+  Trace.reset ();
+  Metrics.reset ();
+  Printf.printf "instrumentation: %.0f minor words/compile\n" (words_on -. words_off);
+  [
+    ("tracing+metrics overhead (%)", 100. *. overhead);
+    ("tracing+metrics extra minor words per compile", words_on -. words_off);
+  ]
 
 (* -------------------------------------------------------------------- *)
 (* Inference kernels: im2col/GEMM vs naive, batched serving rate        *)

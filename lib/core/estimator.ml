@@ -1,5 +1,16 @@
 open Compass_arch
 
+type span_cost = {
+  start_ : int;
+  stop : int;
+  span_s : float;
+  compute_s : float;
+  io_s : float;
+  write_s : float;
+  wear_cost_s : float;
+  energy_j : float;
+}
+
 type span_perf = {
   start_ : int;
   stop : int;
@@ -234,6 +245,23 @@ let span_perf ?(options = default_options) ctx ~batch ~start_ ~stop =
     dram_energy_j = Compass_dram.Dram.analytic_energy_j dram_bytes;
   }
 
+(* The five dynamic-energy components are summed left to right, in the
+   order [combine] lists them, so every fitness read off a cost is the
+   one the full record gives. *)
+let span_cost_of (sp : span_perf) : span_cost =
+  {
+    start_ = sp.start_;
+    stop = sp.stop;
+    span_s = sp.span_s;
+    compute_s = sp.compute_s;
+    io_s = sp.io_s;
+    write_s = sp.write_s;
+    wear_cost_s = sp.wear_cost_s;
+    energy_j =
+      sp.mvm_energy_j +. sp.vfu_energy_j +. sp.write_energy_j +. sp.bus_energy_j
+      +. sp.dram_energy_j;
+  }
+
 (* Weight-replacement wear: each placed tile is one macro programming per
    batch.  First-fit packing fills each core's macro slots from slot 0, so
    slot 0 of core [c] is rewritten by every span placing any tile on [c]
@@ -319,17 +347,17 @@ let combine ?(options = default_options) ctx ~batch spans =
     endurance = endurance_of ~options chip ~batch spans;
   }
 
+let span_perfs ?(options = default_options) ctx ~batch group =
+  List.init (Partition.partition_count group) (fun k ->
+      span_perf ~options ctx ~batch ~start_:(Partition.cut group k)
+        ~stop:(Partition.cut group (k + 1)))
+
 let evaluate ?(options = default_options) ctx ~batch group =
   if batch < 1 then invalid_arg "Estimator.evaluate: batch < 1";
   Compass_util.Metrics.incr "estimator.group_evaluations";
   if Partition.total_units group <> Unit_gen.unit_count (Dataflow.units ctx) then
     invalid_arg "Estimator.evaluate: group does not cover the decomposition";
-  let spans =
-    List.init (Partition.partition_count group) (fun k ->
-        span_perf ~options ctx ~batch ~start_:(Partition.cut group k)
-          ~stop:(Partition.cut group (k + 1)))
-  in
-  combine ~options ctx ~batch spans
+  combine ~options ctx ~batch (span_perfs ~options ctx ~batch group)
 
 (* A span [\[start_, stop)] as one int: unit counts stay far below 2^31. *)
 let span_key start_ stop = (start_ lsl 31) lor stop
@@ -351,7 +379,7 @@ module Span_cache = struct
   type cache = {
     batch : int;
     options : model_options;
-    table : span_perf Key_table.t;
+    table : span_cost Key_table.t;
     mutable hits : int;
     mutable misses : int;
   }
@@ -366,7 +394,7 @@ module Span_cache = struct
   let options t = t.options
   let length t = Key_table.length t.table
 
-  (* span_perf results depend on (batch, options) as much as on the span
+  (* Span costs depend on (batch, options) as much as on the span
      itself; a cache is branded with both at creation and refuses to mix. *)
   let check_compatible ~what a b =
     if a.batch <> b.batch then
@@ -376,9 +404,8 @@ module Span_cache = struct
 
   (* The lookups counted on [t] since its last publication. *)
   let publish_lookups t =
-    if t.hits > 0 then Compass_util.Metrics.incr ~by:t.hits "estimator.span_cache.hits";
-    if t.misses > 0 then
-      Compass_util.Metrics.incr ~by:t.misses "estimator.span_cache.misses";
+    if t.hits > 0 then Compass_util.Metrics.add "estimator.span_cache.hits" t.hits;
+    if t.misses > 0 then Compass_util.Metrics.add "estimator.span_cache.misses" t.misses;
     t.hits <- 0;
     t.misses <- 0
 
@@ -390,56 +417,61 @@ module Span_cache = struct
       src.table
 end
 
-(* One span through [shared] then [cache], counting the outcome on
-   [cache].  Unchecked: callers check the [shared] brand once. *)
+(* The cost [shared], else [cache], holds for [key]; [Not_found] when
+   neither does.  Unchecked: callers check the [shared] brand once. *)
+let find shared (cache : Span_cache.t) key =
+  match shared with
+  | Some (s : Span_cache.t) -> (
+    match Key_table.find s.Span_cache.table key with
+    | c -> c
+    | exception Not_found -> Key_table.find cache.Span_cache.table key)
+  | None -> Key_table.find cache.Span_cache.table key
+
+let count_hit (cache : Span_cache.t) = cache.Span_cache.hits <- cache.Span_cache.hits + 1
+
+(* Count a miss and record the cost of its freshly computed record. *)
+let record_miss (cache : Span_cache.t) key sp =
+  cache.Span_cache.misses <- cache.Span_cache.misses + 1;
+  let c = span_cost_of sp in
+  Key_table.add cache.Span_cache.table key c;
+  c
+
+(* One span's cost through [shared] then [cache], counting the outcome on
+   [cache].  On a miss the full record is computed under the cache's
+   brand and dies young: only its cost is kept. *)
 let lookup shared (cache : Span_cache.t) ctx ~start_ ~stop =
   let key = span_key start_ stop in
-  match
-    match shared with
-    | Some (s : Span_cache.t) -> (
-      match Key_table.find s.Span_cache.table key with
-      | sp -> sp
-      | exception Not_found -> Key_table.find cache.Span_cache.table key)
-    | None -> Key_table.find cache.Span_cache.table key
-  with
-  | sp ->
-    cache.Span_cache.hits <- cache.Span_cache.hits + 1;
-    sp
+  match find shared cache key with
+  | c ->
+    count_hit cache;
+    c
   | exception Not_found ->
-    cache.Span_cache.misses <- cache.Span_cache.misses + 1;
-    let sp =
-      span_perf ~options:cache.Span_cache.options ctx ~batch:cache.Span_cache.batch
-        ~start_ ~stop
-    in
-    Key_table.add cache.Span_cache.table key sp;
-    sp
+    record_miss cache key
+      (span_perf ~options:cache.Span_cache.options ctx ~batch:cache.Span_cache.batch
+         ~start_ ~stop)
 
 let check_shared ~what ~cache shared =
   Option.iter (fun s -> Span_cache.check_compatible ~what cache s) shared
 
-let span_perf_cached ?shared ~cache ctx ~start_ ~stop =
-  check_shared ~what:"Estimator.span_perf_cached" ~cache shared;
-  let sp = lookup shared cache ctx ~start_ ~stop in
+let span_cost_cached ?shared ~cache ctx ~start_ ~stop =
+  check_shared ~what:"Estimator.span_cost_cached" ~cache shared;
+  let c = lookup shared cache ctx ~start_ ~stop in
   Span_cache.publish_lookups cache;
-  sp
+  c
 
-(* The group's spans in order, looked up straight from its cuts. *)
-let group_spans shared cache ctx group =
+let spans_cached ?shared ~cache ctx group =
+  check_shared ~what:"Estimator.spans_cached" ~cache shared;
   let n = Partition.partition_count group in
   let rec from k =
     if k = n then []
     else
-      let sp =
+      let c =
         lookup shared cache ctx ~start_:(Partition.cut group k)
           ~stop:(Partition.cut group (k + 1))
       in
-      sp :: from (k + 1)
+      c :: from (k + 1)
   in
   from 0
-
-let spans_cached ?shared ~cache ctx group =
-  check_shared ~what:"Estimator.spans_cached" ~cache shared;
-  group_spans shared cache ctx group
 
 let evaluate_cached ?shared ~cache ctx ~batch group =
   if batch < 1 then invalid_arg "Estimator.evaluate_cached: batch < 1";
@@ -449,9 +481,22 @@ let evaluate_cached ?shared ~cache ctx ~batch group =
       (Printf.sprintf "Estimator.evaluate_cached: cache built for batch %d, called with %d"
          (Span_cache.batch cache) batch);
   check_shared ~what:"Estimator.evaluate_cached" ~cache shared;
-  let spans = group_spans shared cache ctx group in
+  (* The cache holds costs, not records: a hit recomputes the span's
+     record (pure, so bit-identical to the one its cost came from), a miss
+     computes it once and caches its cost. *)
+  let options = Span_cache.options cache in
+  let spans =
+    List.init (Partition.partition_count group) (fun k ->
+        let start_ = Partition.cut group k and stop = Partition.cut group (k + 1) in
+        let key = span_key start_ stop in
+        let sp = span_perf ~options ctx ~batch ~start_ ~stop in
+        (match find shared cache key with
+        | _ -> count_hit cache
+        | exception Not_found -> ignore (record_miss cache key sp));
+        sp)
+  in
   Span_cache.publish_lookups cache;
-  combine ~options:(Span_cache.options cache) ctx ~batch spans
+  combine ~options ctx ~batch spans
 
 let pp_breakdown model ppf perf =
   let open Compass_util in

@@ -26,6 +26,25 @@
     Energy integrates MVM, VFU, macro programming, bus, DRAM (analytic
     streaming model) and chip static power. *)
 
+(** What the search reads of a span: the cost terms of
+    {!Fitness.span_fitness} and of the batch-latency recurrence of
+    {!combine}, copied from the span's {!span_perf}.  The span caches hold
+    these, not whole records: a cost is 21 words where a record, with its
+    IO lists, replication and per-core tile counts, is well over a
+    hundred. *)
+type span_cost = {
+  start_ : int;
+  stop : int;
+  span_s : float;
+  compute_s : float;
+  io_s : float;
+  write_s : float;
+  wear_cost_s : float;
+  energy_j : float;
+      (** The span's dynamic energy: MVM, VFU, macro programming, bus and
+          DRAM, summed left to right in that order. *)
+}
+
 type span_perf = {
   start_ : int;
   stop : int;
@@ -67,6 +86,9 @@ type span_perf = {
   bus_energy_j : float;
   dram_energy_j : float;
 }
+
+val span_cost_of : span_perf -> span_cost
+(** Project a record onto its cost; every field is copied bit for bit. *)
 
 type model_options = {
   write_overlap : bool;
@@ -133,15 +155,22 @@ val combine : ?options:model_options -> Dataflow.ctx -> batch:int -> span_perf l
     closed-form endurance.  {!evaluate} and {!evaluate_cached} end
     here. *)
 
+val span_perfs :
+  ?options:model_options -> Dataflow.ctx -> batch:int -> Partition.t -> span_perf list
+(** The group's [span_perf]s in order, computed afresh and counted
+    nowhere: what {!evaluate} combines, and what the GA assembles its
+    best candidate's [perf] from. *)
+
 val evaluate :
   ?options:model_options -> Dataflow.ctx -> batch:int -> Partition.t -> perf
 (** Evaluate a full partition group.  Raises [Invalid_argument] if the
     group does not cover the decomposition or [batch < 1]. *)
 
-(** Span caches for the GA search.  [span_perf] results depend on [batch]
-    and [model_options] as much as on the [(start_, stop)] key, so a cache
-    is branded with both at creation time and every operation that could
-    mix entries from differently-branded caches raises [Invalid_argument]
+(** Span caches for the GA and DP searches, holding each span's
+    {!span_cost}.  Costs depend on [batch] and [model_options] as much as
+    on the [(start_, stop)] key, so a cache is branded with both at
+    creation time and every operation that could mix entries from
+    differently-branded caches raises [Invalid_argument]
     instead of silently returning stale results. *)
 module Span_cache : sig
   type t
@@ -167,26 +196,27 @@ module Span_cache : sig
       the run-wide cache with this. *)
 end
 
-val span_perf_cached :
+val span_cost_cached :
   ?shared:Span_cache.t ->
   cache:Span_cache.t ->
   Dataflow.ctx ->
   start_:int ->
   stop:int ->
-  span_perf
-(** One span through the cache: consult [?shared] (read-only), then
-    [cache]; on a miss compute {!span_perf} under the cache's brand and
-    record it in [cache].  The DP optimizer's span sweep reads spans
-    through this.  Raises [Invalid_argument] when the brands disagree. *)
+  span_cost
+(** One span's cost through the cache: consult [?shared] (read-only),
+    then [cache]; on a miss compute {!span_perf} under the cache's brand
+    and record its cost in [cache].  The DP optimizer's span sweep reads
+    spans through this.  Raises [Invalid_argument] when the brands
+    disagree. *)
 
 val spans_cached :
   ?shared:Span_cache.t ->
   cache:Span_cache.t ->
   Dataflow.ctx ->
   Partition.t ->
-  span_perf list
-(** The group's [span_perf]s in order, each through the caches as
-    {!span_perf_cached} does, without assembling a [perf]: what the GA
+  span_cost list
+(** The group's span costs in order, each through the caches as
+    {!span_cost_cached} does, without assembling a [perf]: what the GA
     scores a candidate from.  The lookups are counted on [cache] and
     published when it is merged into another cache
     ({!Span_cache.merge_into}).  Raises [Invalid_argument] when the
@@ -199,11 +229,13 @@ val evaluate_cached :
   batch:int ->
   Partition.t ->
   perf
-(** [evaluate] with an external span cache; newly computed spans are added
-    to [cache].  [?shared] is an optional second cache consulted first and
-    {e never written} — during parallel GA evaluation it is the run-wide
-    cache, safely read by every domain while each writes only its own
-    [cache].  Raises [Invalid_argument] when [batch] (or [shared]'s brand)
+(** [evaluate] with an external span cache: each span is looked up and
+    counted as {!spans_cached} does, and the costs of newly computed spans
+    are added to [cache].  The cache holds no records, so every span's
+    [span_perf] is computed here, once, hit or miss.  [?shared] is an
+    optional second cache consulted first and {e never written} — during
+    parallel GA evaluation it is the run-wide cache, safely read by every
+    domain while each writes only its own [cache].  Raises [Invalid_argument] when [batch] (or [shared]'s brand)
     disagrees with [cache]'s brand, or when [batch < 1].  All entries must
     come from the same [ctx]. *)
 

@@ -18,20 +18,16 @@ let objective_to_string = function
   | Edp -> "edp"
   | Wear -> "wear"
 
-let span_energy (sp : Estimator.span_perf) =
-  sp.Estimator.mvm_energy_j +. sp.Estimator.vfu_energy_j +. sp.Estimator.write_energy_j
-  +. sp.Estimator.bus_energy_j +. sp.Estimator.dram_energy_j
-
-let span_fitness objective (sp : Estimator.span_perf) =
+let span_fitness objective (c : Estimator.span_cost) =
   match objective with
-  | Latency -> sp.Estimator.span_s
-  | Energy -> span_energy sp
-  | Edp -> sp.Estimator.span_s *. span_energy sp
+  | Latency -> c.Estimator.span_s
+  | Energy -> c.Estimator.energy_j
+  | Edp -> c.Estimator.span_s *. c.Estimator.energy_j
   | Wear ->
     (* Latency plus the per-sample macro-programming time: partitionings
        that rewrite fewer (replicated) macros per inference wear the
        devices less, so the GA wear-levels without abandoning speed. *)
-    sp.Estimator.span_s +. sp.Estimator.wear_cost_s
+    c.Estimator.span_s +. c.Estimator.wear_cost_s
 
 let spans_fitness objective spans =
   let acc = ref 0. and left = ref spans and walking = ref true in
@@ -45,13 +41,13 @@ let spans_fitness objective spans =
   !acc
 
 let group_fitness objective (perf : Estimator.perf) =
-  spans_fitness objective perf.Estimator.spans
+  spans_fitness objective (List.map Estimator.span_cost_of perf.Estimator.spans)
 
 let population_profile objective population ~total_units =
   let profile = Array.make (total_units + 1) 0. in
   let npop = float_of_int (Array.length population) in
   Array.iter
-    (List.iter (fun (sp : Estimator.span_perf) ->
+    (List.iter (fun (sp : Estimator.span_cost) ->
          let len = sp.Estimator.stop - sp.Estimator.start_ in
          let share = span_fitness objective sp /. float_of_int len /. npop in
          for i = sp.Estimator.start_ + 1 to sp.Estimator.stop do
@@ -64,7 +60,7 @@ let population_profile objective population ~total_units =
   profile
 
 let partition_scores ~population_profile objective spans =
-  let score (sp : Estimator.span_perf) =
+  let score (sp : Estimator.span_cost) =
     let e = population_profile.(sp.Estimator.stop) -. population_profile.(sp.Estimator.start_) in
     if e <= 0. then 1. else span_fitness objective sp /. e
   in

@@ -10,7 +10,7 @@ type objective =
   | Edp  (** Latency x energy surrogate. *)
   | Wear
       (** Latency plus a macro-programming wear penalty
-          ([Estimator.span_perf.wear_cost_s]): favors partitionings that
+          ([Estimator.span_cost.wear_cost_s]): favors partitionings that
           rewrite fewer macros per inference, extending ReRAM/PCM
           lifetime. *)
 
@@ -21,18 +21,18 @@ val objective_of_string : string -> objective
 
 val objective_to_string : objective -> string
 
-val span_fitness : objective -> Estimator.span_perf -> float
+val span_fitness : objective -> Estimator.span_cost -> float
 (** Lower is better; strictly positive for non-trivial spans. *)
 
-val spans_fitness : objective -> Estimator.span_perf list -> float
+val spans_fitness : objective -> Estimator.span_cost list -> float
 (** PGF: the sum of [span_fitness] over a group's partitions, folded left
     to right. *)
 
 val group_fitness : objective -> Estimator.perf -> float
-(** [spans_fitness] of the group's [perf.spans]. *)
+(** [spans_fitness] of the costs of the group's [perf.spans]. *)
 
 val population_profile :
-  objective -> Estimator.span_perf list array -> total_units:int -> float array
+  objective -> Estimator.span_cost list array -> total_units:int -> float array
 (** The prefix-summed population mean of the m(x) vector of Sec. III-C2,
     over a population given as each individual's spans, where each unit
     inherits its partition's fitness divided by the partition's unit
@@ -42,7 +42,7 @@ val population_profile :
     individual at a time, in array order, with no per-individual array. *)
 
 val partition_scores :
-  population_profile:float array -> objective -> Estimator.span_perf list -> float array
+  population_profile:float array -> objective -> Estimator.span_cost list -> float array
 (** R for every partition of an individual, given its spans:
     [f(P) / E_population(sum of m over P's span)].
     [population_profile] is the prefix sum of the population-mean m(x)

@@ -62,11 +62,11 @@ type individual = {
 }
 
 (* A candidate as the search holds it: the group, its cached span
-   records, and the span-fitness sum.  Only the final best is assembled
+   costs, and the span-fitness sum.  Only the final best is assembled
    into an [individual] with a full [Estimator.perf]. *)
 type scored = {
   group : Partition.t;
-  spans : Estimator.span_perf list;
+  spans : Estimator.span_cost list;
   fitness : float;
 }
 
@@ -237,8 +237,8 @@ let optimize ?(params = default_params) ?(objective = Fitness.Latency)
     Failpoint.guard "ga.evaluate";
     let n = Array.length groups in
     evaluations := !evaluations + n;
-    Metrics.incr ~by:n "ga.fitness_evaluations";
-    Metrics.incr ~by:n "estimator.group_evaluations";
+    Metrics.add "ga.fitness_evaluations" n;
+    Metrics.add "estimator.group_evaluations" n;
     let scored, locals =
       Pool.map_init ?supervision pool
         ~init:(fun () -> Estimator.Span_cache.create ~options ~batch ())
@@ -409,7 +409,9 @@ let optimize ?(params = default_params) ?(objective = Fitness.Latency)
     best =
       {
         group = best.group;
-        perf = Estimator.combine ~options ctx ~batch best.spans;
+        perf =
+          Estimator.combine ~options ctx ~batch
+            (Estimator.span_perfs ~options ctx ~batch best.group);
         fitness = best.fitness;
       };
     history = List.rev !history;

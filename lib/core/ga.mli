@@ -65,8 +65,8 @@ type individual = {
   group : Partition.t;
   perf : Estimator.perf;
       (** The full estimator evaluation of [group].  The search scores
-          candidates from their span records alone and assembles this only
-          for the best. *)
+          candidates from their cached span costs alone and assembles this
+          only for the best. *)
   fitness : float;
 }
 

@@ -7,7 +7,7 @@ type assignment = {
 }
 
 type t = {
-  cores : assignment list array;
+  cores : assignment list array Lazy.t;
   tiles_used : int array;
   total_tiles : int;
   capacity_per_core : int;
@@ -26,6 +26,51 @@ let effective_capacities ?faults chip =
            (Fault.cores f) chip.Config.label ncores);
     Fault.capacities f ~macros_per_core:capacity
 
+(* First-fit of equal-size items is a front-to-back fill: the cores
+   before the one that took an item could not take it, and nothing placed
+   since has made room there, so the next equal item's first fit starts
+   at that same core.  Core [c] therefore takes
+   [min left ((capacities.(c) - tiles_used.(c)) / tiles)] of a bucket's
+   items at once (all of them for zero-tile items).  Buckets are filled
+   from the largest tile count down; [run tiles c k] hears of each batch
+   of [k] items of bucket [tiles] placed on core [c].  Returns [-1] when
+   everything fits, else the first bucket that did not, with [!placed] of
+   its items placed. *)
+let fill ~capacities ~counts ~tiles_used ~placed run =
+  let ncores = Array.length capacities in
+  let failed = ref (-1) and tiles = ref (Array.length counts - 1) in
+  while !failed < 0 && !tiles >= 0 do
+    let t = !tiles and n = counts.(!tiles) in
+    placed := 0;
+    let c = ref 0 in
+    while !placed < n && !c < ncores do
+      let left = n - !placed in
+      let k = if t = 0 then left else Int.min left ((capacities.(!c) - tiles_used.(!c)) / t) in
+      if k > 0 then begin
+        tiles_used.(!c) <- tiles_used.(!c) + (k * t);
+        run t !c k;
+        placed := !placed + k
+      end;
+      incr c
+    done;
+    if !placed < n then failed := t else decr tiles
+  done;
+  !failed
+
+(* Every replica as an assignment, bucketed by tile count, each bucket in
+   first-fit-decreasing order: the span's units from the last down, each
+   unit's replicas from the last down (the order a stable sort of the
+   prepend-built item list gives). *)
+let buckets (units : Unit_gen.t) ~start_ ~stop ~reps ~capacity =
+  let buckets = Array.make (capacity + 1) [] in
+  for i = start_ to stop - 1 do
+    let tiles = units.Unit_gen.units.(i).Unit_gen.tiles in
+    for replica = 0 to reps.(i - start_) - 1 do
+      buckets.(tiles) <- { unit_index = i; replica; tiles } :: buckets.(tiles)
+    done
+  done;
+  buckets
+
 let pack ?faults (units : Unit_gen.t) ~start_ ~stop ~replication =
   let chip = units.Unit_gen.chip in
   let ncores = chip.Config.cores in
@@ -35,62 +80,56 @@ let pack ?faults (units : Unit_gen.t) ~start_ ~stop ~replication =
     invalid_arg
       (Printf.sprintf "Mapping.pack: bad span [%d, %d) over %d units" start_ stop
          (Unit_gen.unit_count units));
-  (* First-fit-decreasing over per-tile-count buckets.  Tile counts are
-     bounded by the core capacity, so buckets replace the comparison sort;
-     within a bucket, items keep the order a stable sort of the
-     prepend-built list gave them (reverse build order), which prepending
-     into the bucket reproduces. *)
-  let buckets = Array.make (capacity + 1) [] in
+  (* First-fit-decreasing by counts: tile counts are bounded by the core
+     capacity, so per-size item counts replace the sorted item list. *)
+  let reps = Array.make (stop - start_) 0 in
+  let counts = Array.make (capacity + 1) 0 in
   for i = start_ to stop - 1 do
-    let u = units.Unit_gen.units.(i) in
+    let tiles = units.Unit_gen.units.(i).Unit_gen.tiles in
     let r = replication i in
     if r < 1 then
       invalid_arg (Printf.sprintf "Mapping.pack: replication %d < 1 for unit %d" r i);
-    if u.Unit_gen.tiles > capacity then
+    if tiles > capacity then
       invalid_arg
         (Printf.sprintf "Mapping.pack: unit %d exceeds a core (%d tiles > %d macros)" i
-           u.Unit_gen.tiles capacity);
-    for replica = 0 to r - 1 do
-      buckets.(u.Unit_gen.tiles) <-
-        { unit_index = i; replica; tiles = u.Unit_gen.tiles } :: buckets.(u.Unit_gen.tiles)
-    done
+           tiles capacity);
+    reps.(i - start_) <- r;
+    counts.(tiles) <- counts.(tiles) + r
   done;
-  let cores = Array.make ncores [] in
   let tiles_used = Array.make ncores 0 in
-  (* First-fit of equal-size items is a front-to-back fill: the cores
-     before the one that took an item could not take it, and nothing
-     placed since has made room there, so the next equal item's first
-     fit starts at that same core. *)
-  let rec fill tiles c = function
-    | [] -> Ok ()
-    | item :: rest as items ->
-      if c >= ncores then Error item
-      else if tiles_used.(c) + tiles <= capacities.(c) then begin
-        cores.(c) <- item :: cores.(c);
-        tiles_used.(c) <- tiles_used.(c) + tiles;
-        fill tiles c rest
-      end
-      else fill tiles (c + 1) items
-  in
-  let rec fill_from tiles =
-    if tiles < 0 then Ok ()
-    else
-      match fill tiles 0 buckets.(tiles) with
-      | Ok () -> fill_from (tiles - 1)
-      | Error _ as e -> e
-  in
-  match fill_from capacity with
-  | Error item ->
+  let placed = ref 0 in
+  let failed = fill ~capacities ~counts ~tiles_used ~placed (fun _ _ _ -> ()) in
+  if failed >= 0 then begin
+    let item = List.nth (buckets units ~start_ ~stop ~reps ~capacity).(failed) !placed in
     Error
       (Printf.sprintf "unit %d replica %d (%d tiles) does not fit" item.unit_index
          item.replica item.tiles)
-  | Ok () ->
-    let total_tiles = Array.fold_left ( + ) 0 tiles_used in
+  end
+  else
+    (* The per-core lists replay the same fill, handing each batch its
+       slice of the bucket's items; only the scheduler and [core_of_unit]
+       read them. *)
+    let cores =
+      lazy
+        (let cores = Array.make ncores [] in
+         let pending = buckets units ~start_ ~stop ~reps ~capacity in
+         ignore
+           (fill ~capacities ~counts ~tiles_used:(Array.make ncores 0) ~placed:(ref 0)
+              (fun tiles c k ->
+                for _ = 1 to k do
+                  match pending.(tiles) with
+                  | item :: rest ->
+                    cores.(c) <- item :: cores.(c);
+                    pending.(tiles) <- rest
+                  | [] -> assert false
+                done));
+         Array.map List.rev cores)
+    in
     Ok
       {
-        cores = Array.map List.rev cores;
+        cores;
         tiles_used;
-        total_tiles;
+        total_tiles = Array.fold_left ( + ) 0 tiles_used;
         capacity_per_core = capacity;
         capacities;
       }
@@ -115,7 +154,7 @@ let core_of_unit t ~unit_index ~replica =
       if !found = None
          && List.exists (fun a -> a.unit_index = unit_index && a.replica = replica) assignments
       then found := Some c)
-    t.cores;
+    (Lazy.force t.cores);
   match !found with
   | Some c -> c
   | None ->

@@ -13,7 +13,9 @@ type assignment = {
 }
 
 type t = {
-  cores : assignment list array;  (** Index = core id; creation order. *)
+  cores : assignment list array Lazy.t;
+      (** Index = core id; creation order.  Built on first force: packing
+          itself only counts tiles per core. *)
   tiles_used : int array;
   total_tiles : int;
   capacity_per_core : int;  (** Nominal (fault-free) macros per core. *)
@@ -28,11 +30,12 @@ val pack :
   replication:(int -> int) ->
   (t, string) result
 (** [pack units ~start_ ~stop ~replication] places every unit of the span
-    with [replication unit_index] copies.  [Error] explains the failure
-    (insufficient capacity or fragmentation, possibly induced by
-    [faults]).  Raises [Invalid_argument] on misuse: a bad span,
-    [replication < 1], a unit bigger than a pristine core, or a fault
-    scenario whose core count differs from the chip's. *)
+    with [replication unit_index] copies, counting tiles per core; the
+    per-core assignment lists ([cores]) are built only when forced.
+    [Error] explains the failure (insufficient capacity or fragmentation,
+    possibly induced by [faults]).  Raises [Invalid_argument] on misuse: a
+    bad span, [replication < 1], a unit bigger than a pristine core, or a
+    fault scenario whose core count differs from the chip's. *)
 
 val feasible : ?faults:Compass_arch.Fault.t -> Unit_gen.t -> start_:int -> stop:int -> bool
 (** Placement feasibility at replication 1 — the validity-map predicate. *)

@@ -31,11 +31,11 @@ let objective_value objective (perf : Estimator.perf) =
    span is [prev] — the exact expression (and association) of
    [Estimator.combine], so a DP path sums to the bit-identical
    [batch_latency_s] the estimator reports for the reconstructed group. *)
-let extend_latency ~write_overlap acc prev (sp : Estimator.span_perf) =
+let extend_latency ~write_overlap acc prev (sp : Estimator.span_cost) =
   let exposed_write =
     match prev with
     | None -> sp.Estimator.write_s
-    | Some (p : Estimator.span_perf) when write_overlap ->
+    | Some (p : Estimator.span_cost) when write_overlap ->
       let idle =
         max 0. (max p.Estimator.compute_s p.Estimator.io_s -. p.Estimator.io_s)
       in
@@ -48,13 +48,13 @@ let extend_latency ~write_overlap acc prev (sp : Estimator.span_perf) =
    latency; the latency is edge-separable (above), so energy is too:
    charge each edge its dynamic energy plus the static energy of the
    latency it adds. *)
-let extend_energy ~write_overlap ~static_power_w acc prev (sp : Estimator.span_perf) =
+let extend_energy ~write_overlap ~static_power_w acc prev (sp : Estimator.span_cost) =
   let dt = extend_latency ~write_overlap 0. prev sp in
   acc +. Fitness.span_fitness Fitness.Energy sp +. (static_power_w *. dt)
 
 (* The wear surrogate the GA minimizes is a plain span sum, accumulated in
    the same order [Fitness.group_fitness] folds it. *)
-let extend_wear acc _prev (sp : Estimator.span_perf) =
+let extend_wear acc _prev (sp : Estimator.span_cost) =
   acc +. Fitness.span_fitness Fitness.Wear sp
 
 (* Shortest path over the valid-span DAG with one state per valid span:
@@ -138,7 +138,7 @@ let optimize ?(objective = Fitness.Latency) ?(options = Estimator.default_option
   in
   let perf_of a b =
     check_budget ();
-    Estimator.span_perf_cached ~cache ctx ~start_:a ~stop:b
+    Estimator.span_cost_cached ~cache ctx ~start_:a ~stop:b
   in
   let chip = (Dataflow.units ctx).Unit_gen.chip in
   let static_power_w = chip.Compass_arch.Config.chip_power_w in
@@ -151,10 +151,10 @@ let optimize ?(objective = Fitness.Latency) ?(options = Estimator.default_option
       ~exact group perf =
     let valid_spans = count_valid_spans validity ~m in
     let spans_evaluated = Estimator.Span_cache.length cache - spans_before in
-    Compass_util.Metrics.incr ~by:valid_spans "dp.valid_spans";
-    Compass_util.Metrics.incr ~by:spans_evaluated "dp.spans_evaluated";
-    Compass_util.Metrics.incr ~by:edges "dp.edges_relaxed";
-    Compass_util.Metrics.incr ~by:group_evaluations "dp.group_evaluations";
+    Compass_util.Metrics.add "dp.valid_spans" valid_spans;
+    Compass_util.Metrics.add "dp.spans_evaluated" spans_evaluated;
+    Compass_util.Metrics.add "dp.edges_relaxed" edges;
+    Compass_util.Metrics.add "dp.group_evaluations" group_evaluations;
     {
       objective;
       group;

@@ -82,32 +82,29 @@ let place ?faults ?layers ctx ~batch ~start_ ~stop =
      programming (the paper's joint replacement/replication trade-off). *)
   let incremented = ref [] in
   let rec grow () =
-    let bottleneck = ref (-1) in
+    (* One scan finds both the worst replicable stage (the first on ties)
+       and the global worst stage. *)
+    let bottleneck = ref (-1) and global_worst = ref 0. in
     for l = 0 to n - 1 do
+      let s = stage l in
+      (* [max] on floats, without the polymorphic compare. *)
+      if not (!global_worst >= s) then global_worst := s;
       if layers.(l).Perf_model.mvms > 1
          && rep.(l) < max_rep.(l)
          && tiles l > 0
          && !used + tiles l <= budget
          && compute_saving l > write_cost l
       then
-        if !bottleneck < 0 || stage l > stage !bottleneck then bottleneck := l
+        if !bottleneck < 0 || s > stage !bottleneck then bottleneck := l
     done;
-    if !bottleneck >= 0 then begin
-      (* Only replicating the true pipeline bottleneck helps; if the worst
-         replicable stage is not the global bottleneck, stop. *)
-      let global_worst = ref 0. in
-      for l = 0 to n - 1 do
-        let s = stage l in
-        (* [max] on floats, without the polymorphic compare. *)
-        if not (!global_worst >= s) then global_worst := s
-      done;
-      if stage !bottleneck >= !global_worst *. (1. -. 1e-9) then begin
-        let l = !bottleneck in
-        set_rep l (rep.(l) + 1);
-        used := !used + tiles l;
-        incremented := l :: !incremented;
-        grow ()
-      end
+    (* Only replicating the true pipeline bottleneck helps; if the worst
+       replicable stage is not the global bottleneck, stop. *)
+    if !bottleneck >= 0 && stage !bottleneck >= !global_worst *. (1. -. 1e-9) then begin
+      let l = !bottleneck in
+      set_rep l (rep.(l) + 1);
+      used := !used + tiles l;
+      incremented := l :: !incremented;
+      grow ()
     end
   in
   if n > 0 then grow ();

@@ -199,7 +199,7 @@ let build ?faults ?(abft = false) ctx group ~batch ?(chunks = 4) () =
             (Instr.Weight_write
                { macro_count; bytes; addr; tag = Printf.sprintf "weights:P%d" p })
         end)
-      plan.mapping.Mapping.cores;
+      (Lazy.force plan.mapping.Mapping.cores);
     (* 2. Barrier: loads of this span happen after stores of the previous. *)
     for c = 0 to ncores - 1 do
       emitc c (Instr.Sync { token = p; parties = ncores })
@@ -281,7 +281,7 @@ let build ?faults ?(abft = false) ctx group ~batch ?(chunks = 4) () =
                      tiles = max 1 (ceil_div !total_ops !deepest);
                      tag = Printf.sprintf "P%d.c%d" p k;
                    }))
-          plan.mapping.Mapping.cores;
+          (Lazy.force plan.mapping.Mapping.cores);
         (* VFU merge per layer on its primary core. *)
         List.iter
           (fun (lp : Perf_model.layer_perf) ->

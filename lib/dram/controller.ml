@@ -201,14 +201,14 @@ let replay step ~timing ~energy ~mapping records =
   in
   let background_j = seconds *. energy.background_w in
   if Compass_util.Metrics.enabled () then begin
-    let m = Compass_util.Metrics.incr in
-    m ~by:cur.reads "dram.reads";
-    m ~by:cur.writes "dram.writes";
-    m ~by:cur.row_hits "dram.row_hits";
-    m ~by:cur.row_misses "dram.row_misses";
-    m ~by:cur.activates "dram.activates";
-    m ~by:cur.refreshes "dram.refreshes";
-    m ~by:cur.bus_stall_cycles "dram.bus_stall_cycles"
+    let m = Compass_util.Metrics.add in
+    m "dram.reads" cur.reads;
+    m "dram.writes" cur.writes;
+    m "dram.row_hits" cur.row_hits;
+    m "dram.row_misses" cur.row_misses;
+    m "dram.activates" cur.activates;
+    m "dram.refreshes" cur.refreshes;
+    m "dram.bus_stall_cycles" cur.bus_stall_cycles
   end;
   {
     cycles;

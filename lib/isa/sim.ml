@@ -357,18 +357,18 @@ let run ?(fault_events = []) chip programs =
         bump per_core e.core;
         bump per_label e.label)
       !events_rev;
-    Compass_util.Metrics.incr ~by:(List.length !events_rev) "sim.instrs";
+    Compass_util.Metrics.add "sim.instrs" (List.length !events_rev);
     Hashtbl.iter
-      (fun c n -> Compass_util.Metrics.incr ~by:n (Printf.sprintf "sim.core.%d.instrs" c))
+      (fun c n -> Compass_util.Metrics.add (Printf.sprintf "sim.core.%d.instrs" c) n)
       per_core;
     Hashtbl.iter
-      (fun label n -> Compass_util.Metrics.incr ~by:n ("sim.instr." ^ label))
+      (fun label n -> Compass_util.Metrics.add ("sim.instr." ^ label) n)
       per_label;
-    Compass_util.Metrics.incr ~by:!dropped "sim.dropped_instructions";
+    Compass_util.Metrics.add "sim.dropped_instructions" !dropped;
     if shared.checks_run > 0 then begin
-      Compass_util.Metrics.incr ~by:shared.checks_run "sim.checks";
-      Compass_util.Metrics.incr ~by:shared.detections "sim.detections";
-      Compass_util.Metrics.incr ~by:shared.retried_mvms "sim.retried_mvms"
+      Compass_util.Metrics.add "sim.checks" shared.checks_run;
+      Compass_util.Metrics.add "sim.detections" shared.detections;
+      Compass_util.Metrics.add "sim.retried_mvms" shared.retried_mvms
     end
   end;
   let makespan = List.fold_left (fun acc c -> max acc c.time) 0. cores in

@@ -131,7 +131,7 @@ let gemm_group ~buf ~weights ~out ~k ~p ~group_out ~oc_base ~tile =
 let now () = Unix.gettimeofday ()
 
 let record_gemm_ns seconds =
-  Compass_util.Metrics.incr "infer.gemm_ns" ~by:(int_of_float (seconds *. 1e9))
+  Compass_util.Metrics.add "infer.gemm_ns" (int_of_float (seconds *. 1e9))
 
 let conv ?scratch (conv : Layer.conv) ~weights ~input ~height ~width =
   let { Layer.in_channels; out_channels; kernel_h; kernel_w; stride; padding; groups } =
@@ -164,7 +164,7 @@ let conv ?scratch (conv : Layer.conv) ~weights ~input ~height ~width =
     if metrics_on then gemm_s := !gemm_s +. (now () -. t0)
   done;
   if metrics_on then begin
-    Compass_util.Metrics.incr "infer.im2col_bytes" ~by:(8 * groups * packed);
+    Compass_util.Metrics.add "infer.im2col_bytes" (8 * groups * packed);
     record_gemm_ns !gemm_s
   end;
   (out, oh, ow)

@@ -73,14 +73,16 @@ let reset () =
   Mutex.unlock registry_mutex
 
 (* [Hashtbl.find] rather than [find_opt]: a hit allocates nothing. *)
-let incr ?(by = 1) name =
+let add name n =
   if Atomic.get on then begin
     let b = buffer () in
     match Hashtbl.find b.table name with
-    | Counter r -> r := !r + by
-    | Gauge _ | Hist _ -> invalid_arg (Printf.sprintf "Metrics.incr: %s is not a counter" name)
-    | exception Not_found -> Hashtbl.add b.table name (Counter (ref by))
+    | Counter r -> r := !r + n
+    | Gauge _ | Hist _ -> invalid_arg (Printf.sprintf "Metrics.add: %s is not a counter" name)
+    | exception Not_found -> Hashtbl.add b.table name (Counter (ref n))
   end
+
+let incr name = add name 1
 
 let set name v =
   if Atomic.get on then begin

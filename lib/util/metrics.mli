@@ -27,8 +27,12 @@ val reset : unit -> unit
 (** Drop all recorded values (all domains).  Call only while no worker
     domain is inside an instrumented region. *)
 
-val incr : ?by:int -> string -> unit
-(** Add [by] (default 1) to a counter, creating it at 0 first. *)
+val add : string -> int -> unit
+(** [add name n] adds [n] to a counter, creating it at 0 first.  A hit on
+    an existing counter allocates nothing. *)
+
+val incr : string -> unit
+(** [add name 1]. *)
 
 val set : string -> float -> unit
 (** Set a gauge; the latest set (across all domains) wins. *)

@@ -307,7 +307,7 @@ let test_group_fitness_is_sum () =
   let p = eval ctx v `Greedy in
   let sum =
     List.fold_left
-      (fun acc sp -> acc +. Fitness.span_fitness Fitness.Latency sp)
+      (fun acc sp -> acc +. Fitness.span_fitness Fitness.Latency (Estimator.span_cost_of sp))
       0. p.Estimator.spans
   in
   Alcotest.(check (float 1e-12)) "PGF sums spans" sum
@@ -317,9 +317,8 @@ let test_unit_profile_covers_units () =
   let units, v, ctx = setup "resnet18" Config.chip_s in
   let p = eval ctx v `Greedy in
   let m = Unit_gen.unit_count units in
-  let profile =
-    Fitness.population_profile Fitness.Latency [| p.Estimator.spans |] ~total_units:m
-  in
+  let costs = List.map Estimator.span_cost_of p.Estimator.spans in
+  let profile = Fitness.population_profile Fitness.Latency [| costs |] ~total_units:m in
   Alcotest.(check int) "length" (m + 1) (Array.length profile);
   Alcotest.(check (float 0.)) "starts at zero" 0. profile.(0);
   (* Every unit carries a positive share, so the prefix sum rises strictly. *)
@@ -331,12 +330,9 @@ let test_partition_scores_positive () =
   let units, v, ctx = setup "resnet18" Config.chip_s in
   let p = eval ctx v `Greedy in
   let m = Unit_gen.unit_count units in
-  let prefix =
-    Fitness.population_profile Fitness.Latency [| p.Estimator.spans |] ~total_units:m
-  in
-  let scores =
-    Fitness.partition_scores ~population_profile:prefix Fitness.Latency p.Estimator.spans
-  in
+  let costs = List.map Estimator.span_cost_of p.Estimator.spans in
+  let prefix = Fitness.population_profile Fitness.Latency [| costs |] ~total_units:m in
+  let scores = Fitness.partition_scores ~population_profile:prefix Fitness.Latency costs in
   Alcotest.(check int) "one per partition" (List.length p.Estimator.spans)
     (Array.length scores);
   (* With the population = this single individual, every score is 1. *)
@@ -354,7 +350,9 @@ let reference_profile objective perfs ~total_units =
       List.iter
         (fun (sp : Estimator.span_perf) ->
           let len = sp.Estimator.stop - sp.Estimator.start_ in
-          let per_unit = Fitness.span_fitness objective sp /. float_of_int len in
+          let per_unit =
+            Fitness.span_fitness objective (Estimator.span_cost_of sp) /. float_of_int len
+          in
           for i = sp.Estimator.start_ to sp.Estimator.stop - 1 do
             m.(i) <- per_unit
           done)
@@ -380,10 +378,70 @@ let prop_population_profile_bit_equal =
       List.for_all
         (fun objective ->
           let bits a = Array.map Int64.bits_of_float a in
-          let spans = Array.map (fun p -> p.Estimator.spans) perfs in
+          let spans =
+            Array.map (fun p -> List.map Estimator.span_cost_of p.Estimator.spans) perfs
+          in
           bits (Fitness.population_profile objective spans ~total_units:m)
           = bits (reference_profile objective perfs ~total_units:m))
         [ Fitness.Latency; Fitness.Energy; Fitness.Edp; Fitness.Wear ])
+
+(* Span costs *)
+
+(* The span fitness as it was computed from the full record, before the
+   caches held costs. *)
+let reference_span_fitness objective (sp : Estimator.span_perf) =
+  let energy =
+    sp.Estimator.mvm_energy_j +. sp.Estimator.vfu_energy_j +. sp.Estimator.write_energy_j
+    +. sp.Estimator.bus_energy_j +. sp.Estimator.dram_energy_j
+  in
+  match objective with
+  | Fitness.Latency -> sp.Estimator.span_s
+  | Fitness.Energy -> energy
+  | Fitness.Edp -> sp.Estimator.span_s *. energy
+  | Fitness.Wear -> sp.Estimator.span_s +. sp.Estimator.wear_cost_s
+
+let prop_cached_cost_fitness_bit_equal =
+  let nets =
+    List.map
+      (fun name ->
+        let units, v, ctx = setup name Config.chip_s in
+        (Unit_gen.unit_count units, v, ctx))
+      [ "resnet18"; "vgg16" ]
+  in
+  QCheck.Test.make ~name:"span fitness of a cached cost bit-equal to the record's"
+    ~count:60
+    QCheck.(triple (int_range 0 1) bool (pair small_nat small_nat))
+    (fun (net, big_batch, (da, db)) ->
+      let m, v, ctx = List.nth nets net in
+      let batch = if big_batch then 16 else 1 in
+      let a = da mod m in
+      let b = a + 1 + (db mod (Validity.max_end v a - a)) in
+      let cache = Estimator.Span_cache.create ~batch () in
+      let miss = Estimator.span_cost_cached ~cache ctx ~start_:a ~stop:b in
+      let hit = Estimator.span_cost_cached ~cache ctx ~start_:a ~stop:b in
+      let sp = Estimator.span_perf ctx ~batch ~start_:a ~stop:b in
+      List.for_all
+        (fun objective ->
+          let want = Int64.bits_of_float (reference_span_fitness objective sp) in
+          Int64.bits_of_float (Fitness.span_fitness objective miss) = want
+          && Int64.bits_of_float (Fitness.span_fitness objective hit) = want)
+        [ Fitness.Latency; Fitness.Energy; Fitness.Edp; Fitness.Wear ])
+
+(* A cached cost is one 9-word block (header, two ints, six float
+   pointers) plus its six boxed floats: 21 words.  A field that keeps the
+   span's full record (or any part of it) reachable from the cache would
+   push a cost past this bound. *)
+let test_cost_retention_bound () =
+  let units, v, ctx = setup "vgg16" Config.chip_s in
+  let cache = Estimator.Span_cache.create ~batch:16 () in
+  for a = 0 to Unit_gen.unit_count units - 1 do
+    for b = a + 1 to Validity.max_end v a do
+      let c = Estimator.span_cost_cached ~cache ctx ~start_:a ~stop:b in
+      let words = Obj.reachable_words (Obj.repr c) in
+      if words > 21 then
+        Alcotest.failf "span [%d,%d): cost reaches %d words (bound 21)" a b words
+    done
+  done
 
 (* Endurance *)
 
@@ -545,6 +603,8 @@ let () =
           Alcotest.test_case "unit profile covers" `Quick test_unit_profile_covers_units;
           Alcotest.test_case "partition scores" `Quick test_partition_scores_positive;
           QCheck_alcotest.to_alcotest prop_population_profile_bit_equal;
+          QCheck_alcotest.to_alcotest prop_cached_cost_fitness_bit_equal;
+          Alcotest.test_case "cost retention bound" `Quick test_cost_retention_bound;
         ] );
       ("endurance", [ QCheck_alcotest.to_alcotest prop_endurance_closed_form ]);
     ]

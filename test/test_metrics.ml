@@ -247,6 +247,31 @@ let test_histogram_merges_across_domains () =
   in
   Alcotest.(check (list int)) "count independent of workers" [ 64; 64 ] counts
 
+(* Counting must not allocate: the search publishes its counters on every
+   evaluation wave.  [minor_words] boxes its result, so the cost of one
+   bare reading pair is subtracted. *)
+let minor_words_of f =
+  let calibrate = Gc.minor_words () in
+  let bare = Gc.minor_words () -. calibrate in
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before -. bare
+
+let test_counting_allocates_nothing () =
+  let count () =
+    for i = 1 to 1000 do
+      Metrics.incr "alloc.incr";
+      Metrics.add "alloc.add" i
+    done
+  in
+  Alcotest.(check (float 0.)) "disabled" 0. (minor_words_of count);
+  with_metrics (fun () ->
+      (* The first calls create the counters; every later one is a hit. *)
+      count ();
+      Alcotest.(check (float 0.)) "enabled, 1000 hits each" 0. (minor_words_of count);
+      Alcotest.(check int) "incr counted" 2000 (metric "alloc.incr");
+      Alcotest.(check int) "add counted" 1001000 (metric "alloc.add"))
+
 let () =
   Alcotest.run "metrics"
     [
@@ -263,6 +288,9 @@ let () =
           Alcotest.test_case "full compile catalogue" `Quick test_full_compile_catalogue;
           Alcotest.test_case "ga counters pinned" `Quick test_ga_counters_pinned;
         ] );
+      ( "allocation",
+        [ Alcotest.test_case "counting allocates nothing" `Quick test_counting_allocates_nothing ]
+      );
       ( "histogram",
         [
           Alcotest.test_case "quantiles bounded" `Quick test_histogram_quantiles;

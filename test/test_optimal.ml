@@ -262,6 +262,30 @@ let test_compile_prepared_bit_identical () =
         direct.Compiler.perf.Estimator.energy_j shared.Compiler.perf.Estimator.energy_j)
     [ Compiler.Optimal; Compiler.Compass; Compiler.Greedy; Compiler.Layerwise ]
 
+(* The DP's span cache holds costs only, so the chosen group's [perf] is
+   assembled from fresh records; it must be exactly what a fresh
+   evaluation of the group gives, from a cold cache and from one the
+   previous objective's sweep already filled. *)
+let test_dp_perf_is_evaluate () =
+  List.iter
+    (fun (name, options) ->
+      let _, v, ctx = setup name Config.chip_s in
+      let cache = Estimator.Span_cache.create ~options ~batch:16 () in
+      List.iter
+        (fun objective ->
+          let r = Optimal.optimize ~objective ~options ~cache ctx v ~batch:16 in
+          let fresh = Estimator.evaluate ~options ctx ~batch:16 r.Optimal.group in
+          let bits p = Marshal.to_string p [ Marshal.No_sharing ] in
+          Alcotest.(check bool)
+            (name ^ "/" ^ Fitness.objective_to_string objective ^ ": perf bit-identical")
+            true
+            (String.equal (bits r.Optimal.perf) (bits fresh)))
+        [ Fitness.Latency; Fitness.Energy; Fitness.Edp; Fitness.Wear ])
+    [
+      ("resnet18", Estimator.default_options);
+      ("squeezenet", { Estimator.default_options with Estimator.write_overlap = false });
+    ]
+
 let test_warm_start_compile () =
   let model = Compass_nn.Models.by_name "resnet18" in
   let plan =
@@ -306,6 +330,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_dp_deterministic;
           Alcotest.test_case "evaluation counts" `Quick test_dp_far_fewer_evaluations;
           Alcotest.test_case "warm cache" `Quick test_warm_cache_reused;
+          Alcotest.test_case "perf is a fresh evaluation" `Quick test_dp_perf_is_evaluate;
           QCheck_alcotest.to_alcotest prop_dp_below_random_groups;
         ] );
       ( "warm-start",

@@ -183,6 +183,113 @@ let prop_allocation_valid_on_random_spans =
       | Ok _ -> true
       | Error _ -> false)
 
+(* The greedy as it was before its two scans were fused: one scan for the
+   worst replicable stage, a second for the global worst stage, then the
+   same fragmentation shrink. *)
+let reference_place ctx ~batch ~start_ ~stop =
+  let units = Dataflow.units ctx in
+  let chip = units.Unit_gen.chip in
+  let budget = Config.total_macros chip in
+  let layer_list = Perf_model.span_layers ctx ~start_ ~stop in
+  let layers = Array.of_list layer_list in
+  let n = Array.length layers in
+  let rep = Array.make n 1 in
+  let tiles l = layers.(l).Perf_model.tiles_in_span in
+  let used = ref (Array.fold_left (fun acc p -> acc + p.Perf_model.tiles_in_span) 0 layers) in
+  let fbatch = float_of_int batch in
+  let wl = Crossbar.write_latency_s chip.Config.crossbar in
+  let fcores = float_of_int chip.Config.cores in
+  let stage_num =
+    Array.map (fun p -> float_of_int p.Perf_model.mvms *. p.Perf_model.op_time_s) layers
+  in
+  let stage_arr = Array.map (fun num -> num /. 1.) stage_num in
+  let write_cost l = float_of_int (tiles l) *. wl /. fcores in
+  let saving_num =
+    Array.map
+      (fun p -> fbatch *. float_of_int p.Perf_model.mvms *. p.Perf_model.op_time_s)
+      layers
+  in
+  let saving_at l r =
+    let r = float_of_int r in
+    saving_num.(l) *. ((1. /. r) -. (1. /. (r +. 1.)))
+  in
+  let saving_arr = Array.init n (fun l -> saving_at l 1) in
+  let set_rep l r =
+    rep.(l) <- r;
+    stage_arr.(l) <- stage_num.(l) /. float_of_int r;
+    saving_arr.(l) <- saving_at l r
+  in
+  let max_rep = Array.map Perf_model.max_useful_replication layers in
+  let incremented = ref [] in
+  let rec grow () =
+    let bottleneck = ref (-1) in
+    for l = 0 to n - 1 do
+      if layers.(l).Perf_model.mvms > 1
+         && rep.(l) < max_rep.(l)
+         && tiles l > 0
+         && !used + tiles l <= budget
+         && saving_arr.(l) > write_cost l
+      then
+        if !bottleneck < 0 || stage_arr.(l) > stage_arr.(!bottleneck) then bottleneck := l
+    done;
+    if !bottleneck >= 0 then begin
+      let global_worst = ref 0. in
+      for l = 0 to n - 1 do
+        let s = stage_arr.(l) in
+        if not (!global_worst >= s) then global_worst := s
+      done;
+      if stage_arr.(!bottleneck) >= !global_worst *. (1. -. 1e-9) then begin
+        let l = !bottleneck in
+        set_rep l (rep.(l) + 1);
+        used := !used + tiles l;
+        incremented := l :: !incremented;
+        grow ()
+      end
+    end
+  in
+  if n > 0 then grow ();
+  let rep_of_unit i =
+    let node = Unit_gen.layer_of_unit units i in
+    let rec find l =
+      if l = n then 1 else if layers.(l).Perf_model.node = node then rep.(l) else find (l + 1)
+    in
+    find 0
+  in
+  let rec shrink () =
+    match Mapping.pack units ~start_ ~stop ~replication:rep_of_unit with
+    | Ok _ -> ()
+    | Error msg -> (
+      match !incremented with
+      | [] -> Alcotest.fail ("reference_place: infeasible span: " ^ msg)
+      | l :: rest ->
+        set_rep l (rep.(l) - 1);
+        used := !used - tiles l;
+        incremented := rest;
+        shrink ())
+  in
+  shrink ();
+  (List.mapi (fun l p -> (p.Perf_model.node, rep.(l))) layer_list, !used)
+
+let test_place_matches_two_scan_greedy () =
+  List.iter
+    (fun name ->
+      let units, v, ctx = setup name Config.chip_l in
+      List.iter
+        (fun batch ->
+          for a = 0 to Unit_gen.unit_count units - 1 do
+            for b = a + 1 to Validity.max_end v a do
+              let got = (Replication.place ctx ~batch ~start_:a ~stop:b).Replication.replication in
+              let per_layer, tiles_used = reference_place ctx ~batch ~start_:a ~stop:b in
+              let label = Printf.sprintf "%s-L-%d [%d,%d)" name batch a b in
+              if got.Replication.per_layer <> per_layer then
+                Alcotest.fail (label ^ ": per-layer replication differs");
+              Alcotest.(check int) (label ^ ": tiles used") tiles_used
+                got.Replication.tiles_used
+            done
+          done)
+        [ 1; 16 ])
+    [ "squeezenet"; "mobilenet_v1" ]
+
 (* Packing: the bucket fill against per-item first-fit-decreasing. *)
 
 (* First-fit-decreasing one item at a time: every replica of every unit,
@@ -267,7 +374,7 @@ let prop_pack_matches_first_fit =
       let expected = reference_pack ~capacities units ~start_ ~stop ~replication in
       match (Mapping.pack ?faults units ~start_ ~stop ~replication, expected) with
       | Ok got, Ok (cores, tiles_used) ->
-        got.Mapping.cores = cores
+        Lazy.force got.Mapping.cores = cores
         && got.Mapping.tiles_used = tiles_used
         && got.Mapping.total_tiles = Array.fold_left ( + ) 0 tiles_used
         && got.Mapping.capacities = capacities
@@ -298,6 +405,8 @@ let () =
             test_default_replication_for_absent_layer;
           Alcotest.test_case "greedy spans little spare" `Quick
             test_greedy_spans_little_spare;
+          Alcotest.test_case "place = two-scan greedy" `Quick
+            test_place_matches_two_scan_greedy;
           QCheck_alcotest.to_alcotest prop_allocation_valid_on_random_spans;
         ] );
       ("packing", [ QCheck_alcotest.to_alcotest prop_pack_matches_first_fit ]);

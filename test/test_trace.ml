@@ -173,7 +173,7 @@ let test_metrics_disabled_is_noop () =
 let test_counter_and_gauge_basics () =
   with_observability @@ fun () ->
   Metrics.incr "c";
-  Metrics.incr ~by:41 "c";
+  Metrics.add "c" 41;
   Metrics.set "g" 1.5;
   Metrics.set "g" 2.5;
   Alcotest.(check (option int)) "counter sums" (Some 42) (Metrics.find_int "c");
@@ -210,7 +210,7 @@ let prop_counter_merge_worker_count_independent =
           ignore
             (Pool.map pool
                (fun (i, by) ->
-                 Metrics.incr ~by (name i);
+                 Metrics.add (name i) by;
                  0)
                (Array.of_list increments)));
       Hashtbl.fold
