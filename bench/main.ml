@@ -998,7 +998,7 @@ let micro () =
         Test.make ~name:"fig6/group_evaluate_no_table"
           (Staged.stage (fun () -> Estimator.evaluate ctx_no_table ~batch:16 greedy));
         Test.make ~name:"fig7/schedule_build"
-          (Staged.stage (fun () -> Scheduler.build ctx greedy ~batch:4 ()));
+          (Staged.stage (fun () -> Scheduler.build ctx greedy ~batch:4));
         Test.make ~name:"fig10/ga_quick"
           (Staged.stage (fun () ->
                Ga.optimize

@@ -139,11 +139,10 @@ type measurement = {
   dram : Compass_dram.Controller.stats;
 }
 
-let schedule ?chunks ?abft t =
-  Scheduler.build ?faults:t.faults ?abft t.ctx t.group ~batch:t.batch ?chunks ()
+let schedule ?abft t = Scheduler.build ?faults:t.faults ?abft t.ctx t.group ~batch:t.batch
 
-let measure ?chunks ?abft t =
-  let sched = schedule ?chunks ?abft t in
+let measure ?abft t =
+  let sched = schedule ?abft t in
   let sim = Scheduler.simulate t.ctx sched in
   let dram = Scheduler.dram_stats t.ctx sim in
   { schedule = sched; sim; dram }
@@ -161,8 +160,11 @@ type repair = {
   degradation : float;
 }
 
-let repair ?ga_params ?(recompile_above = 1.5) t ~faults =
-  if recompile_above < 0. then invalid_arg "Compiler.repair: recompile_above < 0";
+(* A local re-split slower than this factor of the original plan is
+   replaced by a full recompile. *)
+let recompile_above = 1.5
+
+let repair ?ga_params t ~faults =
   match Validity.build ~faults t.units with
   | exception Invalid_argument msg -> Error msg
   | validity -> (
@@ -225,13 +227,13 @@ type fault_run = {
   recovery_latency_s : float;
 }
 
-let measure_with_faults ?chunks ?ga_params ?recompile_above t ~at_s ~faults =
+let measure_with_faults ?ga_params t ~at_s ~faults =
   if Compass_arch.Fault.cores faults <> t.chip.Compass_arch.Config.cores then
     invalid_arg "Compiler.measure_with_faults: fault scenario core count mismatch";
-  match repair ?ga_params ?recompile_above t ~faults with
+  match repair ?ga_params t ~faults with
   | Error msg -> Error msg
   | Ok r ->
-    let sched = schedule ?chunks t in
+    let sched = schedule t in
     let fault_events =
       List.init t.chip.Compass_arch.Config.cores (fun c ->
           match Compass_arch.Fault.status faults c with
@@ -240,7 +242,7 @@ let measure_with_faults ?chunks ?ga_params ?recompile_above t ~at_s ~faults =
       |> List.filter_map Fun.id
     in
     let faulted_sim = Compass_isa.Sim.run ~fault_events t.chip sched.Scheduler.programs in
-    let repaired = measure ?chunks r.plan in
+    let repaired = measure r.plan in
     Ok
       {
         faulted_sim;

@@ -125,12 +125,12 @@ type measurement = {
   dram : Compass_dram.Controller.stats;
 }
 
-val schedule : ?chunks:int -> ?abft:bool -> t -> Scheduler.t
+val schedule : ?abft:bool -> t -> Scheduler.t
 (** [?abft] (default false) lowers with ABFT [Check] instructions (see
     {!Scheduler.build}); the plan itself — and therefore saved plan files
     and checkpoints — is unaffected. *)
 
-val measure : ?chunks:int -> ?abft:bool -> t -> measurement
+val measure : ?abft:bool -> t -> measurement
 (** Lower, simulate and replay the DRAM trace. *)
 
 (** {1 Plan repair under newly observed faults} *)
@@ -150,17 +150,14 @@ type repair = {
 
 val repair :
   ?ga_params:Ga.params ->
-  ?recompile_above:float ->
   t ->
   faults:Compass_arch.Fault.t ->
   (repair, string) result
 (** Adapt a compiled plan to newly observed [faults].  Spans still valid
     under the degraded validity map keep their boundaries and are merely
     re-mapped; broken spans are re-split with a greedy walk over the
-    faulted map.  If the repaired latency exceeds
-    [recompile_above] (default 1.5) times the original, a full
-    [compile ~faults] runs instead (set [recompile_above] to [0.] to force
-    it).  [Error] when the model cannot run on the degraded chip at all
+    faulted map.  If the re-split latency exceeds 1.5 times the
+    original, a full [compile ~faults] runs instead.  [Error] when the model cannot run on the degraded chip at all
     (some unit fits no surviving core). *)
 
 type fault_run = {
@@ -177,9 +174,7 @@ type fault_run = {
 }
 
 val measure_with_faults :
-  ?chunks:int ->
   ?ga_params:Ga.params ->
-  ?recompile_above:float ->
   t ->
   at_s:float ->
   faults:Compass_arch.Fault.t ->

@@ -1,16 +1,11 @@
 open Compass_nn
 open Compass_arch
 
-type policy = {
-  max_retries : int;
-  max_remaps : int;
-  backoff_s : float;
-  allow_remap : bool;
-  budget : Compass_util.Budget.t option;
-}
-
-let default_policy =
-  { max_retries = 2; max_remaps = 4; backoff_s = 1e-4; allow_remap = true; budget = None }
+(* Escalation bounds: retries per faulty layer, core retirements per
+   request, and the first backoff, which doubles per attempt. *)
+let max_retries = 2
+let max_remaps = 4
+let backoff_s = 1e-4
 
 type action =
   | Detected of {
@@ -98,7 +93,7 @@ let retire faults ~cores victim =
     ~weight_flips:(Fault.weight_flips base)
     ?drift:(Fault.drift base) statuses
 
-let run ?(policy = default_policy) ?(seed = 0) ?faults ~weights ~input plan0 =
+let run ?(seed = 0) ?faults ~weights ~input plan0 =
   let units = plan0.Compiler.units in
   let model = units.Unit_gen.model in
   let chip = plan0.Compiler.chip in
@@ -109,7 +104,7 @@ let run ?(policy = default_policy) ?(seed = 0) ?faults ~weights ~input plan0 =
     | None -> plan0.Compiler.faults
   in
   (* Backoff is modeled, never slept: recovery never blocks a request. *)
-  let retry = Compass_util.Retry.make ~retries:policy.max_retries ~base_s:policy.backoff_s () in
+  let retry = Compass_util.Retry.make ~retries:max_retries ~base_s:backoff_s () in
   (match (Graph.entry_nodes model, Graph.exit_nodes model) with
   | [ _ ], [ _ ] -> ()
   | _ -> invalid_arg "Recovery.run: expected exactly one input and one output");
@@ -199,9 +194,6 @@ let run ?(policy = default_policy) ?(seed = 0) ?faults ~weights ~input plan0 =
   and backoff_total = ref 0. in
   let actions = ref [] in
   let push a = actions := a :: !actions in
-  let expired () =
-    match policy.budget with Some b -> Compass_util.Budget.expired b | None -> false
-  in
   (* One ABFT pass over every unit of a layer against the current codes. *)
   let verify_layer node codes =
     List.concat_map
@@ -236,7 +228,7 @@ let run ?(policy = default_policy) ?(seed = 0) ?faults ~weights ~input plan0 =
           (* Stage 1: retry — transient stuck-at cells clear on re-read. *)
           let rec stage1 attempt =
             if !mismatches <> [] then
-              match Compass_util.Retry.next ?budget:policy.budget retry ~attempt with
+              match Compass_util.Retry.next retry ~attempt with
               | Compass_util.Retry.Exhausted | Compass_util.Retry.Expired -> ()
               | Compass_util.Retry.Again backoff ->
                 backoff_total := !backoff_total +. backoff;
@@ -256,10 +248,7 @@ let run ?(policy = default_policy) ?(seed = 0) ?faults ~weights ~input plan0 =
           stage1 0;
           (* Stage 2: remap — retire the faulty core and repair the plan
              so the unit's weights are reprogrammed on spare capacity. *)
-          while
-            !mismatches <> [] && policy.allow_remap && !remaps < policy.max_remaps
-            && not (expired ())
-          do
+          while !mismatches <> [] && !remaps < max_remaps do
             let victim = !locate (List.hd !mismatches).Abft.unit_index in
             let augmented =
               retire !plan.Compiler.faults ~cores:chip.Config.cores victim

@@ -5,38 +5,25 @@
     weights quantized to the chip's cell precision, with the fault sites
     of the plan's scenario ({!Inject}) physically corrupting resident
     codes.  Before each layer's MVM an ABFT checksum pass ({!Abft})
-    verifies every partition unit; on a mismatch the policy engine
-    escalates:
+    verifies every partition unit; on a mismatch recovery escalates:
 
-    + {b retry} with exponential backoff — transient stuck-at cells clear
-      on re-read;
-    + {b remap} — retire the faulty core (localized via the plan's
-      replica-0 mapping) and adapt the plan with [Compiler.repair], so
-      the unit's weights are reprogrammed on spare capacity and read
-      clean;
+    + {b retry}, up to 2 times per faulty layer — transient stuck-at
+      cells clear on re-read.  Retries follow {!Compass_util.Retry}: the
+      backoff starts at 1e-4 s and doubles per attempt.  It is
+      {e modeled}, never slept: it is reported in [Retried] actions and
+      [backoff_total_s];
+    + {b remap}, up to 4 times per request — retire the faulty core
+      (localized via the plan's replica-0 mapping) and adapt the plan
+      with [Compiler.repair], so the unit's weights are reprogrammed on
+      spare capacity and read clean;
     + {b degrade} — flag the output but keep serving, when no spare
-      capacity remains or the request deadline expired.
+      capacity or remap remains.
 
     Because detection is exact integer comparison and recovery restores
     pristine codes, a recovered run is {e bit-identical} to the
     fault-free reference under any single persistent cell fault, and a
     clean run reports zero detections.  All events surface as
     [recovery.*] metrics counters and [recovery.*] trace spans. *)
-
-type policy = {
-  max_retries : int;  (** Retry attempts per faulty layer (default 2). *)
-  max_remaps : int;  (** Core retirements per request (default 4). *)
-  backoff_s : float;  (** Initial backoff (default 1e-4 s); doubles per attempt. *)
-  allow_remap : bool;  (** False confines recovery to retry + degrade (default true). *)
-  budget : Compass_util.Budget.t option;
-      (** Per-request deadline (default none): when expired, retries and remaps stop and
-          the run degrades instead of blocking the request.  Deadlines
-          read the budget's own injectable clock — recovery never reads
-          the wall clock directly. *)
-}
-(** Retries follow {!Compass_util.Retry}: [backoff_s] doubles per
-    attempt, up to 60 s.  Backoff is {e modeled}, never slept: it is
-    reported in [Retried] actions and [backoff_total_s]. *)
 
 type action =
   | Detected of {
@@ -78,7 +65,6 @@ type report = {
 }
 
 val run :
-  ?policy:policy ->
   ?seed:int ->
   ?faults:Compass_arch.Fault.t ->
   weights:Compass_nn.Executor.weights ->
@@ -87,9 +73,8 @@ val run :
   report
 (** [run ~weights ~input plan] executes one inference under the fault
     scenario (default: the plan's own; sites realized from [seed],
-    default 0).  Raises [Invalid_argument] on missing weights, a model
-    without exactly one input/output, or a policy {!Compass_util.Retry.make}
-    rejects. *)
+    default 0).  Raises [Invalid_argument] on missing weights or a model
+    without exactly one input/output. *)
 
 val pp_action : Format.formatter -> action -> unit
 val pp_report : Format.formatter -> report -> unit

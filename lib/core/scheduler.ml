@@ -95,7 +95,7 @@ let consumer_cores ctx plan node =
     | [] -> [ 0 ])
   | cores -> cores
 
-let build ?faults ?(abft = false) ctx group ~batch ?(chunks = 4) () =
+let build ?faults ?(abft = false) ctx group ~batch =
   if batch < 1 then invalid_arg "Scheduler.build: batch < 1";
   Compass_util.Trace.with_span "schedule.build"
     ~args:[ ("batch", string_of_int batch) ]
@@ -103,7 +103,7 @@ let build ?faults ?(abft = false) ctx group ~batch ?(chunks = 4) () =
   let units = Dataflow.units ctx in
   if Partition.total_units group <> Unit_gen.unit_count units then
     invalid_arg "Scheduler.build: group does not cover the decomposition";
-  let chunks = max 1 (min chunks batch) in
+  let chunks = min 4 batch in
   let chip = units.Unit_gen.chip in
   let ncores = chip.Compass_arch.Config.cores in
   let model = units.Unit_gen.model in

@@ -13,8 +13,8 @@
     - tensors that fit the on-chip activation buffers are handed to the
       next partition as core-to-core [Send]/[Recv] pairs instead of
       DRAM round trips ([Dataflow.spills_to_dram] decides);
-    - compute is emitted in [chunks] batch slices so the simulator
-      reproduces intra-partition pipelining across layers.
+    - compute is emitted in 4 batch slices (fewer when [batch < 4]) so
+      the simulator reproduces intra-partition pipelining across layers.
 
     Weight blobs live in a dedicated DRAM region; boundary tensors are
     placed by [Memory_alloc] when produced and freed after their last
@@ -34,15 +34,12 @@ val build :
   Dataflow.ctx ->
   Partition.t ->
   batch:int ->
-  ?chunks:int ->
-  unit ->
   t
-(** [chunks] (default 4, clamped to [batch]) slices the batch for
-    pipelined emission.  Under [faults], placement uses per-core effective
+(** Under [faults], placement uses per-core effective
     capacities, so dead cores receive no work (they still participate in
     the chip-wide [Sync] barriers, which are control broadcasts).
     [?abft] (default false) emits a [Check] instruction per layer per
-    chunk on the layer's primary core — the ABFT checksum verification of
+    batch slice on the layer's primary core — the ABFT checksum verification of
     that chunk's MVM results, costed via {!Abft.check_ops_per_mvm} —
     mirrored by the estimator's [abft] model option.  Raises
     [Invalid_argument] on a group that does not cover the decomposition or

@@ -1,7 +1,3 @@
-type address_mapping =
-  | Row_interleaved
-  | Bank_interleaved
-
 type energy_model = {
   activate_j : float;
   read_burst_j : float;
@@ -42,7 +38,6 @@ let effective_bandwidth s = if s.seconds <= 0. then 0. else s.bytes /. s.seconds
 
 type cursor = {
   timing : Timing.t;
-  mapping : address_mapping;
   banks : Bank.t array;
   mutable now : int;  (* command-issue cursor *)
   mutable data_bus_free : int;
@@ -57,10 +52,9 @@ type cursor = {
   mutable bus_stall_cycles : int;
 }
 
-let create_cursor timing mapping =
+let create_cursor timing =
   {
     timing;
-    mapping;
     banks = Array.init timing.Timing.banks (fun _ -> Bank.create timing);
     now = 0;
     data_bus_free = 0;
@@ -75,24 +69,17 @@ let create_cursor timing mapping =
     bus_stall_cycles = 0;
   }
 
-(* Address mapping policies (DRAMsim3's address-mapping strings). *)
+let row_bursts g = g.Timing.row_bytes / Timing.burst_bytes g
+
+(* Row-interleaved address mapping: sequential bursts stream across a row,
+   then move to the next bank; rows change only every banks*row_bursts
+   bursts. *)
 let locate cur burst_index =
   let g = cur.timing in
-  let row_bursts = g.Timing.row_bytes / Timing.burst_bytes g in
-  match cur.mapping with
-  | Row_interleaved ->
-    (* Sequential bursts stream across a 2 KB row, then move to the next
-       bank; rows change only every banks*row_bursts bursts. *)
-    let bank = burst_index / row_bursts mod g.Timing.banks in
-    let row = burst_index / (row_bursts * g.Timing.banks) in
-    (bank, row)
-  | Bank_interleaved ->
-    (* Consecutive bursts rotate across banks; each bank still fills its
-       row before advancing. *)
-    let bank = burst_index mod g.Timing.banks in
-    let within_bank = burst_index / g.Timing.banks in
-    let row = within_bank / row_bursts in
-    (bank, row)
+  let n = row_bursts g in
+  let bank = burst_index / n mod g.Timing.banks in
+  let row = burst_index / (n * g.Timing.banks) in
+  (bank, row)
 
 let refresh_if_due cur =
   let g = cur.timing in
@@ -144,16 +131,10 @@ let hits cur bank ~write n =
   end;
   m
 
-(* Last burst, up to [last], of the run starting at [b].  Under
-   [Bank_interleaved] the next burst moves to another bank (a one-bank
-   device gets runs of one, which are still exact). *)
+(* Last burst, up to [last], of the run starting at [b]: the end of its row. *)
 let run_end cur b last =
-  match cur.mapping with
-  | Row_interleaved ->
-    let g = cur.timing in
-    let row_bursts = g.Timing.row_bytes / Timing.burst_bytes g in
-    min last ((((b / row_bursts) + 1) * row_bursts) - 1)
-  | Bank_interleaved -> b
+  let n = row_bursts cur.timing in
+  min last ((((b / n) + 1) * n) - 1)
 
 (* Bursts [first..last] of one record, one run at a time: the run's first
    burst, and any burst that finds a refresh due, take the [burst] step;
@@ -180,8 +161,8 @@ let replay_bursts cur ~write first last =
     burst cur ~bank ~row ~write
   done
 
-let replay step ~timing ~energy ~mapping records =
-  let cur = create_cursor timing mapping in
+let replay step ~timing ~energy records =
+  let cur = create_cursor timing in
   let burst_sz = Timing.burst_bytes timing in
   let record (r : Trace.record) =
     if float_of_int (r.Trace.addr + r.Trace.bytes) > timing.Timing.capacity_bytes then
@@ -225,10 +206,8 @@ let replay step ~timing ~energy ~mapping records =
     background_j;
   }
 
-let run ?(timing = Timing.lpddr3_1600) ?(energy = default_energy)
-    ?(mapping = Row_interleaved) records =
-  replay replay_runs ~timing ~energy ~mapping records
+let run ?(timing = Timing.lpddr3_1600) ?(energy = default_energy) records =
+  replay replay_runs ~timing ~energy records
 
-let run_reference ?(timing = Timing.lpddr3_1600) ?(energy = default_energy)
-    ?(mapping = Row_interleaved) records =
-  replay replay_bursts ~timing ~energy ~mapping records
+let run_reference ?(timing = Timing.lpddr3_1600) ?(energy = default_energy) records =
+  replay replay_bursts ~timing ~energy records

@@ -2,26 +2,20 @@
     state machines, arbitrates the shared data bus and schedules refresh
     windows.
 
-    Replay goes one row-buffer run at a time.  A run is a stretch of a
-    record's consecutive bursts in one (bank, row): the rest of the row, up
-    to [row_bytes / burst_bytes] bursts, under [Row_interleaved], and a
-    single burst under [Bank_interleaved].  The run's first burst takes the
-    full bank/bus/refresh step; the row hits after it share one issue
-    spacing and one data-bus stall, so they advance the cursor and every
-    counter in O(1), split only where a refresh falls due inside the run.  {!run_reference} keeps the
-    burst-by-burst loop as the oracle, and the two return equal {!stats}.
+    Addresses are row-interleaved: sequential bursts stream across a full
+    row, then move to the next bank, for maximal row-buffer hits on bulk
+    transfers.  Replay goes one row-buffer run at a time.  A run is a
+    stretch of a record's consecutive bursts in one (bank, row): the rest
+    of the row, up to [row_bytes / burst_bytes] bursts.  The run's first
+    burst takes the full bank/bus/refresh step; the row hits after it
+    share one issue spacing and one data-bus stall, so they advance the
+    cursor and every counter in O(1), split only where a refresh falls due
+    inside the run.  {!run_reference} keeps the burst-by-burst loop as the
+    oracle, and the two return equal {!stats}.
 
     The model is throughput-oriented: requests are replayed back-to-back
     (the queue is never empty), which matches how the compiler uses DRAM —
     bulk weight and activation streams whose cost is bandwidth-bound. *)
-
-type address_mapping =
-  | Row_interleaved
-      (** Sequential bursts stream across a full row, then move to the next
-          bank — maximal row-buffer hits for bulk transfers (default). *)
-  | Bank_interleaved
-      (** Sequential bursts rotate across banks first — activates overlap,
-          helping short or strided transfers at the cost of more open rows. *)
 
 type energy_model = {
   activate_j : float;  (** Per ACT command. *)
@@ -59,7 +53,6 @@ val effective_bandwidth : stats -> float
 val run :
   ?timing:Timing.t ->
   ?energy:energy_model ->
-  ?mapping:address_mapping ->
   Trace.record list ->
   stats
 (** Replay a trace one row-buffer run at a time.  Raises
@@ -68,7 +61,6 @@ val run :
 val run_reference :
   ?timing:Timing.t ->
   ?energy:energy_model ->
-  ?mapping:address_mapping ->
   Trace.record list ->
   stats
 (** The same replay one burst at a time: the reference {!run} is tested

@@ -1,5 +1,4 @@
-let simulate ?timing ?energy ?mapping records =
-  Controller.run ?timing ?energy ?mapping records
+let simulate ?timing ?energy records = Controller.run ?timing ?energy records
 
 let streaming_efficiency = 0.9
 

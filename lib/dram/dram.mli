@@ -9,7 +9,6 @@
 val simulate :
   ?timing:Timing.t ->
   ?energy:Controller.energy_model ->
-  ?mapping:Controller.address_mapping ->
   Trace.record list ->
   Controller.stats
 (** Replay a bulk trace through the bank-state controller. *)

@@ -50,7 +50,6 @@ type t =
       tag : string;
     }
       (** ABFT column-checksum verification of the preceding MVM
-          results; a pending transient fault on the core is detected
-          here and charged a retry (re-run of the last [Mvm]). *)
+          results, costed as VFU work. *)
 
 val pp : Format.formatter -> t -> unit

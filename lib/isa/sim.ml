@@ -1,16 +1,11 @@
 open Compass_arch
 
-type fault_kind =
-  | Fail_stop
-  | Transient
-
 type fault_event = {
   at_s : float;
   victim : int;
-  kind : fault_kind;
 }
 
-let fail_stop ~at_s ~victim = { at_s; victim; kind = Fail_stop }
+let fail_stop ~at_s ~victim = { at_s; victim }
 
 type event = {
   core : int;
@@ -35,9 +30,6 @@ type result = {
   dead_cores : int list;
   dropped_instructions : int;
   checks_run : int;
-  detections : int;
-  retried_mvms : int;
-  retry_time_s : float;
 }
 
 exception Deadlock of string
@@ -58,8 +50,6 @@ type core_state = {
   mutable time : float;
   mutable rest : Instr.t list;
   mutable dead : bool;
-  mutable last_mvm_s : float;  (* duration of the most recent Mvm; retry cost *)
-  mutable transients : float list;  (* un-detected transient strike times *)
 }
 
 type barrier = {
@@ -81,9 +71,6 @@ type shared = {
   mutable load_bytes : float;
   mutable store_bytes : float;
   mutable checks_run : int;
-  mutable detections : int;
-  mutable retried_mvms : int;
-  mutable retry_time_s : float;
 }
 
 (* Acquire the bus at or after [t] for a transfer of [bytes]; returns the
@@ -146,9 +133,7 @@ let execute shared core instr =
   | Instr.Mvm { count; tiles; tag = _ } ->
     if count < 0 || tiles <= 0 then invalid_arg "Sim: bad mvm payload";
     shared.mvm_macro_ops <- shared.mvm_macro_ops +. float_of_int (count * tiles);
-    let dur = float_of_int count *. xbar.Crossbar.mvm_latency_s in
-    core.last_mvm_s <- dur;
-    Done (core.time +. dur)
+    Done (core.time +. (float_of_int count *. xbar.Crossbar.mvm_latency_s))
   | Instr.Vfu { ops } ->
     if ops < 0 then invalid_arg "Sim: negative vfu ops";
     shared.vfu_ops <- shared.vfu_ops +. float_of_int ops;
@@ -161,21 +146,7 @@ let execute shared core instr =
     shared.checks_run <- shared.checks_run + 1;
     let lanes = float_of_int chip.Config.core.Config.vfus_per_core in
     let cycles = float_of_int ops /. lanes in
-    let finish = core.time +. (cycles /. chip.Config.core.Config.clock_hz) in
-    (* A transient fault that struck this core before the check completes is
-       caught here: the corrupted MVM re-runs (the cell has cleared), so the
-       check charges one retry of the most recent Mvm on this core. *)
-    let struck, later = List.partition (fun at -> at <= finish) core.transients in
-    if struck = [] then Done finish
-    else begin
-      core.transients <- later;
-      let n = List.length struck in
-      shared.detections <- shared.detections + n;
-      shared.retried_mvms <- shared.retried_mvms + n;
-      let penalty = float_of_int n *. core.last_mvm_s in
-      shared.retry_time_s <- shared.retry_time_s +. penalty;
-      Done (finish +. penalty)
-    end
+    Done (core.time +. (cycles /. chip.Config.core.Config.clock_hz))
   | Instr.Send { bytes; dst; channel } ->
     let grant, dur = bus_acquire shared ~t:core.time ~bytes in
     let arrival = grant +. dur in
@@ -253,7 +224,6 @@ let run ?(fault_events = []) chip programs =
   | Ok () -> ()
   | Error msg -> invalid_arg ("Sim.run: " ^ msg));
   let kill_time = Hashtbl.create 4 in
-  let transient_hits = Hashtbl.create 4 in
   List.iteri
     (fun i e ->
       if e.at_s < 0. then
@@ -264,14 +234,9 @@ let run ?(fault_events = []) chip programs =
           (Printf.sprintf
              "Sim.run: fault event #%d targets core %d but the chip has cores 0..%d" i
              e.victim (chip.Config.cores - 1));
-      match e.kind with
-      | Transient ->
-        Hashtbl.replace transient_hits e.victim
-          (e.at_s :: Option.value ~default:[] (Hashtbl.find_opt transient_hits e.victim))
-      | Fail_stop -> (
-        match Hashtbl.find_opt kill_time e.victim with
-        | Some t when t <= e.at_s -> ()
-        | _ -> Hashtbl.replace kill_time e.victim e.at_s))
+      match Hashtbl.find_opt kill_time e.victim with
+      | Some t when t <= e.at_s -> ()
+      | _ -> Hashtbl.replace kill_time e.victim e.at_s)
     fault_events;
   let shared =
     {
@@ -288,24 +253,11 @@ let run ?(fault_events = []) chip programs =
       load_bytes = 0.;
       store_bytes = 0.;
       checks_run = 0;
-      detections = 0;
-      retried_mvms = 0;
-      retry_time_s = 0.;
     }
   in
   let cores =
     List.map
-      (fun p ->
-        {
-          id = p.Program.core_id;
-          time = 0.;
-          rest = p.Program.instrs;
-          dead = false;
-          last_mvm_s = 0.;
-          transients =
-            List.sort compare
-              (Option.value ~default:[] (Hashtbl.find_opt transient_hits p.Program.core_id));
-        })
+      (fun p -> { id = p.Program.core_id; time = 0.; rest = p.Program.instrs; dead = false })
       programs
   in
   let events_rev = ref [] in
@@ -365,11 +317,7 @@ let run ?(fault_events = []) chip programs =
       (fun label n -> Compass_util.Metrics.add ("sim.instr." ^ label) n)
       per_label;
     Compass_util.Metrics.add "sim.dropped_instructions" !dropped;
-    if shared.checks_run > 0 then begin
-      Compass_util.Metrics.add "sim.checks" shared.checks_run;
-      Compass_util.Metrics.add "sim.detections" shared.detections;
-      Compass_util.Metrics.add "sim.retried_mvms" shared.retried_mvms
-    end
+    if shared.checks_run > 0 then Compass_util.Metrics.add "sim.checks" shared.checks_run
   end;
   let makespan = List.fold_left (fun acc c -> max acc c.time) 0. cores in
   let dram_trace = List.rev shared.trace_rev in
@@ -401,7 +349,4 @@ let run ?(fault_events = []) chip programs =
       List.sort compare (List.filter_map (fun c -> if c.dead then Some c.id else None) cores);
     dropped_instructions = !dropped;
     checks_run = shared.checks_run;
-    detections = shared.detections;
-    retried_mvms = shared.retried_mvms;
-    retry_time_s = shared.retry_time_s;
   }

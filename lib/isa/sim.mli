@@ -22,25 +22,15 @@ type event = {
   finish_s : float;
 }
 
-type fault_kind =
-  | Fail_stop
-      (** From [at_s] on, the core skips compute and memory instructions
-          at zero cost (counted as dropped) but still participates in
-          barriers and channel handshakes so the rest of the chip drains
-          without deadlock.  An instruction already started when the fault
-          hits completes (fail-stop between instructions). *)
-  | Transient
-      (** A soft strike (stuck-at cell, bit upset) that corrupts MVM
-          results from [at_s] until the next ABFT [Check] on the core
-          detects it; the check then charges one retry — a re-run of the
-          core's most recent [Mvm] — and the fault clears.  Without any
-          [Check] in the program the strike goes undetected and has no
-          timing effect. *)
-
 type fault_event = {
-  at_s : float;  (** Simulated strike time (>= 0). *)
+  at_s : float;
+      (** Simulated fail-stop time (>= 0).  From then on, the core skips
+          compute and memory instructions at zero cost (counted as dropped)
+          but still participates in barriers and channel handshakes so the
+          rest of the chip drains without deadlock.  An instruction already
+          started when the fault hits completes (fail-stop between
+          instructions). *)
   victim : int;  (** Core id. *)
-  kind : fault_kind;
 }
 
 val fail_stop : at_s:float -> victim:int -> fault_event
@@ -66,9 +56,6 @@ type result = {
   dropped_instructions : int;
       (** Instructions skipped (work lost) on dead cores. *)
   checks_run : int;  (** ABFT [Check] instructions executed. *)
-  detections : int;  (** Transient strikes caught by a [Check]. *)
-  retried_mvms : int;  (** MVMs re-run after a detection. *)
-  retry_time_s : float;  (** Total time spent in retries. *)
 }
 
 exception Deadlock of string

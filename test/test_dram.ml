@@ -158,27 +158,6 @@ let test_empty_trace () =
   Alcotest.(check int) "no cycles" 0 stats.Controller.cycles;
   Alcotest.(check (float 0.)) "hit rate zero" 0. (Controller.row_hit_rate stats)
 
-let test_mapping_policies_agree_on_totals () =
-  let trace = [ Trace.read ~addr:0 ~bytes:(512 * 1024) () ] in
-  let row = Dram.simulate ~mapping:Controller.Row_interleaved trace in
-  let bank = Dram.simulate ~mapping:Controller.Bank_interleaved trace in
-  Alcotest.(check (float 0.)) "same bytes" row.Controller.bytes bank.Controller.bytes;
-  Alcotest.(check int) "same bursts" row.Controller.reads bank.Controller.reads;
-  Alcotest.(check bool) "both positive time" true
-    (row.Controller.seconds > 0. && bank.Controller.seconds > 0.)
-
-let test_bank_interleaved_helps_strided () =
-  (* Row-size strides thrash a single row buffer under row-interleaving but
-     rotate cleanly under bank-interleaving. *)
-  let stride = g.Timing.row_bytes * g.Timing.banks in
-  let records = List.init 64 (fun i -> Trace.read ~addr:(i * stride) ~bytes:32 ()) in
-  let row = Dram.simulate ~mapping:Controller.Row_interleaved records in
-  let bank = Dram.simulate ~mapping:Controller.Bank_interleaved records in
-  Alcotest.(check bool) "row-interleaved thrashes one bank" true
-    (Controller.row_hit_rate row <= Controller.row_hit_rate bank +. 1e-9);
-  Alcotest.(check bool) "bank rotation is not slower" true
-    (bank.Controller.seconds <= row.Controller.seconds +. 1e-9)
-
 (* Analytic approximations vs the bank-accurate model. *)
 
 let test_analytic_time_close () =
@@ -253,7 +232,6 @@ let stats_equal (a : Controller.stats) (b : Controller.stats) =
 
 type replay_case = {
   timing : Timing.t;
-  mapping : Controller.address_mapping;
   records : Trace.record list;
 }
 
@@ -276,7 +254,6 @@ let gen_replay_case =
       ~banks ~row_bytes:(row_bursts * burst) ()
   in
   let row_bytes = timing.Timing.row_bytes in
-  let* mapping = oneofl [ Controller.Row_interleaved; Controller.Bank_interleaved ] in
   let record prev_end =
     let* write = bool in
     let* sequential = bool in
@@ -295,19 +272,16 @@ let gen_replay_case =
       records (n - 1) (r.Trace.addr + r.Trace.bytes) (r :: acc)
   in
   let* records = records n 0 [] in
-  return { timing; mapping; records }
+  return { timing; records }
 
 let print_replay_case c =
   let g = c.timing in
   Printf.sprintf
     "burst_length=%d bus=%d cl=%d cwl=%d trcd=%d trp=%d tras=%d trfc=%d trefi=%d \
-     banks=%d row_bytes=%d %s\n%s"
+     banks=%d row_bytes=%d\n%s"
     g.Timing.burst_length g.Timing.bus_width_bits g.Timing.cl g.Timing.cwl
     g.Timing.trcd g.Timing.trp g.Timing.tras g.Timing.trfc g.Timing.trefi
     g.Timing.banks g.Timing.row_bytes
-    (match c.mapping with
-    | Controller.Row_interleaved -> "row-interleaved"
-    | Controller.Bank_interleaved -> "bank-interleaved")
     (String.concat "\n"
        (List.map
           (fun r ->
@@ -319,10 +293,8 @@ let print_replay_case c =
 let prop_run_matches_reference =
   QCheck.Test.make ~name:"run = run_reference (floats bit-equal)" ~count:2000
     (QCheck.make ~print:print_replay_case gen_replay_case)
-    (fun { timing; mapping; records } ->
-      stats_equal
-        (Controller.run ~timing ~mapping records)
-        (Controller.run_reference ~timing ~mapping records))
+    (fun { timing; records } ->
+      stats_equal (Controller.run ~timing records) (Controller.run_reference ~timing records))
 
 let test_run_matches_reference_lpddr3 () =
   (* The evaluation device on long streams: many refreshes inside runs. *)
@@ -333,13 +305,8 @@ let test_run_matches_reference_lpddr3 () =
       Trace.read ~addr:100 ~bytes:70000 ();
     ]
   in
-  List.iter
-    (fun mapping ->
-      Alcotest.(check bool) "equal stats" true
-        (stats_equal
-           (Controller.run ~mapping records)
-           (Controller.run_reference ~mapping records)))
-    [ Controller.Row_interleaved; Controller.Bank_interleaved ]
+  Alcotest.(check bool) "equal stats" true
+    (stats_equal (Controller.run records) (Controller.run_reference records))
 
 let () =
   Alcotest.run "compass_dram"
@@ -372,10 +339,6 @@ let () =
             test_write_energy_higher_than_read;
           Alcotest.test_case "capacity guard" `Quick test_capacity_guard;
           Alcotest.test_case "empty trace" `Quick test_empty_trace;
-          Alcotest.test_case "mapping policies totals" `Quick
-            test_mapping_policies_agree_on_totals;
-          Alcotest.test_case "bank interleave strided" `Quick
-            test_bank_interleaved_helps_strided;
           QCheck_alcotest.to_alcotest prop_latency_at_least_bandwidth_bound;
           QCheck_alcotest.to_alcotest prop_energy_monotone_in_bytes;
           QCheck_alcotest.to_alcotest prop_hit_rate_bounded;

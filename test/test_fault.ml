@@ -248,9 +248,11 @@ let prop_repair_valid =
 let test_repair_forced_recompile_equals_fresh () =
   let chip = Config.chip_m in
   let model = Compass_nn.Models.by_name "resnet18" in
-  let faults = Fault.of_string "dead:1,9" ~seed:0 ~cores:16 ~macros_per_core:16 in
+  (* Four dead cores slow the local re-split 1.648x, past the 1.5x
+     recompile threshold. *)
+  let faults = Fault.of_string "dead:0,1,2,3" ~seed:0 ~cores:16 ~macros_per_core:16 in
   let plan = Compiler.compile ~ga_params:quick ~model ~chip ~batch:8 Compiler.Compass in
-  match Compiler.repair ~ga_params:quick ~recompile_above:0. plan ~faults with
+  match Compiler.repair ~ga_params:quick plan ~faults with
   | Error e -> Alcotest.fail e
   | Ok r ->
     Alcotest.(check bool) "strategy is recompile" true (r.Compiler.strategy = Compiler.Recompiled);

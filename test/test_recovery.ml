@@ -1,8 +1,8 @@
 (* Tests for the self-healing execution stack: ABFT checksum detection
    (zero false negatives on single-cell faults, zero false positives on
    clean blocks), deterministic fault-site realization, the bounded
-   retry -> remap -> degrade escalation of [Recovery.run], transient
-   strikes in the chip simulator, and the regression guarantee that the
+   retry -> remap -> degrade escalation of [Recovery.run], fault-event
+   validation in the chip simulator, and the regression guarantee that the
    whole subsystem is invisible while disabled (byte-identical plans,
    checkpoints and schedules). *)
 
@@ -112,15 +112,6 @@ let test_realize_deterministic_and_distinct () =
 
 (* Recovery engine *)
 
-let default_policy =
-  {
-    Recovery.max_retries = 2;
-    max_remaps = 4;
-    backoff_s = 1e-4;
-    allow_remap = true;
-    budget = None;
-  }
-
 let plan_weights_input () =
   let chip = Config.chip_s in
   let model = Compass_nn.Models.by_name "lenet5" in
@@ -162,15 +153,11 @@ let test_transient_clears_on_retry () =
   Alcotest.(check bool) "backoff accounted" true (r.Recovery.backoff_total_s > 0.)
 
 (* Recovery backoff is modeled, never slept: the [Retried] actions
-   carry every interval, [backoff_total_s] is their sum, and seconds of
-   reported backoff cost a small fraction of that in wall time. *)
+   carry every interval and [backoff_total_s] is their sum. *)
 let test_backoff_simulated_not_slept () =
   let chip, plan, weights, input = plan_weights_input () in
   let faults = faults_of "transient:2" ~seed:0 chip in
-  let policy = { default_policy with Recovery.backoff_s = 2.0 } in
-  let t0 = Unix.gettimeofday () in
-  let r = Recovery.run ~policy ~seed:42 ~faults ~weights ~input plan in
-  let wall = Unix.gettimeofday () -. t0 in
+  let r = Recovery.run ~seed:42 ~faults ~weights ~input plan in
   let backoffs =
     List.filter_map
       (function Recovery.Retried { backoff_s; _ } -> Some backoff_s | _ -> None)
@@ -180,21 +167,18 @@ let test_backoff_simulated_not_slept () =
   Alcotest.(check int) "one action per retry" r.Recovery.retries (List.length backoffs);
   Alcotest.(check (float 1e-9)) "total is the sum of the actions"
     r.Recovery.backoff_total_s (List.fold_left ( +. ) 0. backoffs);
-  Alcotest.(check bool) "substantial modeled backoff" true
-    (r.Recovery.backoff_total_s >= 2.0);
-  Alcotest.(check bool) "wall-time-free" true (wall < r.Recovery.backoff_total_s /. 2.)
+  Alcotest.(check bool) "modeled backoff" true (r.Recovery.backoff_total_s > 0.)
 
 (* The retry schedule, pinned bit for bit: every [Retried] backoff and
-   the accumulated [backoff_total_s] at a 2 s initial backoff, for two
-   transient cells (one retry clears both) and for one persistent flip
-   (both retries run, then a remap heals it). *)
+   the accumulated [backoff_total_s] at the 1e-4 s initial backoff, for
+   two transient cells (one retry clears both) and for one persistent
+   flip (both retries run, then a remap heals it). *)
 let test_backoff_schedule_pinned () =
   let chip, plan, weights, input = plan_weights_input () in
-  let policy = { default_policy with Recovery.backoff_s = 2.0 } in
   List.iter
     (fun (spec, want, want_total) ->
       let faults = faults_of spec ~seed:0 chip in
-      let r = Recovery.run ~policy ~seed:42 ~faults ~weights ~input plan in
+      let r = Recovery.run ~seed:42 ~faults ~weights ~input plan in
       let got =
         List.filter_map
           (function
@@ -209,29 +193,31 @@ let test_backoff_schedule_pinned () =
         want_total
         (Printf.sprintf "%h" r.Recovery.backoff_total_s))
     [
-      ("transient:2", [ "node 8 attempt 0 backoff 0x1p+1" ], "0x1p+1");
-      ("flip:1", [ "node 8 attempt 0 backoff 0x1p+1"; "node 8 attempt 1 backoff 0x1p+2" ], "0x1.8p+2");
+      ( "transient:2",
+        [ "node 8 attempt 0 backoff 0x1.a36e2eb1c432dp-14" ],
+        "0x1.a36e2eb1c432dp-14" );
+      ( "flip:1",
+        [
+          "node 8 attempt 0 backoff 0x1.a36e2eb1c432dp-14";
+          "node 8 attempt 1 backoff 0x1.a36e2eb1c432dp-13";
+        ],
+        "0x1.3a92a30553262p-12" );
     ]
 
-let test_remap_disabled_degrades () =
-  let chip, plan, weights, input = plan_weights_input () in
-  let faults = faults_of "flip:1" ~seed:0 chip in
-  let policy = { default_policy with Recovery.allow_remap = false } in
-  let r = Recovery.run ~policy ~seed:42 ~faults ~weights ~input plan in
+(* With more flipped cells than remaps, escalation runs out: after the
+   fourth remap the layer still miscompares and the output is flagged. *)
+let test_degrades_when_remaps_run_out () =
+  let chip = Config.chip_s in
+  let model = Compass_nn.Models.by_name "squeezenet" in
+  let plan = Compiler.compile ~model ~chip ~batch:1 Compiler.Greedy in
+  let weights = Compass_nn.Executor.random_weights model in
+  let input = Compass_nn.Executor.random_input model in
+  let faults = faults_of "flip:50" ~seed:1 chip in
+  let r = Recovery.run ~seed:1 ~faults ~weights ~input plan in
   Alcotest.(check bool) "degraded" true (r.Recovery.outcome = Recovery.Degraded_output);
-  Alcotest.(check int) "no remaps" 0 r.Recovery.remaps;
-  Alcotest.(check bool) "flagged layers" true (r.Recovery.degraded_layers >= 1)
-
-let test_expired_budget_degrades () =
-  let chip, plan, weights, input = plan_weights_input () in
-  let faults = faults_of "flip:1" ~seed:0 chip in
-  let budget = Compass_util.Budget.of_deadline 0. in
-  let policy = { default_policy with Recovery.budget = Some budget } in
-  let r = Recovery.run ~policy ~seed:42 ~faults ~weights ~input plan in
-  Alcotest.(check bool) "degrades instead of blocking" true
-    (r.Recovery.outcome = Recovery.Degraded_output);
-  Alcotest.(check int) "no retries after expiry" 0 r.Recovery.retries;
-  Alcotest.(check int) "no remaps after expiry" 0 r.Recovery.remaps
+  Alcotest.(check int) "every remap spent" 4 r.Recovery.remaps;
+  Alcotest.(check bool) "flagged layers" true (r.Recovery.degraded_layers >= 1);
+  Alcotest.(check bool) "not bit identical" false r.Recovery.bit_identical
 
 (* Localization names the core the schedule programs: every detection
    before the first remap reports the replica-0 core of its unit under the
@@ -303,45 +289,7 @@ let test_retire_preserves_scenario () =
       (Fault.status f c = if List.mem c victims then Fault.Dead else Fault.Healthy)
   done
 
-(* Transient strikes in the chip simulator *)
-
-let test_sim_transient_detected_and_retried () =
-  let chip = Config.chip_s in
-  let model = Compass_nn.Models.by_name "lenet5" in
-  let plan = Compiler.compile ~model ~chip ~batch:4 Compiler.Greedy in
-  let sched = Compiler.schedule ~abft:true plan in
-  let programs = sched.Scheduler.programs in
-  let baseline = Compass_isa.Sim.run chip programs in
-  (* Strike a core that runs Check instructions, early in the run. *)
-  let victim =
-    match
-      List.find_opt
-        (fun p ->
-          List.exists
-            (function Compass_isa.Instr.Check _ -> true | _ -> false)
-            p.Compass_isa.Program.instrs)
-        programs
-    with
-    | Some p -> p.Compass_isa.Program.core_id
-    | None -> Alcotest.fail "abft schedule emitted no Check instructions"
-  in
-  let events = [ { Compass_isa.Sim.at_s = 1e-6; victim; kind = Compass_isa.Sim.Transient } ] in
-  let struck = Compass_isa.Sim.run ~fault_events:events chip programs in
-  Alcotest.(check bool) "checks ran" true (struck.Compass_isa.Sim.checks_run > 0);
-  Alcotest.(check int) "strike detected" 1 struck.Compass_isa.Sim.detections;
-  Alcotest.(check int) "one MVM retried" 1 struck.Compass_isa.Sim.retried_mvms;
-  Alcotest.(check bool) "retry costs time" true
-    (struck.Compass_isa.Sim.retry_time_s > 0.);
-  (* The penalty lands on the victim core; it may hide under another
-     core's critical path, but the chip never finishes faster. *)
-  Alcotest.(check bool) "makespan monotone" true
-    (struck.Compass_isa.Sim.makespan_s >= baseline.Compass_isa.Sim.makespan_s);
-  (* Without ABFT checks the strike goes undetected: timing unchanged. *)
-  let plain = Compiler.schedule plan in
-  let blind =
-    Compass_isa.Sim.run ~fault_events:events chip plain.Scheduler.programs
-  in
-  Alcotest.(check int) "undetected without checks" 0 blind.Compass_isa.Sim.detections
+(* Fault-event validation in the chip simulator *)
 
 let test_sim_malformed_events_located () =
   let chip = Config.chip_s in
@@ -356,8 +304,8 @@ let test_sim_malformed_events_located () =
   in
   expect_msg
     [
-      { Compass_isa.Sim.at_s = 1.; victim = 1; kind = Compass_isa.Sim.Transient };
-      { Compass_isa.Sim.at_s = (-2.); victim = 0; kind = Compass_isa.Sim.Transient };
+      Compass_isa.Sim.fail_stop ~at_s:1. ~victim:1;
+      Compass_isa.Sim.fail_stop ~at_s:(-2.) ~victim:0;
     ]
     "Sim.run: fault event #1 has negative time -2 s";
   expect_msg
@@ -458,15 +406,14 @@ let () =
           Alcotest.test_case "backoff simulated not slept" `Quick
             test_backoff_simulated_not_slept;
           Alcotest.test_case "backoff schedule pinned" `Quick test_backoff_schedule_pinned;
-          Alcotest.test_case "remap disabled" `Quick test_remap_disabled_degrades;
-          Alcotest.test_case "expired budget" `Quick test_expired_budget_degrades;
+          Alcotest.test_case "degrades when remaps run out" `Quick
+            test_degrades_when_remaps_run_out;
           Alcotest.test_case "retire" `Quick test_retire_preserves_scenario;
           Alcotest.test_case "detection names scheduled core" `Quick
             test_detection_names_scheduled_core;
         ] );
       ( "simulator",
         [
-          Alcotest.test_case "transient strike" `Quick test_sim_transient_detected_and_retried;
           Alcotest.test_case "malformed events" `Quick test_sim_malformed_events_located;
         ] );
       ( "regression",

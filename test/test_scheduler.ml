@@ -69,7 +69,7 @@ let test_alloc_live_blocks_sorted () =
 let build name chip scheme batch =
   let _, v, ctx = setup name chip in
   let g = match scheme with `Greedy -> Baselines.greedy v | `Layerwise -> Baselines.layerwise v in
-  (ctx, g, Scheduler.build ctx g ~batch ())
+  (ctx, g, Scheduler.build ctx g ~batch)
 
 let test_programs_validate () =
   List.iter
@@ -112,7 +112,7 @@ let test_sim_vs_estimator_bounded () =
       let _, v, ctx = setup name Config.chip_s in
       let g = Baselines.greedy v in
       let est = (Estimator.evaluate ctx ~batch:8 g).Estimator.batch_latency_s in
-      let sched = Scheduler.build ctx g ~batch:8 () in
+      let sched = Scheduler.build ctx g ~batch:8 in
       let sim = (Scheduler.simulate ctx sched).Compass_isa.Sim.makespan_s in
       let ratio = sim /. est in
       Alcotest.(check bool)
@@ -126,7 +126,7 @@ let test_sim_weight_bytes_match_estimator () =
   let g = Baselines.greedy v in
   let units = Dataflow.units ctx in
   let model_bytes = Unit_gen.span_weight_bytes units 0 (Unit_gen.unit_count units) in
-  let sched = Scheduler.build ctx g ~batch:8 () in
+  let sched = Scheduler.build ctx g ~batch:8 in
   let sim = Scheduler.simulate ctx sched in
   (* Broadcast: DRAM weight traffic equals unique model bytes. *)
   Alcotest.(check (float 64.)) "weights fetched once" model_bytes
@@ -172,8 +172,9 @@ let test_layerwise_more_dram_traffic () =
 let test_chunks_clamped () =
   let _, v, ctx = setup "lenet5" Config.chip_s in
   let g = Baselines.greedy v in
-  (* chunks > batch must not crash or duplicate work. *)
-  let s1 = Scheduler.build ctx g ~batch:2 ~chunks:16 () in
+  (* A batch smaller than the 4 compute slices must not crash or
+     duplicate work. *)
+  let s1 = Scheduler.build ctx g ~batch:2 in
   let r1 = Scheduler.simulate ctx s1 in
   Alcotest.(check bool) "completes" true (r1.Compass_isa.Sim.makespan_s > 0.)
 
@@ -187,7 +188,7 @@ let test_mvm_work_preserved () =
     List.fold_left (fun acc sp -> acc +. (sp.Estimator.mvm_energy_j /. 0.5e-9)) 0.
       est.Estimator.spans
   in
-  let sched = Scheduler.build ctx g ~batch () in
+  let sched = Scheduler.build ctx g ~batch in
   let sim = Scheduler.simulate ctx sched in
   let ratio = sim.Compass_isa.Sim.mvm_macro_ops /. est_macro_ops in
   Alcotest.(check bool)
@@ -201,7 +202,7 @@ let test_program_phase_structure () =
   let _, v, ctx = setup "resnet18" Config.chip_s in
   let g = Baselines.greedy v in
   let nspans = Partition.partition_count g in
-  let sched = Scheduler.build ctx g ~batch:4 () in
+  let sched = Scheduler.build ctx g ~batch:4 in
   List.iter
     (fun p ->
       let tokens =
@@ -216,7 +217,7 @@ let test_program_phase_structure () =
 let test_instruction_mix_sane () =
   let _, v, ctx = setup "squeezenet" Config.chip_s in
   let g = Baselines.greedy v in
-  let sched = Scheduler.build ctx g ~batch:4 () in
+  let sched = Scheduler.build ctx g ~batch:4 in
   let mix = Compass_isa.Program.instruction_mix sched.Scheduler.programs in
   let count k = Option.value ~default:0 (List.assoc_opt k mix) in
   Alcotest.(check bool) "has mvm" true (count "mvm" > 0);
@@ -227,7 +228,7 @@ let test_invalid_batch () =
   let _, v, ctx = setup "lenet5" Config.chip_s in
   Alcotest.(check bool) "batch 0 rejected" true
     (try
-       ignore (Scheduler.build ctx (Baselines.greedy v) ~batch:0 ());
+       ignore (Scheduler.build ctx (Baselines.greedy v) ~batch:0);
        false
      with Invalid_argument _ -> true)
 
