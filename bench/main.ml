@@ -981,6 +981,7 @@ let micro () =
   let mid_stop = Validity.max_end validity 0 in
   let greedy = Baselines.greedy validity in
   let trace = [ Compass_dram.Trace.read ~addr:0 ~bytes:(1 lsl 20) () ] in
+  let schedule = Scheduler.build ctx greedy ~batch:4 in
   let tests =
     Test.make_grouped ~name:"compass"
       [
@@ -1018,6 +1019,8 @@ let micro () =
           (let warm = Estimator.Span_cache.create ~batch:16 () in
            ignore (Optimal.optimize ~cache:warm ctx validity ~batch:16);
            Staged.stage (fun () -> Optimal.optimize ~cache:warm ctx validity ~batch:16));
+        Test.make ~name:"fig7/sim_run"
+          (Staged.stage (fun () -> Scheduler.simulate ctx schedule));
         Test.make ~name:"dram/replay_1MB"
           (Staged.stage (fun () -> Compass_dram.Dram.simulate trace));
       ]

@@ -16,6 +16,16 @@ let replication_of t node =
 
 let max_replication t = List.fold_left (fun acc (_, r) -> max acc r) 1 t.per_layer
 
+(* The greedy's increments, oldest first, for the fragmentation undo.  One
+   buffer per domain, reused across calls: recording an increment allocates
+   only when a call outgrows every earlier call on that domain. *)
+type undo = {
+  mutable increments : int array;  (* layer indices *)
+  mutable count : int;
+}
+
+let undo_key = Domain.DLS.new_key (fun () -> { increments = [||]; count = 0 })
+
 let place ?faults ?layers ctx ~batch ~start_ ~stop =
   if batch < 1 then invalid_arg "Replication.place: batch < 1";
   let units = Dataflow.units ctx in
@@ -80,7 +90,8 @@ let place ?faults ?layers ctx ~batch ~start_ ~stop =
   (* Greedy: replicate the current bottleneck while capacity allows, the
      bottleneck can still improve, and the batch amortizes the extra
      programming (the paper's joint replacement/replication trade-off). *)
-  let incremented = ref [] in
+  let undo = Domain.DLS.get undo_key in
+  undo.count <- 0;
   let rec grow () =
     (* One scan finds both the worst replicable stage (the first on ties)
        and the global worst stage. *)
@@ -103,7 +114,13 @@ let place ?faults ?layers ctx ~batch ~start_ ~stop =
       let l = !bottleneck in
       set_rep l (rep.(l) + 1);
       used := !used + tiles l;
-      incremented := l :: !incremented;
+      if undo.count = Array.length undo.increments then begin
+        let bigger = Array.make (Int.max 64 (2 * undo.count)) 0 in
+        Array.blit undo.increments 0 bigger 0 undo.count;
+        undo.increments <- bigger
+      end;
+      undo.increments.(undo.count) <- l;
+      undo.count <- undo.count + 1;
       grow ()
     end
   in
@@ -127,14 +144,13 @@ let place ?faults ?layers ctx ~batch ~start_ ~stop =
   let rec shrink () =
     match try_pack () with
     | Ok m -> m
-    | Error msg -> (
-      match !incremented with
-      | [] -> invalid_arg ("Replication.place: infeasible span: " ^ msg)
-      | l :: rest ->
-        set_rep l (rep.(l) - 1);
-        used := !used - tiles l;
-        incremented := rest;
-        shrink ())
+    | Error msg ->
+      if undo.count = 0 then invalid_arg ("Replication.place: infeasible span: " ^ msg);
+      undo.count <- undo.count - 1;
+      let l = undo.increments.(undo.count) in
+      set_rep l (rep.(l) - 1);
+      used := !used - tiles l;
+      shrink ()
   in
   let mapping = shrink () in
   {

@@ -98,14 +98,14 @@ let burst cur ~bank ~row ~write =
   else cur.row_misses <- cur.row_misses + 1;
   if outcome.Bank.activated then cur.activates <- cur.activates + 1;
   if write then cur.writes <- cur.writes + 1 else cur.reads <- cur.reads + 1;
-  let data_start = max outcome.Bank.data_cycle cur.data_bus_free in
+  let data_start = Int.max outcome.Bank.data_cycle cur.data_bus_free in
   (* Cycles the burst's data sat ready behind an occupied data bus. *)
   cur.bus_stall_cycles <- cur.bus_stall_cycles + (data_start - outcome.Bank.data_cycle);
   let data_end = data_start + Timing.burst_cycles g in
   cur.data_bus_free <- data_end;
-  cur.last_data_end <- max cur.last_data_end data_end;
+  cur.last_data_end <- Int.max cur.last_data_end data_end;
   (* Next command may issue while this data moves; banks stay the limiter. *)
-  cur.now <- max cur.now outcome.Bank.issue_cycle
+  cur.now <- Int.max cur.now outcome.Bank.issue_cycle
 
 (* After a [burst] step in [bank] that issued at [s = cur.now], the bank is
    ready at [s + bc] and the data bus frees at [s + cas + bc] or later.  Each
@@ -117,13 +117,13 @@ let hits cur bank ~write n =
   let g = cur.timing in
   let bc = Timing.burst_cycles g in
   let s = cur.now in
-  let m = min n (max 0 ((cur.next_refresh - s + bc - 1) / bc)) in
+  let m = Int.min n (Int.max 0 ((cur.next_refresh - s + bc - 1) / bc)) in
   if m > 0 then begin
     let cas = if write then g.Timing.cwl else g.Timing.cl in
     let d = cur.data_bus_free - bc - s - cas in
     cur.now <- s + (bc * m);
     cur.data_bus_free <- cur.data_bus_free + (bc * m);
-    cur.last_data_end <- max cur.last_data_end cur.data_bus_free;
+    cur.last_data_end <- Int.max cur.last_data_end cur.data_bus_free;
     cur.bus_stall_cycles <- cur.bus_stall_cycles + (m * d);
     cur.row_hits <- cur.row_hits + m;
     if write then cur.writes <- cur.writes + m else cur.reads <- cur.reads + m;
@@ -134,7 +134,7 @@ let hits cur bank ~write n =
 (* Last burst, up to [last], of the run starting at [b]: the end of its row. *)
 let run_end cur b last =
   let n = row_bursts cur.timing in
-  min last ((((b / n) + 1) * n) - 1)
+  Int.min last ((((b / n) + 1) * n) - 1)
 
 (* Bursts [first..last] of one record, one run at a time: the run's first
    burst, and any burst that finds a refresh due, take the [burst] step;

@@ -59,7 +59,7 @@ let lpddr3_1600 = make ()
 let burst_bytes t = t.bus_width_bits / 8 * t.burst_length
 
 (* DDR moves two transfers per clock. *)
-let burst_cycles t = max 1 (t.burst_length / 2)
+let burst_cycles t = Int.max 1 (t.burst_length / 2)
 
 let peak_bandwidth_bytes_per_s t =
   float_of_int (burst_bytes t) /. (float_of_int (burst_cycles t) *. t.tck_s)

@@ -73,10 +73,14 @@ type shared = {
   mutable checks_run : int;
 }
 
+(* [Stdlib.max] specialised to floats: the same comparison (NaN and signed
+   zeros included), without the polymorphic compare on boxed values. *)
+let fmax (a : float) b = if a >= b then a else b
+
 (* Acquire the bus at or after [t] for a transfer of [bytes]; returns the
    grant time and transfer duration. *)
 let bus_acquire shared ~t ~bytes =
-  let grant = max t shared.bus_free in
+  let grant = fmax t shared.bus_free in
   let dur = Interconnect.transfer_time_s shared.chip.Config.bus ~bytes in
   shared.bus_free <- grant +. dur;
   shared.bus_busy <- shared.bus_busy +. dur;
@@ -92,10 +96,10 @@ let external_transfer shared ~t ~bytes ~addr ~tag ~is_store =
   shared.trace_rev <- record :: shared.trace_rev;
   let grant, bus_dur = bus_acquire shared ~t ~bytes in
   let dram_dur = Compass_dram.Dram.analytic_seconds bytes in
-  let dram_grant = max grant shared.dram_free in
+  let dram_grant = fmax grant shared.dram_free in
   let dram_done = dram_grant +. dram_dur in
   shared.dram_free <- dram_done;
-  max (grant +. bus_dur) dram_done
+  fmax (grant +. bus_dur) dram_done
 
 type step =
   | Done of float
@@ -117,7 +121,7 @@ let execute shared core instr =
     (* Row programming streams behind the fetch; macros of a core program
        serially, so the drain is the full per-macro write time. *)
     let program = float_of_int macro_count *. Crossbar.write_latency_s xbar in
-    Done (max fetched (core.time +. program))
+    Done (fmax fetched (core.time +. program))
   | Instr.Load { bytes; addr; tag } ->
     if bytes < 1. then Done core.time
     else begin
@@ -166,7 +170,7 @@ let execute shared core instr =
     match Hashtbl.find_opt shared.channels key with
     | Some q when not (Queue.is_empty q) ->
       let arrival = Queue.pop q in
-      Done (max core.time arrival)
+      Done (fmax core.time arrival)
     | Some _ | None -> Blocked)
   | Instr.Sync { token; parties } -> (
     let b =
@@ -178,14 +182,14 @@ let execute shared core instr =
         b
     in
     match b.released with
-    | Some release -> Done (max core.time release)
+    | Some release -> Done (fmax core.time release)
     | None ->
       if not (List.mem_assoc core.id b.arrived) then
         b.arrived <- (core.id, core.time) :: b.arrived;
       if List.length b.arrived >= parties then begin
-        let release = List.fold_left (fun acc (_, t) -> max acc t) 0. b.arrived in
+        let release = List.fold_left (fun acc (_, t) -> fmax acc t) 0. b.arrived in
         b.released <- Some release;
-        Done (max core.time release)
+        Done (fmax core.time release)
       end
       else Blocked)
 
@@ -256,45 +260,77 @@ let run ?(fault_events = []) chip programs =
     }
   in
   let cores =
-    List.map
-      (fun p -> { id = p.Program.core_id; time = 0.; rest = p.Program.instrs; dead = false })
-      programs
+    Array.of_list
+      (List.map
+         (fun p -> { id = p.Program.core_id; time = 0.; rest = p.Program.instrs; dead = false })
+         programs)
+  in
+  let n = Array.length cores in
+  let position = Array.make chip.Config.cores 0 in
+  Array.iteri (fun i c -> position.(c.id) <- i) cores;
+  (* A core is ready while it has work and is not parked.  A core whose
+     head instruction blocked is parked: its local time cannot change and
+     retrying it does nothing until a send on its channel or the release
+     of its barrier, which mark it ready again. *)
+  let has_work c = match c.rest with [] -> false | _ :: _ -> true in
+  let ready = Array.map has_work cores in
+  let wake_receiver ~src ~dst ~channel =
+    let i = position.(dst) in
+    match cores.(i).rest with
+    | Instr.Recv { src = s; channel = c; bytes = _ } :: _ when s = src && c = channel ->
+      ready.(i) <- true
+    | _ -> ()
+  in
+  let wake_barrier token =
+    for i = 0 to n - 1 do
+      match cores.(i).rest with
+      | Instr.Sync { token = t; parties = _ } :: _ when t = token -> ready.(i) <- true
+      | _ -> ()
+    done
   in
   let events_rev = ref [] in
   let dropped = ref 0 in
-  let pending () = List.filter (fun c -> c.rest <> []) cores in
   let rec drain () =
-    match pending () with
-    | [] -> ()
-    | alive ->
-      (* Try cores in local-time order; the earliest runnable one executes. *)
-      let by_time = List.sort (fun a b -> compare a.time b.time) alive in
-      let rec attempt = function
-        | [] -> raise (Deadlock "no core can make progress")
-        | core :: others -> (
-          match core.rest with
-          | [] -> attempt others
-          | instr :: rest -> (
-            if not core.dead then (
-              match Hashtbl.find_opt kill_time core.id with
-              | Some at when at <= core.time -> core.dead <- true
-              | Some _ | None -> ());
-            let step, lost =
-              if core.dead then execute_dead shared core instr
-              else (execute shared core instr, false)
-            in
-            match step with
-            | Done t ->
-              if lost then incr dropped;
-              events_rev :=
-                { core = core.id; label = label_of instr; start_s = core.time; finish_s = t }
-                :: !events_rev;
-              core.time <- t;
-              core.rest <- rest
-            | Blocked -> attempt others))
-      in
-      attempt by_time;
+    (* The earliest ready core runs next, the first in program order on
+       ties.  A chip has few cores, so a linear scan finds it. *)
+    let next = ref (-1) in
+    for i = 0 to n - 1 do
+      if ready.(i) && (!next < 0 || Float.compare cores.(i).time cores.(!next).time < 0)
+      then next := i
+    done;
+    let i = !next in
+    if i >= 0 then begin
+      let core = cores.(i) in
+      (match core.rest with
+      | [] -> ready.(i) <- false
+      | instr :: rest -> (
+        if not core.dead then (
+          match Hashtbl.find_opt kill_time core.id with
+          | Some at when at <= core.time -> core.dead <- true
+          | Some _ | None -> ());
+        let step, lost =
+          if core.dead then execute_dead shared core instr
+          else (execute shared core instr, false)
+        in
+        match step with
+        | Done t -> (
+          if lost then incr dropped;
+          events_rev :=
+            { core = core.id; label = label_of instr; start_s = core.time; finish_s = t }
+            :: !events_rev;
+          core.time <- t;
+          core.rest <- rest;
+          ready.(i) <- has_work core;
+          match instr with
+          | Instr.Send { dst; channel; bytes = _ } -> wake_receiver ~src:core.id ~dst ~channel
+          | Instr.Sync { token; parties = _ } -> wake_barrier token
+          | Instr.Weight_write _ | Instr.Load _ | Instr.Store _ | Instr.Mvm _ | Instr.Vfu _
+          | Instr.Recv _ | Instr.Check _ ->
+            ())
+        | Blocked -> ready.(i) <- false));
       drain ()
+    end
+    else if Array.exists has_work cores then raise (Deadlock "no core can make progress")
   in
   drain ();
   (* Instruction counters are derived from the event log after the drain —
@@ -319,7 +355,7 @@ let run ?(fault_events = []) chip programs =
     Compass_util.Metrics.add "sim.dropped_instructions" !dropped;
     if shared.checks_run > 0 then Compass_util.Metrics.add "sim.checks" shared.checks_run
   end;
-  let makespan = List.fold_left (fun acc c -> max acc c.time) 0. cores in
+  let makespan = Array.fold_left (fun acc c -> fmax acc c.time) 0. cores in
   let dram_trace = List.rev shared.trace_rev in
   let dram_bytes = shared.weight_bytes +. shared.load_bytes +. shared.store_bytes in
   let components =
@@ -334,7 +370,7 @@ let run ?(fault_events = []) chip programs =
   in
   {
     makespan_s = makespan;
-    core_finish_s = List.map (fun c -> (c.id, c.time)) cores;
+    core_finish_s = Array.to_list (Array.map (fun c -> (c.id, c.time)) cores);
     bus_busy_s = shared.bus_busy;
     dram_trace;
     mvm_macro_ops = shared.mvm_macro_ops;
@@ -346,7 +382,8 @@ let run ?(fault_events = []) chip programs =
     energy_j = List.fold_left (fun acc (_, v) -> acc +. v) 0. components;
     events = List.rev !events_rev;
     dead_cores =
-      List.sort compare (List.filter_map (fun c -> if c.dead then Some c.id else None) cores);
+      List.sort compare
+        (List.filter_map (fun c -> if c.dead then Some c.id else None) (Array.to_list cores));
     dropped_instructions = !dropped;
     checks_run = shared.checks_run;
   }

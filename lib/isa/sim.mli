@@ -12,6 +12,14 @@
     - [Recv] blocks until the matching [Send] has delivered; [Sync] is a
       counted barrier.
 
+    Dispatch: each step runs the head instruction of the ready core with
+    the earliest local time ([Float.compare]), the core listed first in
+    the program list winning ties.  A core whose head instruction blocks
+    waits without being retried until a [Send] on its [(channel, src,
+    dst)] or the release of its barrier token makes it ready again, so
+    shared resources (the bus, the external memory channel) are granted
+    in this order.
+
     The simulator is the ground truth the analytic estimator is validated
     against in tests. *)
 

@@ -1,10 +1,13 @@
-(* Every metric and span name a run emits is listed in the catalogue of
-   docs/FORMATS.md ("Trace and metrics output"): a quick compile with
-   simulation, a partitioned and a batched inference, and a few serve
-   steps run with tracing and metrics on, and each name they record must
-   match a documented one.  A [<placeholder>] segment of a documented
-   name matches any one segment; a histogram row also documents its
-   derived [.count], [.p50] and [.p99] names. *)
+(* The metric and span catalogue of docs/FORMATS.md ("Trace and metrics
+   output") against the code, both ways.  Every name a run emits is
+   listed: a quick compile with simulation, a partitioned and a batched
+   inference, and a few serve steps run with tracing and metrics on, and
+   each name they record must match a documented one.  A [<placeholder>]
+   segment of a documented name matches any one segment; a histogram row
+   also documents its derived [.count], [.p50] and [.p99] names.  And
+   every listed name is still emitted somewhere: its literal part, up to
+   the first placeholder segment, opens a string literal in some [.ml]
+   under lib/ or bin/. *)
 
 open Compass_core
 open Compass_util
@@ -12,9 +15,9 @@ open Compass_util
 let formats = "../docs/FORMATS.md"
 
 (* The backticked names in the first cell of each table row of the
-   section. *)
-let catalogue () =
-  let lines = String.split_on_char '\n' (Artifact.read_file formats) in
+   section, each with whether its row documents a histogram. *)
+let rows text =
+  let lines = String.split_on_char '\n' text in
   let rec section inside = function
     | [] -> []
     | l :: rest when String.starts_with ~prefix:"## " l ->
@@ -28,22 +31,60 @@ let catalogue () =
     (fun line ->
       match String.split_on_char '|' line with
       | "" :: first :: meaning :: _ when String.contains first '`' ->
-        let names = backticked first in
-        if String.starts_with ~prefix:"(histogram)" (String.trim meaning) then
-          List.concat_map (fun n -> [ n; n ^ ".count"; n ^ ".p50"; n ^ ".p99" ]) names
-        else names
+        let histogram = String.starts_with ~prefix:"(histogram)" (String.trim meaning) in
+        List.map (fun n -> (n, histogram)) (backticked first)
       | _ -> [])
     (section false lines)
 
+let catalogue () =
+  List.concat_map
+    (fun (n, histogram) ->
+      if histogram then [ n; n ^ ".count"; n ^ ".p50"; n ^ ".p99" ] else [ n ])
+    (rows (Artifact.read_file formats))
+
+let placeholder s = String.length s > 1 && s.[0] = '<' && s.[String.length s - 1] = '>'
+
 let documented catalogue name =
   let segments = String.split_on_char '.' in
-  let placeholder s = String.length s > 1 && s.[0] = '<' && s.[String.length s - 1] = '>' in
   List.exists
     (fun pattern ->
       let p = segments pattern and n = segments name in
       List.length p = List.length n
       && List.for_all2 (fun p n -> placeholder p || p = n) p n)
     catalogue
+
+(* The concatenated text of every [.ml] under [dirs]. *)
+let sources dirs =
+  let b = Buffer.create (1 lsl 20) in
+  let rec walk path =
+    if Sys.is_directory path then
+      Array.iter (fun f -> walk (Filename.concat path f)) (Sys.readdir path)
+    else if Filename.check_suffix path ".ml" then Buffer.add_string b (Artifact.read_file path)
+  in
+  List.iter walk dirs;
+  Buffer.contents b
+
+(* A documented name's literal part: its segments up to the first
+   placeholder, with the dot that precedes the placeholder. *)
+let literal name =
+  let rec take = function
+    | [] -> []
+    | s :: _ when placeholder s -> [ "" ]
+    | s :: rest -> s :: take rest
+  in
+  String.concat "." (take (String.split_on_char '.' name))
+
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* Documented names whose literal part opens no string literal in
+   [source]. *)
+let stale source rows =
+  List.filter_map
+    (fun (name, _) -> if contains ~sub:("\"" ^ literal name) source then None else Some name)
+    rows
 
 let workload () =
   let model = Compass_nn.Models.by_name "lenet5" in
@@ -114,6 +155,29 @@ let test_matching () =
   check "sim.core.3.instrs.extra" false;
   check "dram.writes" false
 
+let test_documented_names_emitted () =
+  let source = sources [ "../lib"; "../bin" ] in
+  Alcotest.(check (list string))
+    "documented but emitted nowhere" []
+    (stale source (rows (Artifact.read_file formats)))
+
+let test_planted_stale_row () =
+  (* A row for a metric the code no longer emits must be caught. *)
+  let source = sources [ "../lib"; "../bin" ] in
+  let planted =
+    String.concat "\n"
+      (List.concat_map
+         (fun l ->
+           if String.starts_with ~prefix:"| `sim.checks` |" l then
+             [ l; "| `sim.detections` | ABFT checksum mismatches |" ]
+           else [ l ])
+         (String.split_on_char '\n' (Artifact.read_file formats)))
+  in
+  Alcotest.(check (list string)) "planted row reported" [ "sim.detections" ]
+    (stale source (rows planted));
+  Alcotest.(check string) "literal part" "sim.core." (literal "sim.core.<id>.instrs");
+  Alcotest.(check string) "whole name" "dram.reads" (literal "dram.reads")
+
 let () =
   Alcotest.run "catalogue"
     [
@@ -121,5 +185,7 @@ let () =
         [
           Alcotest.test_case "placeholder matching" `Quick test_matching;
           Alcotest.test_case "emitted names documented" `Quick test_names_documented;
+          Alcotest.test_case "documented names emitted" `Quick test_documented_names_emitted;
+          Alcotest.test_case "planted stale row caught" `Quick test_planted_stale_row;
         ] );
     ]

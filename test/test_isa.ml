@@ -179,6 +179,54 @@ let test_sim_energy_components () =
        [ "mvm"; "vfu"; "weight_program"; "bus"; "dram"; "static" ]);
   Alcotest.(check bool) "positive total" true (r.Sim.energy_j > 0.)
 
+(* Dispatch order.  The programs are listed out of id order, so program
+   position and core id disagree. *)
+
+let kb = 1024.
+
+let loads_by_core r =
+  List.filter_map
+    (fun e -> if e.Sim.label = "load" then Some e.Sim.core else None)
+    r.Sim.events
+
+let test_sim_ties_in_program_order () =
+  (* All three cores reach the bus at time 0: the first listed goes first. *)
+  let load core_id addr = prog core_id [ Instr.Load { bytes = kb; addr; tag = "" } ] in
+  let r = run [ load 2 0; load 0 4096; load 1 8192 ] in
+  Alcotest.(check (list int)) "dispatch" [ 2; 0; 1 ] (loads_by_core r);
+  Alcotest.(check (list int)) "trace order" [ 0; 4096; 8192 ]
+    (List.map (fun t -> t.Compass_dram.Trace.addr) r.Sim.dram_trace);
+  let finish id =
+    (List.find (fun e -> e.Sim.core = id && e.Sim.label = "load") r.Sim.events).Sim.finish_s
+  in
+  Alcotest.(check bool) "bus granted in that order" true (finish 2 < finish 0 && finish 0 < finish 1)
+
+let test_sim_barrier_resumes_in_program_order () =
+  (* Cores 2 and 0 park at the barrier at time 0; core 1 fills it after
+     its MVMs.  All three then sit at the release time and load in
+     program order, not in arrival or id order. *)
+  let sync = Instr.Sync { token = 5; parties = 3 } in
+  let load addr = Instr.Load { bytes = kb; addr; tag = "" } in
+  let r =
+    run
+      [
+        prog 2 [ sync; load 0 ];
+        prog 0 [ sync; load 4096 ];
+        prog 1 [ Instr.Mvm { count = 50; tiles = 1; tag = "" }; sync; load 8192 ];
+      ]
+  in
+  Alcotest.(check (list (pair int string))) "dispatch"
+    [
+      (1, "mvm"); (1, "sync"); (2, "sync"); (0, "sync"); (2, "load"); (0, "load"); (1, "load");
+    ]
+    (List.map (fun e -> (e.Sim.core, e.Sim.label)) r.Sim.events);
+  let release = 50. *. chip.Config.crossbar.Crossbar.mvm_latency_s in
+  List.iter
+    (fun e ->
+      if e.Sim.label = "sync" then
+        Alcotest.(check (float 0.)) "released together" release e.Sim.finish_s)
+    r.Sim.events
+
 (* Timeline *)
 
 let test_timeline_render () =
@@ -295,6 +343,9 @@ let () =
           Alcotest.test_case "invalid program rejected" `Quick
             test_sim_invalid_program_rejected;
           Alcotest.test_case "energy components" `Quick test_sim_energy_components;
+          Alcotest.test_case "ties in program order" `Quick test_sim_ties_in_program_order;
+          Alcotest.test_case "barrier resumes in program order" `Quick
+            test_sim_barrier_resumes_in_program_order;
           Alcotest.test_case "timeline render" `Quick test_timeline_render;
           Alcotest.test_case "timeline empty" `Quick test_timeline_empty;
           Alcotest.test_case "core utilization" `Quick test_core_utilization_bounds;

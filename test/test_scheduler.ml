@@ -232,6 +232,85 @@ let test_invalid_batch () =
        false
      with Invalid_argument _ -> true)
 
+(* Simulator dispatch goldens: a digest of every event (core, kind, exact
+   start and finish bits), of the DRAM trace (kind, address, size) and of
+   the makespan bits.  Any change to which core the simulator runs next,
+   or to the times it models, moves the digest. *)
+let sim_digest (r : Compass_isa.Sim.result) =
+  let b = Buffer.create 65536 in
+  let bits f = Buffer.add_int64_le b (Int64.bits_of_float f) in
+  List.iter
+    (fun (e : Compass_isa.Sim.event) ->
+      Buffer.add_int64_le b (Int64.of_int e.Compass_isa.Sim.core);
+      Buffer.add_string b e.Compass_isa.Sim.label;
+      Buffer.add_char b '\000';
+      bits e.Compass_isa.Sim.start_s;
+      bits e.Compass_isa.Sim.finish_s)
+    r.Compass_isa.Sim.events;
+  List.iter
+    (fun (t : Compass_dram.Trace.record) ->
+      Buffer.add_char b (match t.Compass_dram.Trace.kind with Read -> 'r' | Write -> 'w');
+      Buffer.add_int64_le b (Int64.of_int t.Compass_dram.Trace.addr);
+      Buffer.add_int64_le b (Int64.of_int t.Compass_dram.Trace.bytes))
+    r.Compass_isa.Sim.dram_trace;
+  bits r.Compass_isa.Sim.makespan_s;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let dp_schedule name =
+  let plan =
+    Compiler.compile ~model:(Compass_nn.Models.by_name name) ~chip:Config.chip_s ~batch:16
+      Compiler.Optimal
+  in
+  (plan.Compiler.ctx, Compiler.schedule plan)
+
+let resnet18_dp = lazy (dp_schedule "resnet18")
+
+let check_digest name want r =
+  Alcotest.(check string) (name ^ " digest") want (sim_digest r)
+
+let test_sim_golden_resnet18 () =
+  let ctx, sched = Lazy.force resnet18_dp in
+  check_digest "resnet18-S-16 dp" "03595d6bd19ecbe1d4a40a5dc378d2fd" (Scheduler.simulate ctx sched)
+
+let test_sim_golden_squeezenet () =
+  let ctx, sched = dp_schedule "squeezenet" in
+  check_digest "squeezenet-S-16 dp" "4a9eb00d04b936ddefc2f89f174c519b" (Scheduler.simulate ctx sched)
+
+let test_sim_golden_faults () =
+  (* The fail-stop scenario of test_fault's "no deadlock" case. *)
+  let chip = Config.chip_s in
+  let plan =
+    Compiler.compile ~model:(Compass_nn.Models.by_name "resnet18") ~chip ~batch:8
+      Compiler.Greedy
+  in
+  let programs = (Compiler.schedule plan).Scheduler.programs in
+  let healthy = Compass_isa.Sim.run chip programs in
+  let faulted =
+    Compass_isa.Sim.run
+      ~fault_events:
+        [
+          Compass_isa.Sim.fail_stop ~at_s:(healthy.Compass_isa.Sim.makespan_s /. 4.) ~victim:1;
+          Compass_isa.Sim.fail_stop ~at_s:0. ~victim:3;
+        ]
+      chip programs
+  in
+  check_digest "resnet18-S-8 greedy, cores 1 and 3 fail-stopped"
+    "8a61bbf3f722c225f9e079570f9d3b61" faulted
+
+let test_sim_allocation_bound () =
+  (* Deterministic, unlike wall time: the simulator's minor-heap words per
+     executed instruction.  Re-sorting the cores per step costs hundreds. *)
+  let ctx, sched = Lazy.force resnet18_dp in
+  let before = Gc.minor_words () in
+  let r = Scheduler.simulate ctx sched in
+  let words = Gc.minor_words () -. before in
+  let per_instr = words /. float_of_int sched.Scheduler.instruction_count in
+  Alcotest.(check int) "every instruction ran" sched.Scheduler.instruction_count
+    (List.length r.Compass_isa.Sim.events);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per instruction < 64" per_instr)
+    true (per_instr < 64.)
+
 let () =
   Alcotest.run "scheduler"
     [
@@ -261,5 +340,9 @@ let () =
           Alcotest.test_case "invalid batch" `Quick test_invalid_batch;
           Alcotest.test_case "phase structure" `Quick test_program_phase_structure;
           Alcotest.test_case "instruction mix sane" `Quick test_instruction_mix_sane;
+          Alcotest.test_case "sim golden resnet18-S-16 dp" `Quick test_sim_golden_resnet18;
+          Alcotest.test_case "sim golden squeezenet-S-16 dp" `Quick test_sim_golden_squeezenet;
+          Alcotest.test_case "sim golden fail-stop" `Quick test_sim_golden_faults;
+          Alcotest.test_case "sim allocation bound" `Quick test_sim_allocation_bound;
         ] );
     ]
