@@ -66,6 +66,7 @@ let gate_table =
     ("infer", "outputs not bit-identical", Eq, 0.);
     ("chaos", "disarmed guard overhead (% of a compile)", Lt, 1.);
     ("serve", "dispatch overhead (%)", Lt, 5.);
+    ("serve", "engine extra minor words per infer request", Lt, 20_000.);
     ("serve", "not-ok responses", Eq, 0.);
   ]
 
@@ -90,6 +91,13 @@ let time f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (Unix.gettimeofday () -. t0, r)
+
+(* Minor words [f] allocates on this domain: the deterministic
+   companion of a wall-clock A/B gate. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
 
 (* The middle element; the upper one of an even-length list. *)
 let median xs = List.nth (List.sort compare xs) (List.length xs / 2)
@@ -1163,11 +1171,6 @@ let observe () =
      instrumentation allocates over one single-job compile, where every
      allocation lands on this domain's counter, from empty trace and
      metric tables. *)
-  let minor_words f =
-    let before = Gc.minor_words () in
-    f ();
-    Gc.minor_words () -. before
-  in
   let words_off = minor_words (compile ~jobs:1) in
   let words_on = minor_words (traced ~jobs:1) in
   Trace.reset ();
@@ -1355,6 +1358,7 @@ let serve () =
   let not_ok = ref 0 in
   let server =
     Server.create
+      ~config:{ Server.default_config with jobs = 1 }
       ~respond:(fun r ->
         match r.Protocol.status with
         | Protocol.Ok | Protocol.Degraded -> ()
@@ -1418,6 +1422,13 @@ let serve () =
     batch
     (Units.time_to_string direct_s)
     (Units.time_to_string engine_s) pairs;
+  (* The same comparison in allocations: on a one-job server every word
+     lands on this domain, and the kernels' large arrays go straight to
+     the major heap, so the difference is the request's parse, admission,
+     budget and digest work. *)
+  let extra_words = minor_words engine -. minor_words direct in
+  Printf.printf "infer %s batch %d: %.0f extra minor words via engine\n" model_name batch
+    extra_words;
   (* Latency tail over a mixed workload, read back from the same
      serve.latency_s histogram the daemon flushes with --metrics. *)
   let compile i =
@@ -1443,7 +1454,11 @@ let serve () =
   in
   Printf.printf "latency (%d timed requests): p50 %s, p99 %s\n" timed (q 0.5)
     (q 0.99);
-  [ ("dispatch overhead (%)", 100. *. overhead); ("not-ok responses", float_of_int !not_ok) ]
+  [
+    ("dispatch overhead (%)", 100. *. overhead);
+    ("engine extra minor words per infer request", extra_words);
+    ("not-ok responses", float_of_int !not_ok);
+  ]
 
 (* -------------------------------------------------------------------- *)
 

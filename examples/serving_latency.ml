@@ -111,7 +111,8 @@ let () =
   let t0 = Unix.gettimeofday () in
   let outs = Compass_nn.Executor.output_batch model weights inputs in
   let elapsed = Unix.gettimeofday () -. t0 in
-  Printf.printf
+  (* Wall clock varies run to run: stderr, so stdout stays byte-stable. *)
+  Printf.eprintf
     "Host functional replay (gemm engine): batch %d in %s — %.2f images/s\n"
     (Array.length outs)
     (Compass_util.Units.time_to_string elapsed)

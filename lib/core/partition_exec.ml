@@ -31,22 +31,25 @@ let run ?engine ctx group weights input =
   let spans = Array.of_list (Partition.spans group) in
   let nparts = Array.length spans in
   (* A node executes in the partition holding its last unit (its home). *)
-  let home_partition node =
-    let anchor = Dataflow.home_unit ctx node in
-    if anchor < 0 then -1 else Partition.partition_of_unit group anchor
+  let home =
+    Array.init (Graph.node_count model) (fun node ->
+        let anchor = Dataflow.home_unit ctx node in
+        if anchor < 0 then -1 else Partition.partition_of_unit group anchor)
   in
-  (* Liveness in global memory: last partition that reads each tensor. *)
-  let last_reader = Hashtbl.create 64 in
+  (* Liveness in global memory: the last partition that reads each
+     tensor, and per partition the tensors it frees. *)
+  let last_reader = Array.make (Graph.node_count model) (-1) in
   List.iter
     (fun v ->
-      let q = home_partition v in
+      let q = home.(v) in
       List.iter
-        (fun u ->
-          if home_partition u <> q then
-            Hashtbl.replace last_reader u
-              (max q (Option.value ~default:(-1) (Hashtbl.find_opt last_reader u))))
+        (fun u -> if home.(u) <> q then last_reader.(u) <- Int.max q last_reader.(u))
         (Graph.preds model v))
     (Graph.topo_order model);
+  let frees = Array.make nparts [] in
+  Array.iteri
+    (fun u q -> if q >= 0 && u <> exit_node then frees.(q) <- u :: frees.(q))
+    last_reader;
   let global : (Graph.node, Tensor.t) Hashtbl.t = Hashtbl.create 32 in
   Hashtbl.add global input_node input;
   let traffic = ref [] in
@@ -77,7 +80,7 @@ let run ?engine ctx group weights input =
     (* Execute the partition's nodes in topological order. *)
     List.iter
       (fun v ->
-        if v <> input_node && home_partition v = p then begin
+        if v <> input_node && home.(v) = p then begin
           let inputs = List.map (fetch v) (Graph.preds model v) in
           Hashtbl.add local v (Executor.apply_node ?engine ~scratch model weights v inputs)
         end)
@@ -86,7 +89,7 @@ let run ?engine ctx group weights input =
     Hashtbl.iter
       (fun u t ->
         let consumed_later =
-          List.exists (fun v -> home_partition v > p) (Graph.succs model u)
+          List.exists (fun v -> home.(v) > p) (Graph.succs model u)
         in
         if consumed_later || u = exit_node then begin
           traffic := { partition = p; node = u; direction = `Store } :: !traffic;
@@ -94,9 +97,7 @@ let run ?engine ctx group weights input =
         end)
       local;
     (* Free tensors whose last reader was this partition. *)
-    Hashtbl.iter
-      (fun u q -> if q = p && u <> exit_node then Hashtbl.remove global u)
-      (Hashtbl.copy last_reader);
+    List.iter (Hashtbl.remove global) frees.(p);
     peak := max !peak (Hashtbl.length global);
     if Hashtbl.mem local exit_node then final := Hashtbl.find_opt local exit_node
   done;

@@ -118,48 +118,35 @@ let layer_span_args g node =
     ("kind", Layer.op_kind (Graph.layer g node).Layer.op);
   ]
 
-let run ?engine ?budget g weights input =
-  let outputs : (Graph.node, Tensor.t) Hashtbl.t = Hashtbl.create 64 in
-  let scratch = Im2col.create_scratch () in
-  List.iter
-    (fun node ->
-      check_budget budget;
-      let result =
-        match (Graph.layer g node).Layer.op with
-        | Layer.Input shape ->
-          if not (Shape.equal shape (Tensor.shape input)) then
-            invalid_arg "Executor.run: input shape mismatch";
-          input
-        | _ ->
-          let inputs = List.map (Hashtbl.find outputs) (Graph.preds g node) in
-          Compass_util.Trace.with_span "infer.layer" ~args:(layer_span_args g node)
-            (fun () -> apply_node ?engine ~scratch g weights node inputs)
-      in
-      Hashtbl.add outputs node result)
-    (Graph.topo_order g);
-  fun node ->
-    match Hashtbl.find_opt outputs node with
-    | Some t -> t
-    | None -> invalid_arg "Executor.run: unknown node"
-
-let output ?engine ?budget g weights input =
-  match Graph.exit_nodes g with
-  | [ exit ] -> run ?engine ?budget g weights input exit
-  | _ -> invalid_arg "Executor.output: expected exactly one exit"
-
-(* Batched traversal: one walk of the graph evaluates every sample at
-   each layer, optionally fanning the batch across pool domains.
-   [Pool.map]/[map_local] preserve input order, so results are
-   deterministic for any worker count; the engine draws no randomness. *)
-let run_batch ?(engine = Gemm) ?budget ?pool ?supervision g weights inputs =
+(* The one traversal behind [output] and [output_batch].  Each layer
+   runs over every sample before the next starts, optionally fanning the
+   batch across pool domains ([Pool.map_local] preserves input order, so
+   results are deterministic for any worker count).  A node's tensors
+   leave the table right after its last consumer in topological order
+   has run, so the table holds only live activations; the unique exit,
+   which nothing consumes, is the one entry left at the end.  Dropping
+   an entry only drops a reference, so aliasing layers and the caller's
+   inputs need no care. *)
+let forward ~name ~span_args ~engine ?budget ?pool ?supervision g weights inputs =
+  let exit =
+    match Graph.exit_nodes g with
+    | [ exit ] -> exit
+    | _ -> invalid_arg (name ^ ": expected exactly one exit")
+  in
   let n = Array.length inputs in
-  if n = 0 then invalid_arg "Executor.run_batch: empty batch";
-  Compass_util.Failpoint.guard "executor.batch";
   let parallel =
     match pool with
     | Some p when Compass_util.Pool.jobs p > 1 && n > 1 -> Some p
     | _ -> None
   in
+  let order = Graph.topo_order g in
+  let last_consumer = Array.make (Graph.node_count g) (-1) in
+  List.iter (fun v -> List.iter (fun u -> last_consumer.(u) <- v) (Graph.preds g v)) order;
+  (* Activation bytes held, summed over the table at each layer
+     boundary, for the [infer.live_bytes_peak] gauge. *)
+  let metered = Compass_util.Metrics.enabled () in
+  let bytes node = 8 * n * Shape.elements (Graph.shape_of g node) in
+  let live = ref 0 and peak = ref 0 in
   let scratch = Im2col.create_scratch () in
   let outputs : (Graph.node, Tensor.t array) Hashtbl.t = Hashtbl.create 64 in
   List.iter
@@ -171,7 +158,7 @@ let run_batch ?(engine = Gemm) ?budget ?pool ?supervision g weights inputs =
           Array.iter
             (fun t ->
               if not (Shape.equal shape (Tensor.shape t)) then
-                invalid_arg "Executor.run_batch: input shape mismatch")
+                invalid_arg (name ^ ": input shape mismatch"))
             inputs;
           inputs
         | _ ->
@@ -181,7 +168,7 @@ let run_batch ?(engine = Gemm) ?budget ?pool ?supervision g weights inputs =
               (List.map (fun outs -> outs.(i)) preds)
           in
           Compass_util.Trace.with_span "infer.layer"
-            ~args:(("batch", string_of_int n) :: layer_span_args g node)
+            ~args:(span_args @ layer_span_args g node)
             (fun () ->
               match parallel with
               | Some p ->
@@ -189,14 +176,29 @@ let run_batch ?(engine = Gemm) ?budget ?pool ?supervision g weights inputs =
                   ~f:eval (Array.init n Fun.id)
               | None -> Array.init n (eval scratch))
       in
-      Hashtbl.add outputs node results)
-    (Graph.topo_order g);
-  fun node ->
-    match Hashtbl.find_opt outputs node with
-    | Some t -> t
-    | None -> invalid_arg "Executor.run_batch: unknown node"
+      Hashtbl.add outputs node results;
+      if metered then begin
+        live := !live + bytes node;
+        peak := Int.max !peak !live
+      end;
+      List.iter
+        (fun u ->
+          if last_consumer.(u) = node && Hashtbl.mem outputs u then begin
+            Hashtbl.remove outputs u;
+            if metered then live := !live - bytes u
+          end)
+        (Graph.preds g node))
+    order;
+  if metered then Compass_util.Metrics.set "infer.live_bytes_peak" (float_of_int !peak);
+  Hashtbl.find outputs exit
 
-let output_batch ?engine ?budget ?pool ?supervision g weights inputs =
-  match Graph.exit_nodes g with
-  | [ exit ] -> run_batch ?engine ?budget ?pool ?supervision g weights inputs exit
-  | _ -> invalid_arg "Executor.output_batch: expected exactly one exit"
+let output ?(engine = Gemm) ?budget g weights input =
+  (forward ~name:"Executor.output" ~span_args:[] ~engine ?budget g weights [| input |]).(0)
+
+let output_batch ?(engine = Gemm) ?budget ?pool ?supervision g weights inputs =
+  let n = Array.length inputs in
+  if n = 0 then invalid_arg "Executor.output_batch: empty batch";
+  Compass_util.Failpoint.guard "executor.batch";
+  forward ~name:"Executor.output_batch"
+    ~span_args:[ ("batch", string_of_int n) ]
+    ~engine ?budget ?pool ?supervision g weights inputs

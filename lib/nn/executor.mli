@@ -10,9 +10,17 @@
     the naive nested-loop reference ([Naive]) and the im2col/GEMM
     lowering ([Gemm], the default) — bit-identical by construction and
     pinned so by a QCheck differential suite, so every equivalence
-    proof downstream is engine-independent.  Per-layer [Trace] spans
-    ([infer.layer]) and the [infer.gemm_ns]/[infer.im2col_bytes]
-    counters cover both single-sample and batched execution. *)
+    proof downstream is engine-independent.
+
+    [output] and [output_batch] share one traversal that frees as it
+    goes: a node's tensors are dropped right after its last consumer in
+    topological order has run, so a call holds only the live
+    activations, never the whole network's.  Per-layer [Trace] spans
+    ([infer.layer]), the [infer.gemm_ns]/[infer.im2col_bytes] counters
+    and the [infer.live_bytes_peak] gauge (the most activation bytes
+    the table held at a layer boundary: every live node at its full
+    shape times the batch, aliases counted again) cover both
+    single-sample and batched execution. *)
 
 type weights = (Graph.node, float array) Hashtbl.t
 (** One weight array per Conv/Linear node, in [Tensor]'s layouts. *)
@@ -22,10 +30,10 @@ type engine =
   | Gemm  (** Im2col + cache-blocked GEMM — bit-identical, much faster. *)
 
 exception Cancelled
-(** Raised by {!run}/{!run_batch} (and the [output] wrappers) when the
-    [?budget] token expires: the traversal checks the deadline at every
-    layer boundary, so a timed-out inference is abandoned between layers
-    rather than mid-kernel or not at all.  The serving runtime maps this
+(** Raised by {!output}/{!output_batch} when the [?budget] token
+    expires: the traversal checks the deadline at every layer boundary,
+    so a timed-out inference is abandoned between layers rather than
+    mid-kernel or not at all.  The serving runtime maps this
     to a [timeout] response envelope. *)
 
 val engine_of_string : string -> engine option
@@ -41,43 +49,12 @@ val random_input : ?seed:int -> Graph.t -> Tensor.t
 (** A deterministic random tensor matching the graph's [Input] shape.
     Raises [Invalid_argument] on graphs without exactly one input. *)
 
-val run :
-  ?engine:engine ->
-  ?budget:Compass_util.Budget.t ->
-  Graph.t ->
-  weights ->
-  Tensor.t ->
-  (Graph.node -> Tensor.t)
-(** [run g weights input] executes the whole graph and returns a lookup of
-    every node's output tensor.  Raises [Invalid_argument] on missing
-    weights or shape violations (the latter cannot happen for validated
-    graphs).  [?budget] is polled at every layer boundary; expiry raises
-    {!Cancelled}. *)
-
 val output : ?engine:engine -> ?budget:Compass_util.Budget.t -> Graph.t -> weights -> Tensor.t -> Tensor.t
-(** The unique exit node's tensor.  Raises [Invalid_argument] when the
-    graph has several exits, {!Cancelled} on budget expiry. *)
-
-val run_batch :
-  ?engine:engine ->
-  ?budget:Compass_util.Budget.t ->
-  ?pool:Compass_util.Pool.t ->
-  ?supervision:Compass_util.Pool.supervision ->
-  Graph.t ->
-  weights ->
-  Tensor.t array ->
-  (Graph.node -> Tensor.t array)
-(** [run_batch g weights inputs] evaluates every sample of the batch in
-    one traversal of the graph — each layer runs over all N inputs
-    before the next layer starts, amortizing weight-array traffic.
-    With [pool], the batch is fanned across the pool's domains
-    (per-domain im2col scratch, order-preserving map), and results are
-    bit-identical for any worker count; sample [i]'s outputs never
-    depend on the rest of the batch.  [?supervision] forwards the
-    worker-recovery policy to the pool (evaluation is pure, so a
-    supervised retry reproduces the sample bit-identically); failpoint
-    site [executor.batch] marks each batch entry.  Raises
-    [Invalid_argument] on an empty batch or shape mismatches. *)
+(** [output g weights input] executes the whole graph and returns the
+    unique exit node's tensor.  Raises [Invalid_argument] when the graph
+    has several exits, on missing weights or on shape violations (the
+    latter cannot happen for validated graphs); [?budget] is polled at
+    every layer boundary and its expiry raises {!Cancelled}. *)
 
 val output_batch :
   ?engine:engine ->
@@ -88,10 +65,20 @@ val output_batch :
   weights ->
   Tensor.t array ->
   Tensor.t array
-(** The unique exit node's tensors, one per batch sample.  Raises
-    [Invalid_argument] when the graph has several exits, {!Cancelled} on
-    budget expiry (checked between layers — a whole-batch layer either
-    completes for every sample or has not started). *)
+(** The unique exit node's tensors, one per batch sample, from one
+    traversal of the graph — each layer runs over all N inputs before
+    the next layer starts, amortizing weight-array traffic.  With
+    [pool], the batch is fanned across the pool's domains (per-domain
+    im2col scratch, order-preserving map), and results are
+    bit-identical for any worker count; sample [i]'s output never
+    depends on the rest of the batch.  [?supervision] forwards the
+    worker-recovery policy to the pool (evaluation is pure, so a
+    supervised retry reproduces the sample bit-identically); failpoint
+    site [executor.batch] marks each batch entry.  Raises
+    [Invalid_argument] on an empty batch, several exits or shape
+    mismatches, {!Cancelled} on budget expiry (checked between layers —
+    a whole-batch layer either completes for every sample or has not
+    started). *)
 
 val apply_node :
   ?engine:engine ->

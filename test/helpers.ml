@@ -22,3 +22,24 @@ let checkpoint_of_string text =
     (fun () ->
       Out_channel.with_open_bin path (fun oc -> output_string oc text);
       Compass_core.Plan_text.load_checkpoint path)
+
+(* Every node's tensor from a keep-everything walk of [apply_node] in
+   topological order: the reference that [Executor.output]'s freeing
+   traversal is checked against, and the way to read intermediate
+   nodes. *)
+let walk ?engine g weights input =
+  let open Compass_nn in
+  let outputs = Hashtbl.create 64 in
+  let scratch = Im2col.create_scratch () in
+  List.iter
+    (fun node ->
+      let t =
+        match (Graph.layer g node).Layer.op with
+        | Layer.Input _ -> input
+        | _ ->
+          Executor.apply_node ?engine ~scratch g weights node
+            (List.map (Hashtbl.find outputs) (Graph.preds g node))
+      in
+      Hashtbl.add outputs node t)
+    (Graph.topo_order g);
+  Hashtbl.find outputs

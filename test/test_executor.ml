@@ -148,7 +148,7 @@ let test_executor_shapes_match_inference () =
       let g = Models.by_name name in
       let weights = Executor.random_weights g in
       let input = Executor.random_input g in
-      let lookup = Executor.run g weights input in
+      let lookup = Helpers.walk g weights input in
       List.iter
         (fun node ->
           Alcotest.(check bool)
@@ -179,7 +179,7 @@ let test_executor_relu_nonnegative () =
   let g = Models.lenet5 () in
   let w = Executor.random_weights g in
   let x = Executor.random_input g in
-  let lookup = Executor.run g w x in
+  let lookup = Helpers.walk g w x in
   let relu_node =
     List.find (fun n -> (Graph.layer g n).Layer.op = Layer.Relu) (Graph.nodes g)
   in

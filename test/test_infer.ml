@@ -243,8 +243,8 @@ let test_engines_agree_on_models () =
       let g = Models.by_name name in
       let w = Executor.random_weights g in
       let x = Executor.random_input g in
-      let naive = Executor.run ~engine:Executor.Naive g w x in
-      let gemm = Executor.run ~engine:Executor.Gemm g w x in
+      let naive = Helpers.walk ~engine:Executor.Naive g w x in
+      let gemm = Helpers.walk ~engine:Executor.Gemm g w x in
       List.iter
         (fun node ->
           bit_identical (Printf.sprintf "%s node %d" name node) (naive node) (gemm node))
@@ -287,23 +287,86 @@ let test_run_batch_any_worker_count () =
             pooled))
     [ 1; 2; 3; 5 ]
 
-let test_run_batch_all_nodes () =
-  (* The batched lookup exposes every node, matching single-sample runs. *)
-  let g = Models.by_name "tiny_mlp" in
-  let w = Executor.random_weights g in
-  let inputs = batch_inputs g 3 in
-  let lookup = Executor.run_batch g w inputs in
+(* The most activation bytes a freeing traversal holds, recomputed
+   from positions alone: right after the node at position [i] has run,
+   node [u] is held iff it ran no later than [i] and is the exit or has
+   a consumer at position [i] or later. *)
+let liveness_peak g batch =
+  let order = Array.of_list (Graph.topo_order g) in
+  let pos = Hashtbl.create 64 in
+  Array.iteri (fun i v -> Hashtbl.replace pos v i) order;
+  let exits = Graph.exit_nodes g in
+  let bytes u = 8 * batch * Shape.elements (Graph.shape_of g u) in
+  let held i u =
+    Hashtbl.find pos u <= i
+    && (List.mem u exits
+       || List.exists (fun v -> Hashtbl.find pos v >= i) (Graph.succs g u))
+  in
+  let live i = Array.fold_left (fun acc u -> if held i u then acc + bytes u else acc) 0 order in
+  ( Array.fold_left max 0 (Array.init (Array.length order) live),
+    Array.fold_left (fun acc u -> acc + bytes u) 0 order )
+
+let test_live_bytes_peak () =
+  (* The gauge is the liveness peak, and it is below what keeping every
+     activation would hold. *)
+  let module Metrics = Compass_util.Metrics in
+  Metrics.reset ();
+  Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.disable ();
+      Metrics.reset ())
+    (fun () ->
+      List.iter
+        (fun name ->
+          let g = Models.by_name name in
+          let w = Executor.random_weights g in
+          List.iter
+            (fun n ->
+              ignore (Executor.output_batch g w (batch_inputs g n));
+              let gauge =
+                match List.assoc_opt "infer.live_bytes_peak" (Metrics.snapshot ()) with
+                | Some (Metrics.Float v) -> int_of_float v
+                | _ -> Alcotest.fail "infer.live_bytes_peak not set"
+              in
+              let peak, total = liveness_peak g n in
+              let what = Printf.sprintf "%s batch %d" name n in
+              Alcotest.(check int) (what ^ " gauge = liveness peak") peak gauge;
+              Alcotest.(check bool) (what ^ " below all activations") true (gauge < total))
+            [ 1; 3 ])
+        [ "lenet5"; "tiny_resnet"; "tiny_mlp"; "squeezenet"; "resnet18" ])
+
+let test_output_batch_equals_walk () =
+  (* Freeing dead activations never changes a bit: every zoo model
+     (concat, add, and the aliasing batch-norm, dropout and flatten
+     layers among them) matches a keep-everything walk, sequentially
+     and fanned across two domains. *)
+  let gc = Gc.get () in
+  (* VGG weights run to a gigabyte, and the default overhead would let
+     the major heap grow to twice that before collecting the garbage
+     im2col panels: collect sooner, and give each model's heap back
+     before the next. *)
+  Gc.set { gc with Gc.space_overhead = 40 };
+  Fun.protect ~finally:(fun () -> Gc.set gc) @@ fun () ->
   List.iter
-    (fun node ->
-      let batched = lookup node in
-      Array.iteri
-        (fun i x ->
-          bit_identical
-            (Printf.sprintf "node %d sample %d" node i)
-            (Executor.run g w x node)
-            batched.(i))
-        inputs)
-    (Graph.nodes g)
+    (fun name ->
+      let g = Models.by_name name in
+      let w = Executor.random_weights g in
+      let inputs = batch_inputs g 2 in
+      let exit = List.hd (Graph.exit_nodes g) in
+      let expected = Array.map (fun x -> Helpers.walk g w x exit) inputs in
+      List.iter
+        (fun jobs ->
+          Compass_util.Pool.with_pool ~jobs (fun pool ->
+              Array.iteri
+                (fun i t ->
+                  bit_identical
+                    (Printf.sprintf "%s jobs %d sample %d" name jobs i)
+                    expected.(i) t)
+                (Executor.output_batch ~pool g w inputs)))
+        [ 1; 2 ];
+      Gc.compact ())
+    Models.all_names
 
 let test_run_batch_rejects_empty () =
   let g = Models.by_name "tiny_mlp" in
@@ -425,7 +488,9 @@ let () =
         [
           Alcotest.test_case "equals per-sample" `Quick test_run_batch_equals_per_sample;
           Alcotest.test_case "any worker count" `Quick test_run_batch_any_worker_count;
-          Alcotest.test_case "all nodes exposed" `Quick test_run_batch_all_nodes;
+          Alcotest.test_case "live peak = liveness sum" `Quick test_live_bytes_peak;
+          Alcotest.test_case "zoo equals keep-all walk" `Slow
+            test_output_batch_equals_walk;
           Alcotest.test_case "empty batch rejected" `Quick test_run_batch_rejects_empty;
         ] );
       ( "diagnostics",
