@@ -1027,6 +1027,14 @@ let micro () =
           (let warm = Estimator.Span_cache.create ~batch:16 () in
            ignore (Optimal.optimize ~cache:warm ctx validity ~batch:16);
            Staged.stage (fun () -> Optimal.optimize ~cache:warm ctx validity ~batch:16));
+        Test.make ~name:"dp/optimize_warm_vgg16"
+          (* vgg16-S: the largest state space in the zoo (969 units). *)
+          (let units = Unit_gen.generate (Compass_nn.Models.vgg16 ()) chip in
+           let validity = Validity.build units in
+           let ctx = Dataflow.context units in
+           let warm = Estimator.Span_cache.create ~batch:16 () in
+           ignore (Optimal.optimize ~cache:warm ctx validity ~batch:16);
+           Staged.stage (fun () -> Optimal.optimize ~cache:warm ctx validity ~batch:16));
         Test.make ~name:"fig7/sim_run"
           (Staged.stage (fun () -> Scheduler.simulate ctx schedule));
         Test.make ~name:"dram/replay_1MB"

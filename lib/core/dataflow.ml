@@ -88,7 +88,7 @@ let in_span ~start_ ~stop i = i >= start_ && i < stop
 (* Does a node execute (have units or be attached) inside the span? *)
 let touches ctx ~start_ ~stop node =
   if ctx.unit_lo.(node) >= 0 then
-    max ctx.unit_lo.(node) start_ <= min ctx.unit_hi.(node) (stop - 1)
+    Int.max ctx.unit_lo.(node) start_ <= Int.min ctx.unit_hi.(node) (stop - 1)
   else in_span ~start_ ~stop ctx.anchor.(node)
 
 let layer_fraction_in ctx node ~start_ ~stop =
@@ -97,8 +97,8 @@ let layer_fraction_in ctx node ~start_ ~stop =
   if ctx.unit_lo.(node) < 0 then
     if in_span ~start_ ~stop ctx.anchor.(node) then 1. else 0.
   else
-    let lo = max ctx.unit_lo.(node) start_ in
-    let hi = min (ctx.unit_hi.(node) + 1) stop in
+    let lo = Int.max ctx.unit_lo.(node) start_ in
+    let hi = Int.min (ctx.unit_hi.(node) + 1) stop in
     if hi <= lo then 0. else ctx.frac_prefix.(hi) -. ctx.frac_prefix.(lo)
 
 let span_io ctx ~start_ ~stop =

@@ -288,7 +288,7 @@ let endurance_of ~options chip ~batch spans =
             if used > 0 && has_slots then spans_on_core.(c) <- spans_on_core.(c) + 1)
           sp.tiles_per_core)
       spans;
-    let worst = Array.fold_left max 0 spans_on_core in
+    let worst = Array.fold_left Int.max 0 spans_on_core in
     let fbatch = float_of_int batch in
     let max_per_inference = float_of_int worst /. fbatch in
     let budget = Option.bind options.faults Fault.endurance_budget in
@@ -314,11 +314,11 @@ let combine ?(options = default_options) ctx ~batch spans =
         match prev with
         | None -> sp.write_s
         | Some p when options.write_overlap ->
-          let idle = max 0. (max p.compute_s p.io_s -. p.io_s) in
-          max 0. (sp.write_s -. idle)
+          let idle = fmax 0. (fmax p.compute_s p.io_s -. p.io_s) in
+          fmax 0. (sp.write_s -. idle)
         | Some _ -> sp.write_s
       in
-      latency (acc +. exposed_write +. max sp.compute_s sp.io_s) (Some sp) rest
+      latency (acc +. exposed_write +. fmax sp.compute_s sp.io_s) (Some sp) rest
   in
   let batch_latency_s = latency 0. None spans in
   let sum f = List.fold_left (fun acc sp -> acc +. f sp) 0. spans in

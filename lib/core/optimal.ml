@@ -27,90 +27,145 @@ let objective_value objective (perf : Estimator.perf) =
   | Fitness.Edp -> perf.Estimator.edp_j_s
   | Fitness.Wear -> Fitness.group_fitness Fitness.Wear perf
 
-(* Accumulated batch latency after appending [sp] to a chain whose last
-   span is [prev] — the exact expression (and association) of
-   [Estimator.combine], so a DP path sums to the bit-identical
-   [batch_latency_s] the estimator reports for the reconstructed group. *)
-let extend_latency ~write_overlap acc prev (sp : Estimator.span_cost) =
-  let exposed_write =
-    match prev with
-    | None -> sp.Estimator.write_s
-    | Some (p : Estimator.span_cost) when write_overlap ->
-      let idle =
-        max 0. (max p.Estimator.compute_s p.Estimator.io_s -. p.Estimator.io_s)
-      in
-      max 0. (sp.Estimator.write_s -. idle)
-    | Some _ -> sp.Estimator.write_s
-  in
-  acc +. exposed_write +. max sp.Estimator.compute_s sp.Estimator.io_s
+(* The valid-span DAG with one state per valid span: state [a, b) sits at
+   [first.(a) + b - a - 1], and the starts [p] of the valid spans [p, a)
+   ending at [a] are [into.(into_first.(a))] up to [into_first.(a + 1)],
+   ascending.  Both are built in O(valid spans). *)
+type states = {
+  first : int array;  (* [m + 1] entries; [first.(m)] counts the states *)
+  into_first : int array;  (* [m + 2] entries *)
+  into : int array;
+}
 
-(* Batch energy = sum of per-span dynamic energies + static power x batch
-   latency; the latency is edge-separable (above), so energy is too:
-   charge each edge its dynamic energy plus the static energy of the
-   latency it adds. *)
-let extend_energy ~write_overlap ~static_power_w acc prev (sp : Estimator.span_cost) =
-  let dt = extend_latency ~write_overlap 0. prev sp in
-  acc +. Fitness.span_fitness Fitness.Energy sp +. (static_power_w *. dt)
+let state_count st = st.first.(Array.length st.first - 1)
+let state first a b = first.(a) + b - a - 1
 
-(* The wear surrogate the GA minimizes is a plain span sum, accumulated in
-   the same order [Fitness.group_fitness] folds it. *)
-let extend_wear acc _prev (sp : Estimator.span_cost) =
-  acc +. Fitness.span_fitness Fitness.Wear sp
-
-(* Shortest path over the valid-span DAG with one state per valid span:
-   state (a, b) = "the chain's last span is [a, b)".  The incoming span is
-   part of the state because the write-overlap credit of span [b, c)
-   depends on the idle time of its predecessor.  Starts are processed in
-   ascending order: every chain ending at [a] is final by then, so its
-   last span is fetched once and relaxed into every valid [a, b).  Each
-   state sees the root edge first, then predecessors in ascending order,
-   and keeps the first minimum, so the result is deterministic. *)
-let run_dp ~m ~validity ~perf_of ~extend =
-  let best = Array.make_matrix (m + 1) (m + 1) infinity in
-  let parent = Array.make_matrix (m + 1) (m + 1) min_int in
-  let edges = ref 0 in
-  let relax a b p v =
-    incr edges;
-    if v < best.(a).(b) then begin
-      best.(a).(b) <- v;
-      parent.(a).(b) <- p
-    end
-  in
+let states validity =
+  let m = Validity.size validity in
+  let first = Array.make (m + 1) 0 in
+  let into_first = Array.make (m + 2) 0 in
   for a = 0 to m - 1 do
-    let preds = ref [] in
-    for p = a - 1 downto 0 do
-      if best.(p).(a) < infinity then preds := (p, Some (perf_of p a)) :: !preds
-    done;
-    for b = a + 1 to Validity.max_end validity a do
-      let sp = perf_of a b in
-      if a = 0 then relax a b (-1) (extend 0. None sp);
-      List.iter (fun (p, prev) -> relax a b p (extend best.(p).(a) prev sp)) !preds
+    let max_end = Validity.max_end validity a in
+    first.(a + 1) <- first.(a) + max_end - a;
+    for b = a + 1 to max_end do
+      into_first.(b + 1) <- into_first.(b + 1) + 1
     done
   done;
-  (* Smallest start among the minima: scan upward with strict improvement. *)
-  let final =
-    let best_a = ref (-1) in
-    for a = 0 to m - 1 do
-      if best.(a).(m) < infinity && (!best_a < 0 || best.(a).(m) < best.(!best_a).(m))
-      then best_a := a
+  for b = 1 to m + 1 do
+    into_first.(b) <- into_first.(b - 1) + into_first.(b)
+  done;
+  let into = Array.make first.(m) 0 in
+  let fill = Array.sub into_first 0 (m + 1) in
+  for p = 0 to m - 1 do
+    for b = p + 1 to Validity.max_end validity p do
+      into.(fill.(b)) <- p;
+      fill.(b) <- fill.(b) + 1
+    done
+  done;
+  { first; into_first; into }
+
+(* [Estimator.fmax]: [Stdlib.max] on floats, defined here so that it
+   inlines into the edge loop and its operands stay unboxed. *)
+let fmax (a : float) b = if a >= b then a else b
+
+(* What an edge costs.  Batch latency is [Estimator.combine]'s sum of
+   [exposed_write + max(compute, io)] over the chain, where the exposed
+   write hides under the predecessor span's DRAM-idle compute.  Batch
+   energy is the dynamic energies plus static power x batch latency, so
+   each edge is charged its span's dynamic energy plus the static energy
+   of the latency it adds.  The wear surrogate is a plain span sum.  Both
+   read the span's [Fitness.span_fitness], as the GA does. *)
+type edge_objective =
+  | Latency
+  | Energy of float  (* chip static power, W *)
+  | Wear
+
+(* Shortest path over the states: state [a, b) = "the chain's last span is
+   [a, b)".  The incoming span is part of the state because the
+   write-overlap credit of [b, c) depends on the idle time of its
+   predecessor.  Starts are processed in ascending order: every chain
+   ending at [a] is final by then, so each reached predecessor's span is
+   fetched once and its best value and idle time are relaxed into every
+   valid [a, b).  Each state sees the root edge first, then predecessors in
+   ascending order, and keeps the first minimum, so the result is
+   deterministic.  The edge values use [Estimator.combine]'s exact
+   expressions and association, so a path sums to the bit-identical value
+   the estimator reports for the reconstructed group. *)
+let run_dp st ~perf_of ~write_overlap objective =
+  let { first; into_first; into } = st in
+  let m = Array.length first - 1 in
+  let n = state_count st in
+  let best = Array.make n infinity in
+  let parent = Array.make n (-1) in
+  (* The reached predecessors of the current start, ascending: fewer
+     than [m].  Start 0 has one, the root: position -1, value 0, no
+     overlap credit. *)
+  let pred_start = Array.make m (-1) in
+  let pred_best = Array.make m 0. in
+  let pred_idle = Array.make m 0. in
+  let edges = ref 0 in
+  for a = 0 to m - 1 do
+    let live = ref (if a = 0 then 1 else 0) in
+    for k = into_first.(a) to into_first.(a + 1) - 1 do
+      let p = into.(k) in
+      let v = best.(state first p a) in
+      if v < infinity then begin
+        let c : Estimator.span_cost = perf_of p a in
+        pred_start.(!live) <- p;
+        pred_best.(!live) <- v;
+        pred_idle.(!live) <-
+          fmax 0.
+            (fmax c.Estimator.compute_s c.Estimator.io_s -. c.Estimator.io_s);
+        incr live
+      end
     done;
-    !best_a
-  in
-  if final < 0 then invalid_arg "Optimal.optimize: no valid chain covers the units";
+    let overlap = write_overlap && a > 0 in
+    for b = a + 1 to a + first.(a + 1) - first.(a) do
+      let s = state first a b in
+      let sp : Estimator.span_cost = perf_of a b in
+      let write = sp.Estimator.write_s in
+      let busy = fmax sp.Estimator.compute_s sp.Estimator.io_s in
+      let fitness =
+        match objective with
+        | Latency -> 0.
+        | Energy _ -> Fitness.span_fitness Fitness.Energy sp
+        | Wear -> Fitness.span_fitness Fitness.Wear sp
+      in
+      for k = 0 to !live - 1 do
+        let exposed =
+          if overlap then fmax 0. (write -. pred_idle.(k)) else write
+        in
+        let v =
+          match objective with
+          | Latency -> pred_best.(k) +. exposed +. busy
+          | Energy static_power_w ->
+            pred_best.(k) +. fitness +. (static_power_w *. (0. +. exposed +. busy))
+          | Wear -> pred_best.(k) +. fitness
+        in
+        incr edges;
+        if v < best.(s) then begin
+          best.(s) <- v;
+          parent.(s) <- pred_start.(k)
+        end
+      done
+    done
+  done;
+  (* Smallest start among the minima over the states [a, m): scan upward
+     with strict improvement. *)
+  let final = ref (-1) in
+  for k = into_first.(m) to into_first.(m + 1) - 1 do
+    let a = into.(k) in
+    let v = best.(state first a m) in
+    if v < infinity && (!final < 0 || v < best.(state first !final m)) then final := a
+  done;
+  if !final < 0 then invalid_arg "Optimal.optimize: no valid chain covers the units";
   let rec back a b acc =
     let acc = { Partition.start_ = a; Partition.stop = b } :: acc in
-    let p = parent.(a).(b) in
+    let p = parent.(state first a b) in
     if p < 0 then acc else back p a acc
   in
-  let group = Partition.of_spans (back final m []) in
-  (best.(final).(m), group, !edges)
-
-let count_valid_spans validity ~m =
-  let n = ref 0 in
-  for a = 0 to m - 1 do
-    n := !n + (Validity.max_end validity a - a)
-  done;
-  !n
+  let group = Partition.of_spans (back !final m []) in
+  (best.(state first !final m), group, !edges)
 
 let optimize ?(objective = Fitness.Latency) ?(options = Estimator.default_options)
     ?cache ?budget ctx validity ~batch =
@@ -141,15 +196,16 @@ let optimize ?(objective = Fitness.Latency) ?(options = Estimator.default_option
     Estimator.span_cost_cached ~cache ctx ~start_:a ~stop:b
   in
   let chip = (Dataflow.units ctx).Unit_gen.chip in
-  let static_power_w = chip.Compass_arch.Config.chip_power_w in
+  let energy = Energy chip.Compass_arch.Config.chip_power_w in
   let write_overlap = options.Estimator.write_overlap in
-  let dp extend =
+  let st = states validity in
+  let dp objective =
     Compass_util.Trace.with_span "dp.sweep" @@ fun () ->
-    run_dp ~m ~validity ~perf_of ~extend
+    run_dp st ~perf_of ~write_overlap objective
   in
   let finish ?(budget_exhausted = false) ~edges ~group_evaluations ~value ~lower_bound
       ~exact group perf =
-    let valid_spans = count_valid_spans validity ~m in
+    let valid_spans = state_count st in
     let spans_evaluated = Estimator.Span_cache.length cache - spans_before in
     Compass_util.Metrics.add "dp.valid_spans" valid_spans;
     Compass_util.Metrics.add "dp.spans_evaluated" spans_evaluated;
@@ -169,17 +225,17 @@ let optimize ?(objective = Fitness.Latency) ?(options = Estimator.default_option
   try
     match objective with
   | Fitness.Latency ->
-    let value, group, edges = dp (extend_latency ~write_overlap) in
+    let value, group, edges = dp Latency in
     let perf = Estimator.evaluate_cached ~cache ctx ~batch group in
     finish ~edges ~group_evaluations:1 ~value:perf.Estimator.batch_latency_s
       ~lower_bound:value ~exact:true group perf
   | Fitness.Energy ->
-    let value, group, edges = dp (extend_energy ~write_overlap ~static_power_w) in
+    let value, group, edges = dp energy in
     let perf = Estimator.evaluate_cached ~cache ctx ~batch group in
     finish ~edges ~group_evaluations:1 ~value:perf.Estimator.energy_j
       ~lower_bound:value ~exact:true group perf
   | Fitness.Wear ->
-    let value, group, edges = dp extend_wear in
+    let value, group, edges = dp Wear in
     let perf = Estimator.evaluate_cached ~cache ctx ~batch group in
     finish ~edges ~group_evaluations:1 ~value ~lower_bound:value ~exact:true group perf
   | Fitness.Edp ->
@@ -187,8 +243,8 @@ let optimize ?(objective = Fitness.Latency) ?(options = Estimator.default_option
        factors are: the latency-optimal and energy-optimal chains bound any
        group's EDP from below by (E_min / batch) x L_min, and the better of
        the two optima is the reported incumbent. *)
-    let lat_min, lat_group, lat_edges = dp (extend_latency ~write_overlap) in
-    let en_min, en_group, en_edges = dp (extend_energy ~write_overlap ~static_power_w) in
+    let lat_min, lat_group, lat_edges = dp Latency in
+    let en_min, en_group, en_edges = dp energy in
     let lat_perf = Estimator.evaluate_cached ~cache ctx ~batch lat_group in
     let en_perf =
       if Partition.equal lat_group en_group then lat_perf

@@ -20,7 +20,10 @@
 
     Against the GA this trades stochastic group sampling (hundreds to
     thousands of full-group evaluations) for a single sweep over the valid
-    spans plus O(M^3) float arithmetic — and returns a certificate. *)
+    spans plus one float relaxation per pair of chained spans — at most
+    the sum over positions [a] of (valid spans ending at [a]) x (valid
+    spans starting at [a]) — in memory O(valid spans), and returns a
+    certificate. *)
 
 type stats = {
   valid_spans : int;  (** States of the DAG (size of the validity map). *)

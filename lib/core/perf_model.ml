@@ -51,10 +51,10 @@ let span_layers_walk ?io ctx ~start_ ~stop =
           acc + (u.Unit_gen.col_hi - u.Unit_gen.col_lo))
         0 unit_idxs
     in
-    let span_cols = min cols span_cols in
+    let span_cols = Int.min cols span_cols in
     let vfu_ops_per_mvm = span_cols * (row_blocks + 1) in
     let hosting_cores =
-      max 1 (ceil_div tiles_in_span chip.Config.core.Config.macros_per_core)
+      Int.max 1 (ceil_div tiles_in_span chip.Config.core.Config.macros_per_core)
     in
     let lanes = chip.Config.core.Config.vfus_per_core * hosting_cores in
     let vfu_time =
@@ -91,7 +91,7 @@ let span_layers_table tab ctx ~start_ ~stop =
     if i >= stop then List.rev acc
     else begin
       let node = tab.Span_table.unit_layer.(i) in
-      let hi = min (tab.Span_table.unit_hi.(node) + 1) stop in
+      let hi = Int.min (tab.Span_table.unit_hi.(node) + 1) stop in
       let tiles_in_span =
         units.Unit_gen.tiles_prefix.(hi) - units.Unit_gen.tiles_prefix.(i)
       in
@@ -99,12 +99,12 @@ let span_layers_table tab ctx ~start_ ~stop =
         units.Unit_gen.weight_bytes_prefix.(hi) -. units.Unit_gen.weight_bytes_prefix.(i)
       in
       let span_cols =
-        min tab.Span_table.cols.(node)
+        Int.min tab.Span_table.cols.(node)
           (tab.Span_table.cols_prefix.(hi) - tab.Span_table.cols_prefix.(i))
       in
       let row_blocks = tab.Span_table.row_blocks.(node) in
       let vfu_ops_per_mvm = span_cols * (row_blocks + 1) in
-      let hosting_cores = max 1 (ceil_div tiles_in_span macros) in
+      let hosting_cores = Int.max 1 (ceil_div tiles_in_span macros) in
       let lanes = vfus * hosting_cores in
       let vfu_time = float_of_int vfu_ops_per_mvm /. float_of_int lanes /. clock in
       let p =

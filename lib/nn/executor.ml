@@ -120,13 +120,16 @@ let layer_span_args g node =
 
 (* The one traversal behind [output] and [output_batch].  Each layer
    runs over every sample before the next starts, optionally fanning the
-   batch across pool domains ([Pool.map_local] preserves input order, so
+   batch across pool domains ([Pool.map_init] preserves input order, so
    results are deterministic for any worker count).  A node's tensors
    leave the table right after its last consumer in topological order
    has run, so the table holds only live activations; the unique exit,
    which nothing consumes, is the one entry left at the end.  Dropping
    an entry only drops a reference, so aliasing layers and the caller's
-   inputs need no care. *)
+   inputs need no care.  Im2col scratches are taken from one free list
+   for the whole traversal and handed back after each layer, so the
+   traversal builds at most one per domain (plus one for supervised
+   retries), each grown to the largest panel it packs. *)
 let forward ~name ~span_args ~engine ?budget ?pool ?supervision g weights inputs =
   let exit =
     match Graph.exit_nodes g with
@@ -148,6 +151,12 @@ let forward ~name ~span_args ~engine ?budget ?pool ?supervision g weights inputs
   let bytes node = 8 * n * Shape.elements (Graph.shape_of g node) in
   let live = ref 0 and peak = ref 0 in
   let scratch = Im2col.create_scratch () in
+  let free = Atomic.make [ scratch ] in
+  let rec take () =
+    match Atomic.get free with
+    | s :: rest as all -> if Atomic.compare_and_set free all rest then s else take ()
+    | [] -> Im2col.create_scratch ()
+  in
   let outputs : (Graph.node, Tensor.t array) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun node ->
@@ -172,8 +181,12 @@ let forward ~name ~span_args ~engine ?budget ?pool ?supervision g weights inputs
             (fun () ->
               match parallel with
               | Some p ->
-                Compass_util.Pool.map_local ?supervision p ~init:Im2col.create_scratch
-                  ~f:eval (Array.init n Fun.id)
+                let results, used =
+                  Compass_util.Pool.map_init ?supervision p ~init:take ~f:eval
+                    (Array.init n Fun.id)
+                in
+                Atomic.set free (used @ Atomic.get free);
+                results
               | None -> Array.init n (eval scratch))
       in
       Hashtbl.add outputs node results;
@@ -189,7 +202,10 @@ let forward ~name ~span_args ~engine ?budget ?pool ?supervision g weights inputs
           end)
         (Graph.preds g node))
     order;
-  if metered then Compass_util.Metrics.set "infer.live_bytes_peak" (float_of_int !peak);
+  if metered then begin
+    Compass_util.Metrics.set "infer.live_bytes_peak" (float_of_int !peak);
+    Compass_util.Metrics.add "infer.im2col_scratches" (List.length (Atomic.get free))
+  end;
   Hashtbl.find outputs exit
 
 let output ?(engine = Gemm) ?budget g weights input =

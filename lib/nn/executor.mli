@@ -68,8 +68,9 @@ val output_batch :
 (** The unique exit node's tensors, one per batch sample, from one
     traversal of the graph — each layer runs over all N inputs before
     the next layer starts, amortizing weight-array traffic.  With
-    [pool], the batch is fanned across the pool's domains (per-domain
-    im2col scratch, order-preserving map), and results are
+    [pool], the batch is fanned across the pool's domains (one im2col
+    scratch per domain for the whole traversal, order-preserving map),
+    and results are
     bit-identical for any worker count; sample [i]'s output never
     depends on the rest of the batch.  [?supervision] forwards the
     worker-recovery policy to the pool (evaluation is pure, so a

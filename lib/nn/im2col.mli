@@ -26,7 +26,7 @@
 
 type scratch
 (** A reusable patch buffer.  Not thread-safe: use one scratch per
-    domain (e.g. via [Pool.map_local]). *)
+    domain (e.g. via [Pool.map_init]). *)
 
 val create_scratch : unit -> scratch
 (** An empty scratch; grown on first use, never shrunk. *)

@@ -235,8 +235,6 @@ let map_init ?supervision t ~init ~f xs =
 let map ?supervision t f xs =
   fst (map_init ?supervision t ~init:(fun () -> ()) ~f:(fun () x -> f x) xs)
 
-let map_local ?supervision t ~init ~f xs = fst (map_init ?supervision t ~init ~f xs)
-
 let with_pool ~jobs f =
   let t = create ~jobs in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

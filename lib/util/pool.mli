@@ -85,20 +85,9 @@ val map_init :
     [map_init] call) and threads its state through every item it runs.
     Returns the mapped array (input order) and the local states (order
     unspecified) for the caller to merge — the GA uses this for
-    domain-local span caches.  Supervised retries run with a fresh state
-    of their own, returned like any worker's. *)
-
-val map_local :
-  ?supervision:supervision ->
-  t ->
-  init:(unit -> 's) ->
-  f:('s -> 'a -> 'b) ->
-  'a array ->
-  'b array
-(** {!map_init} for per-domain state the caller does not need back —
-    scratch buffers, caches whose contents are pure optimization.  The
-    batched inference executor uses this for per-domain im2col patch
-    buffers. *)
+    domain-local span caches, and batched inference hands its im2col
+    scratches back for the next layer.  Supervised retries run with a
+    fresh state of their own, returned like any worker's. *)
 
 val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent; using the pool after

@@ -287,6 +287,49 @@ let test_run_batch_any_worker_count () =
             pooled))
     [ 1; 2; 3; 5 ]
 
+(* A pooled traversal keeps its im2col scratches for every layer: the
+   count it builds is bounded by the pool's domains, not by domains x
+   conv layers. *)
+let test_scratches_bounded_by_domains () =
+  let module Metrics = Compass_util.Metrics in
+  Metrics.reset ();
+  Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.disable ();
+      Metrics.reset ())
+    (fun () ->
+      let g = Models.by_name "squeezenet" in
+      let convs =
+        List.length
+          (List.filter
+             (fun n ->
+               match (Graph.layer g n).Layer.op with Layer.Conv _ -> true | _ -> false)
+             (Graph.nodes g))
+      in
+      let w = Executor.random_weights g in
+      let inputs = batch_inputs g 4 in
+      let sequential = Executor.output_batch g w inputs in
+      List.iter
+        (fun jobs ->
+          Metrics.reset ();
+          Compass_util.Pool.with_pool ~jobs (fun pool ->
+              let pooled = Executor.output_batch ~pool g w inputs in
+              Array.iteri
+                (fun i t ->
+                  bit_identical (Printf.sprintf "jobs %d sample %d" jobs i)
+                    sequential.(i) t)
+                pooled);
+          match Metrics.find_int "infer.im2col_scratches" with
+          | None -> Alcotest.fail "infer.im2col_scratches not recorded"
+          | Some created ->
+            Alcotest.(check bool)
+              (Printf.sprintf "jobs %d: %d scratches for %d conv layers, at most %d" jobs
+                 created convs jobs)
+              true
+              (created >= 1 && created <= jobs))
+        [ 2; 3 ])
+
 (* The most activation bytes a freeing traversal holds, recomputed
    from positions alone: right after the node at position [i] has run,
    node [u] is held iff it ran no later than [i] and is the exit or has
@@ -488,6 +531,8 @@ let () =
         [
           Alcotest.test_case "equals per-sample" `Quick test_run_batch_equals_per_sample;
           Alcotest.test_case "any worker count" `Quick test_run_batch_any_worker_count;
+          Alcotest.test_case "scratches bounded by domains" `Quick
+            test_scratches_bounded_by_domains;
           Alcotest.test_case "live peak = liveness sum" `Quick test_live_bytes_peak;
           Alcotest.test_case "zoo equals keep-all walk" `Slow
             test_output_batch_equals_walk;

@@ -319,6 +319,90 @@ let test_optimality_gap_report () =
     rows;
   Alcotest.(check bool) "latency dp exact" true dp.Optimal.exact
 
+(* The DP golden, captured before the DP moved from dense matrices to
+   valid-span states: per (model, chip), a digest over batches 1/16/64,
+   write overlap on and off and all four objectives of each result's value
+   and lower-bound bits, [exact], [edges_relaxed] and cuts.  The DP's only
+   inputs are the cached span costs, so any change to its bookkeeping
+   must keep every digest.  The four largest state spaces other than
+   vgg16-S are left out to keep the run to a couple of seconds. *)
+let dp_golden =
+  [
+    ("vgg16", "S", "f663a0234c738e81a49231837c6a93a1");
+    ("vgg16", "L", "38cb133ea787142b4f9569e8cd1804e2");
+    ("resnet18", "S", "d3d5237756807433b75974a807c11648");
+    ("resnet18", "M", "f8c736e8a03cb132b130f2393407bf59");
+    ("resnet18", "L", "16088049f538ad816bea97a8cb3891f6");
+    ("squeezenet", "S", "befb623a1541b5c111f29dfee89f56bb");
+    ("squeezenet", "M", "f58a99f899f364c782a3e8a6bc04b9cd");
+    ("squeezenet", "L", "4cae2b589cf2cb1a413c8221b4281a5f");
+    ("lenet5", "S", "9b2d0bcca0311005d31d2af851e8e543");
+    ("lenet5", "M", "c6e72e3d80535852b206e40828a08e13");
+    ("lenet5", "L", "db10d534661ef51d06f702c837ad7289");
+    ("tiny_mlp", "S", "acf27b4f4538581f455b186a872b655e");
+    ("tiny_mlp", "M", "36444f3bf4671a83d4e17922de50544b");
+    ("tiny_mlp", "L", "dc8bcd39be6adc9e33a808af8db8e1b2");
+    ("tiny_resnet", "S", "107a3ec7790306285303116816a2ed73");
+    ("tiny_resnet", "M", "6564449b2b9ea9bc643815acc9be9b86");
+    ("tiny_resnet", "L", "c34220bb229e4a47e761a05380cd63ef");
+    ("alexnet", "M", "3b40981ff6726637de2450c5e3747b77");
+    ("alexnet", "L", "10b5f6e93290cea22dd1ff2f3dcc5e4c");
+    ("vgg11", "L", "0321f7bd395efb074b9b00a2903ecf56");
+    ("resnet34", "S", "a29b264000b4f379d0944eb4c5e6b8db");
+    ("resnet34", "M", "ff82d8ef023094791338e7bc32797e0b");
+    ("resnet34", "L", "7c73d2da42fe9247d7b848c31548c718");
+    ("mobilenet_v1", "S", "98c27c5f22888e2afcc33305a0cb2bbc");
+    ("mobilenet_v1", "M", "98563186507a8ac8903e06b6b525df09");
+    ("mobilenet_v1", "L", "d8046551e50dcee74d7123a2092a0ae9");
+  ]
+
+let dp_golden_digest model chip =
+  let _, v, ctx = setup model chip in
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun batch ->
+      List.iter
+        (fun write_overlap ->
+          let options = { Estimator.default_options with Estimator.write_overlap } in
+          let cache = Estimator.Span_cache.create ~options ~batch () in
+          List.iter
+            (fun objective ->
+              let r = Optimal.optimize ~objective ~options ~cache ctx v ~batch in
+              Printf.bprintf buf "%Lx %Lx %b %d %s\n"
+                (Int64.bits_of_float r.Optimal.value)
+                (Int64.bits_of_float r.Optimal.lower_bound)
+                r.Optimal.exact r.Optimal.stats.Optimal.edges_relaxed
+                (String.concat ","
+                   (List.map string_of_int
+                      (Array.to_list (Partition.cuts r.Optimal.group)))))
+            [ Fitness.Latency; Fitness.Energy; Fitness.Edp; Fitness.Wear ])
+        [ true; false ])
+    [ 1; 16; 64 ];
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_dp_golden () =
+  List.iter
+    (fun (model, chip_name, expected) ->
+      Alcotest.(check string) (model ^ "-" ^ chip_name) expected
+        (dp_golden_digest model (List.assoc chip_name Config.presets)))
+    dp_golden
+
+(* Deterministic, unlike wall time: the minor-heap words of a warm DP
+   solve per relaxed edge, the final group evaluation included.  An edge
+   step through closures and a per-start predecessor list costs about 10. *)
+let test_dp_allocation_bound () =
+  let _, v, ctx = setup "vgg16" Config.chip_s in
+  let cache = Estimator.Span_cache.create ~batch:16 () in
+  ignore (Optimal.optimize ~cache ctx v ~batch:16);
+  let before = Gc.minor_words () in
+  let r = Optimal.optimize ~cache ctx v ~batch:16 in
+  let words = Gc.minor_words () -. before in
+  let per_edge = words /. float_of_int r.Optimal.stats.Optimal.edges_relaxed in
+  Alcotest.(check int) "warm: nothing evaluated" 0 r.Optimal.stats.Optimal.spans_evaluated;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per edge < 2" per_edge)
+    true (per_edge < 2.)
+
 let () =
   Alcotest.run "optimal"
     [
@@ -332,6 +416,8 @@ let () =
           Alcotest.test_case "warm cache" `Quick test_warm_cache_reused;
           Alcotest.test_case "perf is a fresh evaluation" `Quick test_dp_perf_is_evaluate;
           QCheck_alcotest.to_alcotest prop_dp_below_random_groups;
+          Alcotest.test_case "golden results" `Quick test_dp_golden;
+          Alcotest.test_case "allocation bound" `Quick test_dp_allocation_bound;
         ] );
       ( "warm-start",
         [
