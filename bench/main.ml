@@ -985,7 +985,6 @@ let micro () =
   let units = Unit_gen.generate resnet chip in
   let validity = Validity.build units in
   let ctx = Dataflow.context units in
-  let ctx_no_table = Dataflow.context ~span_table:false units in
   let mid_stop = Validity.max_end validity 0 in
   let greedy = Baselines.greedy validity in
   let trace = [ Compass_dram.Trace.read ~addr:0 ~bytes:(1 lsl 20) () ] in
@@ -1004,8 +1003,6 @@ let micro () =
                Estimator.span_perf ctx ~batch:16 ~start_:0 ~stop:mid_stop));
         Test.make ~name:"fig6/group_evaluate"
           (Staged.stage (fun () -> Estimator.evaluate ctx ~batch:16 greedy));
-        Test.make ~name:"fig6/group_evaluate_no_table"
-          (Staged.stage (fun () -> Estimator.evaluate ctx_no_table ~batch:16 greedy));
         Test.make ~name:"fig7/schedule_build"
           (Staged.stage (fun () -> Scheduler.build ctx greedy ~batch:4));
         Test.make ~name:"fig10/ga_quick"

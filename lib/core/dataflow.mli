@@ -34,18 +34,15 @@ type partition_io = {
 type ctx
 (** Precomputed per-(model, chip) attachment tables. *)
 
-val context : ?span_table:bool -> Unit_gen.t -> ctx
-(** [?span_table] (default [true]) additionally precomputes a
-    {!Span_table.t}, which switches {!span_io}, [Perf_model.span_layers]
-    and the estimator onto O(span) array-lookup paths.  The fast paths are
-    bit-identical to the reference walks; [~span_table:false] keeps the
-    original full-graph code end-to-end and exists as the differential
-    -testing oracle and benchmark baseline. *)
+val context : Unit_gen.t -> ctx
+(** Builds the context's {!Span_table.t} and per-unit output fractions:
+    every span query below is an array lookup over them. *)
 
 val units : ctx -> Unit_gen.t
 
-val table : ctx -> Span_table.t option
-(** The span table, when the context was built with one. *)
+val table : ctx -> Span_table.t
+(** The span table the queries run on; the scheduler reads its unit
+    ranges and per-node data as well. *)
 
 val span_io : ctx -> start_:int -> stop:int -> partition_io
 (** IO of one candidate partition.  Raises [Invalid_argument] on an empty
@@ -56,6 +53,11 @@ val home_unit : ctx -> Compass_nn.Graph.node -> int
     index of their last unit; for other nodes the maximum over their
     producers ([-1] for model inputs).  A node belongs to span [\[a, b)] iff
     its anchor does. *)
+
+val unit_fraction : ctx -> int -> float
+(** Fraction of its layer's output unit [i] produces: its column share,
+    scaled by its row share when the layer is row-split.  A layer's units
+    sum to 1 up to rounding. *)
 
 val layer_fraction_in : ctx -> Compass_nn.Graph.node -> start_:int -> stop:int -> float
 (** Fraction of a weighted node's output produced inside the span, in

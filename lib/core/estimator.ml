@@ -86,7 +86,7 @@ let span_perf ?(options = default_options) ctx ~batch ~start_ ~stop =
   let chip = units.Unit_gen.chip in
   let core = chip.Config.core in
   let io = Dataflow.span_io ctx ~start_ ~stop in
-  let layers = Perf_model.span_layers ~io ctx ~start_ ~stop in
+  let layers = Perf_model.span_layers ctx ~start_ ~stop in
   let { Replication.replication; mapping } =
     Replication.place ?faults:options.faults ~layers ctx ~batch ~start_ ~stop
   in
@@ -450,8 +450,12 @@ let lookup shared (cache : Span_cache.t) ctx ~start_ ~stop =
       (span_perf ~options:cache.Span_cache.options ctx ~batch:cache.Span_cache.batch
          ~start_ ~stop)
 
+(* A [match], not [Option.iter]: the closure would cost every hit an
+   allocation. *)
 let check_shared ~what ~cache shared =
-  Option.iter (fun s -> Span_cache.check_compatible ~what cache s) shared
+  match shared with
+  | Some s -> Span_cache.check_compatible ~what cache s
+  | None -> ()
 
 let span_cost_cached ?shared ~cache ctx ~start_ ~stop =
   check_shared ~what:"Estimator.span_cost_cached" ~cache shared;

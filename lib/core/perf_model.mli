@@ -19,14 +19,10 @@ type layer_perf = {
   vfu_ops_per_mvm : int;  (** VFU element operations per MVM. *)
 }
 
-val span_layers :
-  ?io:Dataflow.partition_io -> Dataflow.ctx -> start_:int -> stop:int -> layer_perf list
-(** Weighted layers of the span in topological order.  On a context with a
-    span table (the default) this is pure array arithmetic and needs no
-    span IO.  Without a table it derives the layer list from
-    [Dataflow.span_io]; callers that already computed the span's IO can
-    pass it as [?io] to avoid recomputing it (it is ignored on the table
-    path).  Raises [Invalid_argument] on an empty or out-of-range span. *)
+val span_layers : Dataflow.ctx -> start_:int -> stop:int -> layer_perf list
+(** Weighted layers of the span in topological order, as array arithmetic
+    over the context's {!Span_table.t}.  Raises [Invalid_argument] on an
+    empty or out-of-range span. *)
 
 val stage_time_s : layer_perf -> replication:int -> float
 (** Per-sample pipeline stage time [mvms * op_time / replication]. *)

@@ -22,50 +22,35 @@ let ceil_div a b = (a + b - 1) / b
 (* Core hosting the replica-0 copy of a unit. *)
 let unit_core plan i = Mapping.core_of_unit plan.mapping ~unit_index:i ~replica:0
 
+(* The in-span units of a weighted node, [lo, hi] (empty when hi < lo):
+   its units are contiguous, so the first one is [max unit_lo start]. *)
+let unit_range tab plan node =
+  let s = plan.span in
+  ( Int.max tab.Span_table.unit_lo.(node) s.Partition.start_,
+    Int.min tab.Span_table.unit_hi.(node) (s.Partition.stop - 1) )
+
 (* Primary core producing a node inside a span: for weighted nodes the core
    of its first in-span unit; for attached nodes the core of their anchor
    unit's layer. *)
 let producer_core ctx plan node =
-  let units = Dataflow.units ctx in
-  let s = plan.span in
-  let in_span i = i >= s.Partition.start_ && i < s.Partition.stop in
-  let first_in_span n =
-    match List.filter in_span (Unit_gen.units_of_layer units n) with
-    | i :: _ -> Some i
-    | [] -> None
-  in
-  let anchor_owner () =
-    let a = Dataflow.home_unit ctx node in
-    if in_span a then Some a else None
-  in
-  let unit_opt =
-    if List.mem_assoc node units.Unit_gen.layer_units then first_in_span node
-    else anchor_owner ()
-  in
-  Option.map (unit_core plan) unit_opt
+  let tab = Dataflow.table ctx in
+  if tab.Span_table.unit_lo.(node) >= 0 then
+    let lo, hi = unit_range tab plan node in
+    if lo <= hi then Some (unit_core plan lo) else None
+  else
+    let a = tab.Span_table.anchor.(node) in
+    let s = plan.span in
+    if a >= s.Partition.start_ && a < s.Partition.stop then Some (unit_core plan a)
+    else None
 
 (* All (core, share) pairs producing a node's in-span output chunk, share
    summing to the in-span fraction. *)
 let producer_shares ctx plan node =
-  let units = Dataflow.units ctx in
-  let model = units.Unit_gen.model in
-  let s = plan.span in
-  let in_span i = i >= s.Partition.start_ && i < s.Partition.stop in
-  if List.mem_assoc node units.Unit_gen.layer_units then
-    let idxs = List.filter in_span (Unit_gen.units_of_layer units node) in
-    List.map
-      (fun i ->
-        let u = units.Unit_gen.units.(i) in
-        let f =
-          if u.Unit_gen.partial_sum then
-            let rows = Layer.weight_rows (Graph.layer model node).Layer.op in
-            Unit_gen.col_fraction u model
-            *. float_of_int (u.Unit_gen.row_hi - u.Unit_gen.row_lo)
-            /. float_of_int rows
-          else Unit_gen.col_fraction u model
-        in
-        (unit_core plan i, f))
-      idxs
+  let tab = Dataflow.table ctx in
+  if tab.Span_table.unit_lo.(node) >= 0 then
+    let lo, hi = unit_range tab plan node in
+    List.init (Int.max 0 (hi - lo + 1)) (fun k ->
+        (unit_core plan (lo + k), Dataflow.unit_fraction ctx (lo + k)))
   else
     match producer_core ctx plan node with
     | Some c -> [ (c, 1.) ]
@@ -107,6 +92,7 @@ let build ?faults ?(abft = false) ctx group ~batch =
   let chip = units.Unit_gen.chip in
   let ncores = chip.Compass_arch.Config.cores in
   let model = units.Unit_gen.model in
+  let vector_ops = (Dataflow.table ctx).Span_table.vector_ops in
   let fbatch = float_of_int batch in
   (* Pass 1: plan every span. *)
   let plans =
@@ -114,7 +100,7 @@ let build ?faults ?(abft = false) ctx group ~batch =
       (fun (s : Partition.span) ->
         let start_ = s.Partition.start_ and stop = s.Partition.stop in
         let io = Dataflow.span_io ctx ~start_ ~stop in
-        let layers = Perf_model.span_layers ~io ctx ~start_ ~stop in
+        let layers = Perf_model.span_layers ctx ~start_ ~stop in
         let { Replication.replication; mapping } =
           Replication.place ?faults ~layers ctx ~batch ~start_ ~stop
         in
@@ -308,7 +294,7 @@ let build ?faults ?(abft = false) ctx group ~batch =
         (* Attached non-crossbar work, charged to its anchor core. *)
         List.iter
           (fun node ->
-            let ops = chunk_samples * Graph.vector_ops_of model node in
+            let ops = chunk_samples * vector_ops.(node) in
             if ops > 0 then
               let c = Option.value ~default:0 (producer_core ctx plan node) in
               emitc c (Instr.Vfu { ops }))
@@ -365,7 +351,7 @@ let build ?faults ?(abft = false) ctx group ~batch =
             Memory_alloc.free act_alloc addr;
             Hashtbl.remove tensor_addr node
           | None -> ())
-      (Hashtbl.copy last_consumer)
+      last_consumer
   in
   Array.iteri emit_span plan_arr;
   let programs =

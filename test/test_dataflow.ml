@@ -173,6 +173,37 @@ let test_totals_and_counts () =
     (total (fun io -> io.Dataflow.load_bytes) > 0.
     && total (fun io -> io.Dataflow.store_bytes) > 0.)
 
+(* Every span query the partitioner issues, pinned: the Marshal bytes of
+   [Dataflow.span_io] and [Perf_model.span_layers] over every valid span,
+   digested per configuration.  Captured from the full-graph reference
+   walks these paths replaced, so any drift in endpoint selection, byte
+   sizes or per-layer shares shows here. *)
+let span_golden =
+  [
+    ("resnet18", "19703cc21d0c3f1c2cf6ceeeb1e7a1ca");
+    ("squeezenet", "992ad0f10a9a9129b872d30fc5580188");
+    ("mobilenet_v1", "71705a6bdb707bae963ba88010fd2cf0");
+    ("tiny_resnet", "7c404c932d58ca415bacf158d8efd7c8");
+  ]
+
+let span_digest name =
+  let units, v, ctx = setup name Config.chip_s in
+  let buf = Buffer.create (1 lsl 16) in
+  for start_ = 0 to Unit_gen.unit_count units - 1 do
+    for stop = start_ + 1 to Validity.max_end v start_ do
+      let io = Dataflow.span_io ctx ~start_ ~stop in
+      let layers = Perf_model.span_layers ctx ~start_ ~stop in
+      Buffer.add_string buf (Marshal.to_string (io, layers) [ Marshal.No_sharing ])
+    done
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_span_golden () =
+  List.iter
+    (fun (name, expected) ->
+      Alcotest.(check string) (name ^ "-S") expected (span_digest name))
+    span_golden
+
 (* Property: per-partition loads of any valid group are bounded by the sum
    of all tensor sizes (no unbounded duplication). *)
 
@@ -199,6 +230,7 @@ let () =
           Alcotest.test_case "boundary load/store pair" `Quick
             test_boundary_load_store_pair;
           Alcotest.test_case "residual multi endpoint" `Quick test_residual_multi_endpoint;
+          Alcotest.test_case "span golden" `Quick test_span_golden;
           QCheck_alcotest.to_alcotest prop_loads_bounded;
         ] );
       ( "attachment",

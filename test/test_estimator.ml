@@ -114,6 +114,31 @@ let test_span_cache_options_respected () =
   Alcotest.(check (float 1e-12)) "options applied" direct.Estimator.batch_latency_s
     cached.Estimator.batch_latency_s
 
+(* A warm hit only reads a table, so it allocates nothing, with or
+   without a shared cache.  [minor_words] boxes its result, so the cost of
+   one bare reading pair is subtracted; [shared] is boxed once, outside
+   the measured loop. *)
+let test_span_cache_hit_allocates_nothing () =
+  let _, v, ctx = setup "resnet18" Config.chip_s in
+  let stop = Validity.max_end v 0 in
+  let cache = Estimator.Span_cache.create ~batch:16 () in
+  let shared = Some (Estimator.Span_cache.create ~batch:16 ()) in
+  ignore (Estimator.span_cost_cached ~cache ctx ~start_:0 ~stop);
+  let hits shared () =
+    for _ = 1 to 1000 do
+      ignore (Estimator.span_cost_cached ?shared ~cache ctx ~start_:0 ~stop)
+    done
+  in
+  let minor_words_of f =
+    let calibrate = Gc.minor_words () in
+    let bare = Gc.minor_words () -. calibrate in
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before -. bare
+  in
+  Alcotest.(check (float 0.)) "1000 hits" 0. (minor_words_of (hits None));
+  Alcotest.(check (float 0.)) "1000 hits, shared" 0. (minor_words_of (hits shared))
+
 let test_span_cache_shared_and_merge () =
   let _, v, ctx = setup "resnet18" Config.chip_m in
   let g = Baselines.layerwise v in
@@ -532,7 +557,7 @@ let prop_endurance_closed_form =
           core = { Config.chip_s.Config.core with Config.macros_per_core = macros };
         }
       in
-      let ctx = Dataflow.context ~span_table:false { units with Unit_gen.chip } in
+      let ctx = Dataflow.context { units with Unit_gen.chip } in
       let faults =
         Option.map
           (fun endurance_budget ->
@@ -576,6 +601,8 @@ let () =
             test_span_cache_options_respected;
           Alcotest.test_case "span cache shared + merge" `Quick
             test_span_cache_shared_and_merge;
+          Alcotest.test_case "span cache hit allocates nothing" `Quick
+            test_span_cache_hit_allocates_nothing;
           Alcotest.test_case "write time bound" `Quick test_write_time_scales_with_weights;
           Alcotest.test_case "bottlenecks positive" `Quick
             test_more_cores_not_slower_bottleneck;
