@@ -9,76 +9,100 @@ type t = {
   spans : Partition.span list;
 }
 
+(* Where one span's work runs, computed once from its mapping: a node's
+   work sits on the replica-0 core of its first in-span unit, an attached
+   node's on that of its anchor unit. *)
+type placement = {
+  layer_cores : int list;
+      (* Per [layers] entry: merges its partial sums, runs its ABFT [Check]
+         and receives its in-span inputs. *)
+  attached_cores : (Graph.node * int) list;
+  transfers : (int * int * float * float) list;
+      (* (source, destination, tensor bytes, in-span fraction): [n] samples
+         move [n *. bytes *. fraction], rounded once ([n *. bytes] is exact). *)
+  load_cores : (Graph.node * int list) list;
+      (* Per load: its consuming cores, ascending; the first loads it. *)
+  store_shares : (int * float) list list;  (* Per store, normalised to sum 1. *)
+}
+
 type span_plan = {
-  span : Partition.span;
   io : Dataflow.partition_io;
   replication : Replication.t;
   mapping : Mapping.t;
   layers : Perf_model.layer_perf list;
+  placement : placement;
 }
 
 let ceil_div a b = (a + b - 1) / b
 
-(* Core hosting the replica-0 copy of a unit. *)
-let unit_core plan i = Mapping.core_of_unit plan.mapping ~unit_index:i ~replica:0
-
-(* The in-span units of a weighted node, [lo, hi] (empty when hi < lo):
-   its units are contiguous, so the first one is [max unit_lo start]. *)
-let unit_range tab plan node =
-  let s = plan.span in
-  ( Int.max tab.Span_table.unit_lo.(node) s.Partition.start_,
-    Int.min tab.Span_table.unit_hi.(node) (s.Partition.stop - 1) )
-
-(* Primary core producing a node inside a span: for weighted nodes the core
-   of its first in-span unit; for attached nodes the core of their anchor
-   unit's layer. *)
-let producer_core ctx plan node =
+let place ctx ~start_ ~stop (io : Dataflow.partition_io) layers (mapping : Mapping.t) =
   let tab = Dataflow.table ctx in
-  if tab.Span_table.unit_lo.(node) >= 0 then
-    let lo, hi = unit_range tab plan node in
-    if lo <= hi then Some (unit_core plan lo) else None
-  else
-    let a = tab.Span_table.anchor.(node) in
-    let s = plan.span in
-    if a >= s.Partition.start_ && a < s.Partition.stop then Some (unit_core plan a)
-    else None
-
-(* All (core, share) pairs producing a node's in-span output chunk, share
-   summing to the in-span fraction. *)
-let producer_shares ctx plan node =
-  let tab = Dataflow.table ctx in
-  if tab.Span_table.unit_lo.(node) >= 0 then
-    let lo, hi = unit_range tab plan node in
-    List.init (Int.max 0 (hi - lo + 1)) (fun k ->
-        (unit_core plan (lo + k), Dataflow.unit_fraction ctx (lo + k)))
-  else
-    match producer_core ctx plan node with
-    | Some c -> [ (c, 1.) ]
-    | None -> []
-
-(* Primary cores of the layers consuming tensor [node] inside the span. *)
-let consumer_cores ctx plan node =
-  let model = (Dataflow.units ctx).Unit_gen.model in
-  let consumers =
-    List.filter
-      (fun v ->
-        List.mem v plan.io.Dataflow.weighted_layers
-        || List.mem v plan.io.Dataflow.attached)
-      (Graph.succs model node)
+  let unit_core = Array.make (stop - start_) 0 in
+  Array.iteri
+    (fun c assignments ->
+      List.iter
+        (fun (a : Mapping.assignment) ->
+          if a.Mapping.replica = 0 then unit_core.(a.Mapping.unit_index - start_) <- c)
+        assignments)
+    (Lazy.force mapping.Mapping.cores);
+  (* The core of a node's first in-span unit (weighted nodes; units are
+     contiguous) or of its anchor unit (the rest); -1 outside the span. *)
+  let core_of node =
+    let lo = tab.Span_table.unit_lo.(node) in
+    let i = if lo >= 0 then Int.max lo start_ else tab.Span_table.anchor.(node) in
+    if i >= start_ && i < stop && (lo < 0 || i <= tab.Span_table.unit_hi.(node)) then
+      unit_core.(i - start_)
+    else -1
   in
-  let cores = List.filter_map (fun v -> producer_core ctx plan v) consumers in
-  match List.sort_uniq compare cores with
-  | [] -> (
-    (* Consumers attach elsewhere (e.g. a split layer chunk): fall back to
-       the span's first busy core. *)
-    match
-      Array.to_list plan.mapping.Mapping.tiles_used
-      |> List.mapi (fun c used -> (c, used))
-      |> List.filter (fun (_, used) -> used > 0)
-    with
-    | (c, _) :: _ -> [ c ]
-    | [] -> [ 0 ])
-  | cores -> cores
+  let layer_cores =
+    List.map (fun (lp : Perf_model.layer_perf) -> core_of lp.Perf_model.node) layers
+  in
+  let transfers =
+    List.concat
+      (List.map2
+         (fun (lp : Perf_model.layer_perf) dst ->
+           List.filter_map
+             (fun u ->
+               let src = core_of u in
+               if src < 0 || src = dst then None
+               else
+                 let bytes = Dataflow.tensor_bytes ctx u in
+                 Some (src, dst, bytes, Dataflow.layer_fraction_in ctx u ~start_ ~stop))
+             (Graph.preds (Dataflow.units ctx).Unit_gen.model lp.Perf_model.node))
+         layers layer_cores)
+  in
+  (* [Dataflow.span_io] loads a tensor only for an in-span consumer, so
+     every load has at least one consuming core. *)
+  let load_cores =
+    List.map
+      (fun (node, _) ->
+        let add acc v = match core_of v with -1 -> acc | c -> c :: acc in
+        (node, List.sort_uniq Int.compare (List.fold_left add [] tab.Span_table.succ.(node))))
+      io.Dataflow.loads
+  in
+  let store_shares =
+    List.map
+      (fun (node, _) ->
+        let shares =
+          if tab.Span_table.unit_lo.(node) >= 0 then
+            let lo = Int.max tab.Span_table.unit_lo.(node) start_ in
+            let hi = Int.min tab.Span_table.unit_hi.(node) (stop - 1) in
+            List.init (hi - lo + 1) (fun k ->
+                (unit_core.(lo + k - start_), Dataflow.unit_fraction ctx (lo + k)))
+          else [ (core_of node, 1.) ]
+        in
+        let total = List.fold_left (fun acc (_, f) -> acc +. f) 0. shares in
+        let total = if total >= 1e-12 then total else 1e-12 in
+        List.map (fun (c, f) -> (c, f /. total)) shares)
+      io.Dataflow.stores
+  in
+  {
+    layer_cores;
+    attached_cores = List.map (fun node -> (node, core_of node)) io.Dataflow.attached;
+    transfers;
+    load_cores;
+    store_shares;
+  }
 
 let build ?faults ?(abft = false) ctx group ~batch =
   if batch < 1 then invalid_arg "Scheduler.build: batch < 1";
@@ -88,7 +112,7 @@ let build ?faults ?(abft = false) ctx group ~batch =
   let units = Dataflow.units ctx in
   if Partition.total_units group <> Unit_gen.unit_count units then
     invalid_arg "Scheduler.build: group does not cover the decomposition";
-  let chunks = min 4 batch in
+  let chunks = Int.min 4 batch in
   let chip = units.Unit_gen.chip in
   let ncores = chip.Compass_arch.Config.cores in
   let model = units.Unit_gen.model in
@@ -104,7 +128,8 @@ let build ?faults ?(abft = false) ctx group ~batch =
         let { Replication.replication; mapping } =
           Replication.place ?faults ~layers ctx ~batch ~start_ ~stop
         in
-        { span = s; io; replication; mapping; layers })
+        let placement = place ctx ~start_ ~stop io layers mapping in
+        { io; replication; mapping; layers; placement })
       (Partition.spans group)
   in
   let plan_arr = Array.of_list plans in
@@ -163,7 +188,8 @@ let build ?faults ?(abft = false) ctx group ~batch =
   let spills node = Dataflow.spills_to_dram ctx ~batch node in
   (* Emit one span. *)
   let emit_span p plan =
-    let s = plan.span in
+    let pl = plan.placement in
+    let weights_tag = Printf.sprintf "weights:P%d" p in
     (* 1. Weight writes: per core, before the barrier (overlaps other cores'
        previous-partition drain). *)
     Array.iteri
@@ -180,10 +206,8 @@ let build ?faults ?(abft = false) ctx group ~batch =
               0. assignments
           in
           let addr = !weight_cursor in
-          weight_cursor := !weight_cursor + max 64 (int_of_float bytes / 64 * 64 + 64);
-          emitc c
-            (Instr.Weight_write
-               { macro_count; bytes; addr; tag = Printf.sprintf "weights:P%d" p })
+          weight_cursor := !weight_cursor + Int.max 64 (int_of_float bytes / 64 * 64 + 64);
+          emitc c (Instr.Weight_write { macro_count; bytes; addr; tag = weights_tag })
         end)
       (Lazy.force plan.mapping.Mapping.cores);
     (* 2. Barrier: loads of this span happen after stores of the previous. *)
@@ -191,10 +215,9 @@ let build ?faults ?(abft = false) ctx group ~batch =
       emitc c (Instr.Sync { token = p; parties = ncores })
     done;
     (* 3. Entry tensors. *)
-    List.iter
-      (fun (node, bytes) ->
+    List.iter2
+      (fun (node, bytes) (_, targets) ->
         let batch_bytes = fbatch *. bytes in
-        let targets = consumer_cores ctx plan node in
         let primary = List.hd targets in
         if spills node then begin
           let addr = addr_of_tensor node (int_of_float (fbatch *. Dataflow.tensor_bytes ctx node)) in
@@ -210,7 +233,7 @@ let build ?faults ?(abft = false) ctx group ~batch =
            producing span's store step.  Redistribute to the other
            consuming cores over the bus. *)
         List.iter (fun c -> send_recv ~src:primary ~dst:c ~bytes:batch_bytes) (List.tl targets))
-      plan.io.Dataflow.loads;
+      plan.io.Dataflow.loads pl.load_cores;
     (* 4. Compute, sliced in chunks for pipelining.  Macros co-located on a
        core fire in lockstep (a PUMA-style MVM engages the whole matrix
        unit), so per chunk each core gets one fused Mvm whose count is the
@@ -220,25 +243,12 @@ let build ?faults ?(abft = false) ctx group ~batch =
     for k = 0 to chunks - 1 do
       let chunk_samples = (batch + chunks - 1 - k) / chunks in
       if chunk_samples > 0 then begin
-        let fchunk = float_of_int chunk_samples in
+        let tag = Printf.sprintf "P%d.c%d" p k in
         (* Intra-span input traffic: producer primary -> consumer primary. *)
         List.iter
-          (fun (lp : Perf_model.layer_perf) ->
-            let node = lp.Perf_model.node in
-            let primary = Option.value ~default:0 (producer_core ctx plan node) in
-            List.iter
-              (fun u ->
-                match producer_core ctx plan u with
-                | Some src when src <> primary ->
-                  let bytes =
-                    fchunk *. Dataflow.tensor_bytes ctx u
-                    *. Dataflow.layer_fraction_in ctx u ~start_:s.Partition.start_
-                         ~stop:s.Partition.stop
-                  in
-                  send_recv ~src ~dst:primary ~bytes
-                | Some _ | None -> ())
-              (Graph.preds model node))
-          plan.layers;
+          (fun (src, dst, bytes, fraction) ->
+            send_recv ~src ~dst ~bytes:(float_of_int chunk_samples *. bytes *. fraction))
+          pl.transfers;
         (* Fused MVM per core. *)
         let per_replica_of = Hashtbl.create 8 in
         List.iter
@@ -255,7 +265,7 @@ let build ?faults ?(abft = false) ctx group ~batch =
                 let u = units.Unit_gen.units.(a.Mapping.unit_index) in
                 match Hashtbl.find_opt per_replica_of u.Unit_gen.layer with
                 | Some count ->
-                  deepest := max !deepest count;
+                  deepest := Int.max !deepest count;
                   total_ops := !total_ops + (count * a.Mapping.tiles)
                 | None -> ())
               assignments;
@@ -264,49 +274,40 @@ let build ?faults ?(abft = false) ctx group ~batch =
                 (Instr.Mvm
                    {
                      count = !deepest;
-                     tiles = max 1 (ceil_div !total_ops !deepest);
-                     tag = Printf.sprintf "P%d.c%d" p k;
+                     tiles = Int.max 1 (ceil_div !total_ops !deepest);
+                     tag;
                    }))
           (Lazy.force plan.mapping.Mapping.cores);
         (* VFU merge per layer on its primary core. *)
-        List.iter
-          (fun (lp : Perf_model.layer_perf) ->
-            let node = lp.Perf_model.node in
-            let primary = Option.value ~default:0 (producer_core ctx plan node) in
+        List.iter2
+          (fun (lp : Perf_model.layer_perf) primary ->
             let vfu_ops = chunk_samples * lp.Perf_model.mvms * lp.Perf_model.vfu_ops_per_mvm in
             if vfu_ops > 0 then emitc primary (Instr.Vfu { ops = vfu_ops }))
-          plan.layers;
+          plan.layers pl.layer_cores;
         (* ABFT checksum verification per layer, after the merge on the
            same primary core: results are validated before downstream
            layers consume them. *)
         if abft then
-          List.iter
-            (fun (lp : Perf_model.layer_perf) ->
-              let node = lp.Perf_model.node in
-              let primary = Option.value ~default:0 (producer_core ctx plan node) in
+          List.iter2
+            (fun (lp : Perf_model.layer_perf) primary ->
               let ops =
                 chunk_samples * lp.Perf_model.mvms
                 * Abft.check_ops_per_mvm ~macro_ops:lp.Perf_model.macro_ops_per_mvm
               in
-              if ops > 0 then
-                emitc primary (Instr.Check { ops; tag = Printf.sprintf "P%d.c%d" p k }))
-            plan.layers;
+              if ops > 0 then emitc primary (Instr.Check { ops; tag }))
+            plan.layers pl.layer_cores;
         (* Attached non-crossbar work, charged to its anchor core. *)
         List.iter
-          (fun node ->
+          (fun (node, c) ->
             let ops = chunk_samples * vector_ops.(node) in
-            if ops > 0 then
-              let c = Option.value ~default:0 (producer_core ctx plan node) in
-              emitc c (Instr.Vfu { ops }))
-          plan.io.Dataflow.attached
+            if ops > 0 then emitc c (Instr.Vfu { ops }))
+          pl.attached_cores
       end
     done;
     (* 5. Exit tensors: each producing core stores/sends its share. *)
-    List.iter
-      (fun (node, bytes) ->
+    List.iter2
+      (fun (node, bytes) shares ->
         let batch_bytes = fbatch *. bytes in
-        let shares = producer_shares ctx plan node in
-        let total_share = List.fold_left (fun acc (_, f) -> acc +. f) 0. shares in
         if spills node then begin
           let addr =
             addr_of_tensor node (int_of_float (fbatch *. Dataflow.tensor_bytes ctx node))
@@ -314,7 +315,7 @@ let build ?faults ?(abft = false) ctx group ~batch =
           let offset = ref 0 in
           List.iter
             (fun (c, f) ->
-              let b = batch_bytes *. (f /. max total_share 1e-12) in
+              let b = batch_bytes *. f in
               if b > 0.5 then begin
                 emitc c
                   (Instr.Store
@@ -330,18 +331,15 @@ let build ?faults ?(abft = false) ctx group ~batch =
         else
           (* On-chip handoff: send shares to every later consuming span. *)
           for q = p + 1 to nspans - 1 do
-            let plq = plan_arr.(q) in
-            if List.mem_assoc node plq.io.Dataflow.loads then begin
-              let targets = consumer_cores ctx plq node in
-              let primary = List.hd targets in
+            let loads = plan_arr.(q).placement.load_cores in
+            match List.find_opt (fun (n, _) -> Int.equal n node) loads with
+            | Some (_, primary :: _) ->
               List.iter
-                (fun (c, f) ->
-                  let b = batch_bytes *. (f /. max total_share 1e-12) in
-                  send_recv ~src:c ~dst:primary ~bytes:b)
+                (fun (c, f) -> send_recv ~src:c ~dst:primary ~bytes:(batch_bytes *. f))
                 shares
-            end
+            | _ -> ()
           done)
-      plan.io.Dataflow.stores;
+      plan.io.Dataflow.stores pl.store_shares;
     (* 6. Free tensors whose last consumer was this span. *)
     Hashtbl.iter
       (fun node q ->

@@ -297,6 +297,47 @@ let test_sim_golden_faults () =
   check_digest "resnet18-S-8 greedy, cores 1 and 3 fail-stopped"
     "8a61bbf3f722c225f9e079570f9d3b61" faulted
 
+(* Program golden: the bytes of whole schedules -- every instruction with
+   its operands, core and tag, plus the region sizes and the instruction
+   count -- of every zoo model over what the sim goldens leave out:
+   batches 1 and 3 (one sample per chunk, fewer than 4 chunks) and 10
+   (uneven 3/3/2/2 chunks), ABFT [Check]s, layerwise and GA plans, and a
+   chip compiled around dead and degraded cores.  [No_sharing] keeps the
+   bytes independent of whether equal tags share one string. *)
+let test_program_golden () =
+  let chip = Config.chip_s in
+  let faults =
+    Fault.make
+      (Array.init chip.Config.cores (function
+        | 1 | 3 -> Fault.Dead
+        | 2 -> Fault.Degraded 3
+        | _ -> Fault.Healthy))
+  in
+  let ga_params = { Ga.quick_params with Ga.jobs = 1 } in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (name, faults) ->
+      let prep = Compiler.prepare ?faults ~model:(Compass_nn.Models.by_name name) ~chip () in
+      List.iter
+        (fun batch ->
+          List.iter
+            (fun scheme ->
+              let plan = Compiler.compile_prepared ~ga_params ~batch prep scheme in
+              let s = Compiler.schedule ~abft:true plan in
+              Buffer.add_string b
+                (Digest.string
+                   (Marshal.to_string
+                      ( s.Scheduler.programs,
+                        s.Scheduler.weight_region_bytes,
+                        s.Scheduler.activation_high_water_bytes,
+                        s.Scheduler.instruction_count )
+                      [ Marshal.No_sharing ])))
+            [ Compiler.Layerwise; Compiler.Compass ])
+        [ 1; 3; 10 ])
+    (List.concat_map (fun name -> [ (name, None); (name, Some faults) ]) Compass_nn.Models.all_names);
+  Alcotest.(check string) "schedule digest" "e4e169733a6dea90141ae11380cc76bd"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let test_sim_allocation_bound () =
   (* Deterministic, unlike wall time: the simulator's minor-heap words per
      executed instruction.  Re-sorting the cores per step costs hundreds. *)
@@ -343,6 +384,7 @@ let () =
           Alcotest.test_case "sim golden resnet18-S-16 dp" `Quick test_sim_golden_resnet18;
           Alcotest.test_case "sim golden squeezenet-S-16 dp" `Quick test_sim_golden_squeezenet;
           Alcotest.test_case "sim golden fail-stop" `Quick test_sim_golden_faults;
+          Alcotest.test_case "program golden" `Quick test_program_golden;
           Alcotest.test_case "sim allocation bound" `Quick test_sim_allocation_bound;
         ] );
     ]
