@@ -438,9 +438,29 @@ let compile_cmd =
         (Compass_util.Units.time_to_string plan.Compiler.perf.Estimator.batch_latency_s)
         m.Compiler.schedule.Scheduler.instruction_count;
       Format.printf "%a@." Compass_dram.Dram.pp_stats m.Compiler.dram;
-      Format.printf "simulated energy:@.";
-      Compass_arch.Energy.pp_breakdown Format.std_formatter
-        m.Compiler.sim.Compass_isa.Sim.energy_components
+      let open Compass_util in
+      let table =
+        Table.create
+          ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right ]
+          [ "component"; "estimator"; "simulator"; "sim/est" ]
+      in
+      let row name est sim =
+        Table.add_row table
+          [
+            name;
+            Units.energy_to_string est;
+            Units.energy_to_string sim;
+            (if est > 0. then Printf.sprintf "%.3f" (sim /. est) else "-");
+          ]
+      in
+      let sim = m.Compiler.sim.Compass_isa.Sim.energy_components in
+      List.iter
+        (fun (name, est) -> row name est (List.assoc name sim))
+        plan.Compiler.perf.Estimator.energy_components;
+      row "total" plan.Compiler.perf.Estimator.energy_j
+        m.Compiler.sim.Compass_isa.Sim.energy_j;
+      Format.printf "energy:@.";
+      Table.print table
     end;
     (match fault_at with
     | None -> ()

@@ -10,13 +10,6 @@ type core = {
   clock_hz : float;
 }
 
-type external_memory = {
-  bandwidth_bytes_per_s : float;
-  energy_per_byte_j : float;
-  request_overhead_s : float;
-  capacity_bytes : float;
-}
-
 type chip = {
   label : string;
   cores : int;
@@ -24,7 +17,6 @@ type chip = {
   crossbar : Crossbar.t;
   bus : Interconnect.t;
   chip_power_w : float;
-  dram : external_memory;
 }
 
 let default_core ~macros_per_core =
@@ -41,34 +33,26 @@ let default_core ~macros_per_core =
     clock_hz = 1e9;
   }
 
-let default_dram =
-  {
-    bandwidth_bytes_per_s = 6.4e9;
-    energy_per_byte_j = 320e-12;
-    request_overhead_s = 100e-9;
-    capacity_bytes = 8. *. 1024. *. 1024. *. 1024.;
-  }
-
 let core_static_power_w core =
   core.vfu_power_w +. core.local_mem_power_w +. core.control_power_w
 
-let make_chip ~label ~cores ~macros_per_core ~crossbar ~bus ~chip_power_w ~dram =
+let make_chip ~label ~cores ~macros_per_core ~crossbar ~bus ~chip_power_w =
   if cores <= 0 then invalid_arg "Config: non-positive core count";
   let core = default_core ~macros_per_core in
-  { label; cores; core; crossbar; bus; chip_power_w; dram }
+  { label; cores; core; crossbar; bus; chip_power_w }
 
 (* Table I chip powers. *)
 let chip_s =
   make_chip ~label:"S" ~cores:16 ~macros_per_core:9 ~crossbar:Crossbar.default
-    ~bus:Interconnect.default ~chip_power_w:1.57 ~dram:default_dram
+    ~bus:Interconnect.default ~chip_power_w:1.57
 
 let chip_m =
   make_chip ~label:"M" ~cores:16 ~macros_per_core:16 ~crossbar:Crossbar.default
-    ~bus:Interconnect.default ~chip_power_w:2.80 ~dram:default_dram
+    ~bus:Interconnect.default ~chip_power_w:2.80
 
 let chip_l =
   make_chip ~label:"L" ~cores:16 ~macros_per_core:36 ~crossbar:Crossbar.default
-    ~bus:Interconnect.default ~chip_power_w:6.30 ~dram:default_dram
+    ~bus:Interconnect.default ~chip_power_w:6.30
 
 let presets = [ ("S", chip_s); ("M", chip_m); ("L", chip_l) ]
 
@@ -81,7 +65,7 @@ let macro_power_estimate_w =
   (chip_s.chip_power_w -. core_part) /. float_of_int (16 * 9)
 
 let custom ~label ~cores ~macros_per_core ?(crossbar = Crossbar.default)
-    ?(bus = Interconnect.default) ?chip_power_w ?(dram = default_dram) () =
+    ?(bus = Interconnect.default) ?chip_power_w () =
   if macros_per_core <= 0 then invalid_arg "Config.custom: non-positive macros";
   let core = default_core ~macros_per_core in
   let chip_power_w =
@@ -91,7 +75,7 @@ let custom ~label ~cores ~macros_per_core ?(crossbar = Crossbar.default)
       (float_of_int cores *. core_static_power_w core)
       +. (float_of_int (cores * macros_per_core) *. macro_power_estimate_w)
   in
-  make_chip ~label ~cores ~macros_per_core ~crossbar ~bus ~chip_power_w ~dram
+  make_chip ~label ~cores ~macros_per_core ~crossbar ~bus ~chip_power_w
 
 let total_macros chip = chip.cores * chip.core.macros_per_core
 

@@ -2,7 +2,8 @@
 
     Three chip presets S/M/L share the core design and differ in macros per
     core, reproducing the paper's capacities (1.125 / 2.0 / 4.5 MB) and chip
-    powers (1.57 / 2.80 / 6.30 W). *)
+    powers (1.57 / 2.80 / 6.30 W).  The external memory is not part of a
+    chip: [Compass_dram] is the one description of the LPDDR3 device. *)
 
 type core = {
   macros_per_core : int;
@@ -16,13 +17,6 @@ type core = {
   clock_hz : float;  (** 1 GHz core clock. *)
 }
 
-type external_memory = {
-  bandwidth_bytes_per_s : float;  (** LPDDR3-1600 x32 peak: 6.4 GB/s. *)
-  energy_per_byte_j : float;  (** Average access energy for streaming. *)
-  request_overhead_s : float;  (** First-access latency of a bulk request. *)
-  capacity_bytes : float;  (** 8 GB. *)
-}
-
 type chip = {
   label : string;
   cores : int;
@@ -30,7 +24,6 @@ type chip = {
   crossbar : Crossbar.t;
   bus : Interconnect.t;
   chip_power_w : float;  (** Total chip power from Table I. *)
-  dram : external_memory;
 }
 
 val chip_s : chip
@@ -55,7 +48,6 @@ val custom :
   ?crossbar:Crossbar.t ->
   ?bus:Interconnect.t ->
   ?chip_power_w:float ->
-  ?dram:external_memory ->
   unit ->
   chip
 (** Build a non-preset chip; [chip_power_w] defaults to a linear

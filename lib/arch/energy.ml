@@ -22,21 +22,6 @@ let vfu_j (chip : Config.chip) ~ops =
 let bus_j (chip : Config.chip) ~bytes =
   Interconnect.transfer_energy_j chip.Config.bus ~bytes
 
-let dram_j (chip : Config.chip) ~bytes =
-  non_negative "dram_j" bytes;
-  bytes *. chip.Config.dram.Config.energy_per_byte_j
-
 let static_j (chip : Config.chip) ~seconds =
   non_negative "static_j" seconds;
   seconds *. chip.Config.chip_power_w
-
-let pp_breakdown ppf components =
-  let total = List.fold_left (fun acc (_, v) -> acc +. v) 0. components in
-  let line (label, v) =
-    let pct = if total > 0. then 100. *. v /. total else 0. in
-    Format.fprintf ppf "  %-14s %12s (%5.1f%%)@." label
-      (Compass_util.Units.energy_to_string v)
-      pct
-  in
-  List.iter line components;
-  Format.fprintf ppf "  %-14s %12s@." "total" (Compass_util.Units.energy_to_string total)

@@ -1,9 +1,9 @@
-(** Chip-level energy accounting used by the performance estimator.
+(** Per-component energy of the chip, shared by the estimator and the
+    simulator.
 
-    All functions take aggregate operation counts and return joules; the
-    DRAM term here is the analytic streaming approximation — the
-    trace-accurate number comes from [Compass_dram] when a schedule is
-    simulated. *)
+    All functions take aggregate operation counts and return joules.
+    External memory is not charged here: both models charge it through
+    [Compass_dram.Dram.analytic_energy_j]. *)
 
 val mvm_j : Config.chip -> macro_ops:float -> float
 (** Energy of [macro_ops] full-array crossbar MVM operations. *)
@@ -18,14 +18,5 @@ val vfu_j : Config.chip -> ops:float -> float
 val bus_j : Config.chip -> bytes:float -> float
 (** On-chip bus transfer energy. *)
 
-val dram_j : Config.chip -> bytes:float -> float
-(** Analytic external-memory access energy. *)
-
 val static_j : Config.chip -> seconds:float -> float
 (** Background energy of the whole chip over a duration. *)
-
-val pp_breakdown :
-  Format.formatter ->
-  (string * float) list ->
-  unit
-(** Render labelled energy components with percentages of their sum. *)

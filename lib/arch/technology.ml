@@ -3,7 +3,6 @@ type t = {
   row_write_latency_s : float;
   write_energy_per_bit_j : float;
   endurance_cycles : float option;
-  retention : string;
 }
 
 let sram =
@@ -12,7 +11,6 @@ let sram =
     row_write_latency_s = 100e-9;
     write_energy_per_bit_j = 1e-12;
     endurance_cycles = None;
-    retention = "volatile";
   }
 
 let reram =
@@ -21,7 +19,6 @@ let reram =
     row_write_latency_s = 10e-6;
     write_energy_per_bit_j = 100e-12;
     endurance_cycles = Some 1e6;
-    retention = "non-volatile (years)";
   }
 
 let mram =
@@ -30,7 +27,6 @@ let mram =
     row_write_latency_s = 2e-6;
     write_energy_per_bit_j = 30e-12;
     endurance_cycles = Some 1e15;
-    retention = "non-volatile (years)";
   }
 
 let presets = [ sram; reram; mram ]
@@ -54,8 +50,7 @@ let chip t (base : Config.chip) =
     ~cores:base.Config.cores
     ~macros_per_core:base.Config.core.Config.macros_per_core
     ~crossbar:(crossbar base.Config.crossbar t)
-    ~bus:base.Config.bus ~chip_power_w:base.Config.chip_power_w ~dram:base.Config.dram
-    ()
+    ~bus:base.Config.bus ~chip_power_w:base.Config.chip_power_w ()
 
 let lifetime_s t ~rewrites_per_cell_per_s =
   if rewrites_per_cell_per_s < 0. then

@@ -15,7 +15,6 @@ type t = {
   endurance_cycles : float option;
       (** Writes a cell tolerates before wear-out; [None] = unlimited
           (SRAM). *)
-  retention : string;  (** Informal volatility note for reports. *)
 }
 
 val reram : t

@@ -80,6 +80,10 @@ type perf = {
    polymorphic compare on boxed values. *)
 let fmax (a : float) b = if a >= b then a else b
 
+(* First-access latency the estimator charges per sample for each DRAM
+   endpoint of a span's io (one bulk request each). *)
+let dram_request_overhead_s = 100e-9
+
 let span_perf ?(options = default_options) ctx ~batch ~start_ ~stop =
   if batch < 1 then invalid_arg "Estimator.span_perf: batch < 1";
   let units = Dataflow.units ctx in
@@ -199,7 +203,7 @@ let span_perf ?(options = default_options) ctx ~batch ~start_ ~stop =
       stream
       +. (fbatch
          *. float_of_int !dram_endpoints
-         *. chip.Config.dram.Config.request_overhead_s)
+         *. dram_request_overhead_s)
   in
   let span_s = write_s +. fmax compute_s io_s in
   (* Energy. *)

@@ -1,7 +1,6 @@
 type point = {
   chip : Compass_arch.Config.chip;
   batch : int;
-  plan : Compiler.t;
   throughput_per_s : float;
   energy_per_sample_j : float;
   edp_j_s : float;
@@ -43,7 +42,6 @@ let sweep ?objective ?ga_params ?jobs ?budget ?supervision ~model ~chips ~batche
                 {
                   chip;
                   batch;
-                  plan;
                   throughput_per_s = plan.Compiler.perf.Estimator.throughput_per_s;
                   energy_per_sample_j = plan.Compiler.perf.Estimator.energy_per_sample_j;
                   edp_j_s = plan.Compiler.perf.Estimator.edp_j_s;

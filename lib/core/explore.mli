@@ -9,7 +9,6 @@
 type point = {
   chip : Compass_arch.Config.chip;
   batch : int;
-  plan : Compiler.t;
   throughput_per_s : float;
   energy_per_sample_j : float;
   edp_j_s : float;

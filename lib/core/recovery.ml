@@ -31,8 +31,6 @@ type outcome =
   | Degraded_output
 
 type report = {
-  output : Tensor.t;
-  reference : Tensor.t;
   outcome : outcome;
   bit_identical : bool;
   checks : int;
@@ -306,8 +304,6 @@ let run ?(seed = 0) ?faults ~weights ~input plan0 =
     else Clean
   in
   {
-    output;
-    reference;
     outcome;
     bit_identical;
     checks = !checks;

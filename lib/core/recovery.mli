@@ -49,10 +49,10 @@ type outcome =
   | Degraded_output  (** Some corruption could not be recovered. *)
 
 type report = {
-  output : Compass_nn.Tensor.t;
-  reference : Compass_nn.Tensor.t;  (** Fault-free run of the same path. *)
   outcome : outcome;
-  bit_identical : bool;  (** [Tensor.same_bits output reference]. *)
+  bit_identical : bool;
+      (** The healed output has the same bits as the fault-free run of the
+          same path. *)
   checks : int;  (** Per-unit ABFT verifications executed. *)
   detections : int;
   retries : int;

@@ -6,7 +6,6 @@ type t = {
   weight_region_bytes : int;
   activation_high_water_bytes : int;
   instruction_count : int;
-  spans : Partition.span list;
 }
 
 (* Where one span's work runs, computed once from its mapping: a node's
@@ -360,7 +359,6 @@ let build ?faults ?(abft = false) ctx group ~batch =
     weight_region_bytes = !weight_cursor;
     activation_high_water_bytes = Memory_alloc.high_water_bytes act_alloc;
     instruction_count = !instruction_count;
-    spans = Partition.spans group;
   }
 
 let simulate ctx t =

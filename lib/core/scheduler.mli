@@ -35,7 +35,6 @@ type t = {
   weight_region_bytes : int;  (** DRAM reserved for weights. *)
   activation_high_water_bytes : int;  (** Peak live boundary-tensor bytes. *)
   instruction_count : int;
-  spans : Partition.span list;
 }
 
 val build :

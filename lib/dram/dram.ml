@@ -1,30 +1,26 @@
-let simulate ?timing ?energy records = Controller.run ?timing ?energy records
+let timing = Timing.lpddr3_1600
+let energy = Controller.default_energy
+let simulate records = Controller.run ~timing ~energy records
 
 let streaming_efficiency = 0.9
+let streaming_bandwidth = Timing.peak_bandwidth_bytes_per_s timing *. streaming_efficiency
 
-let analytic_seconds ?(timing = Timing.lpddr3_1600) bytes =
+let first_access_s =
+  Timing.cycles_to_seconds timing
+    (timing.Timing.trcd + timing.Timing.cl + Timing.burst_cycles timing)
+
+let analytic_seconds bytes =
   if bytes < 0. then invalid_arg "Dram.analytic_seconds: negative bytes";
-  if bytes = 0. then 0.
-  else
-    let overhead =
-      Timing.cycles_to_seconds timing
-        (timing.Timing.trcd + timing.Timing.cl + Timing.burst_cycles timing)
-    in
-    overhead
-    +. (bytes /. (Timing.peak_bandwidth_bytes_per_s timing *. streaming_efficiency))
+  if bytes = 0. then 0. else first_access_s +. (bytes /. streaming_bandwidth)
 
-let analytic_energy_per_byte_j ?(timing = Timing.lpddr3_1600)
-    ?(energy = Controller.default_energy) () =
-  let burst = float_of_int (Timing.burst_bytes timing) in
-  let row = float_of_int timing.Timing.row_bytes in
-  (energy.Controller.read_burst_j /. burst)
-  +. (energy.Controller.activate_j /. row)
-  +. (energy.Controller.background_w
-     /. (Timing.peak_bandwidth_bytes_per_s timing *. streaming_efficiency))
+let energy_per_byte_j =
+  (energy.Controller.read_burst_j /. float_of_int (Timing.burst_bytes timing))
+  +. (energy.Controller.activate_j /. float_of_int timing.Timing.row_bytes)
+  +. (energy.Controller.background_w /. streaming_bandwidth)
 
-let analytic_energy_j ?timing ?energy bytes =
+let analytic_energy_j bytes =
   if bytes < 0. then invalid_arg "Dram.analytic_energy_j: negative bytes";
-  bytes *. analytic_energy_per_byte_j ?timing ?energy ()
+  bytes *. energy_per_byte_j
 
 let pp_stats ppf (s : Controller.stats) =
   let open Compass_util in

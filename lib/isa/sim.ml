@@ -362,9 +362,9 @@ let run ?(fault_events = []) chip programs =
     [
       ("mvm", Energy.mvm_j chip ~macro_ops:shared.mvm_macro_ops);
       ("vfu", Energy.vfu_j chip ~ops:shared.vfu_ops);
-      ("weight_program", Energy.weight_write_j chip ~bytes:shared.weight_bytes);
+      ("weight_write", Energy.weight_write_j chip ~bytes:shared.weight_bytes);
       ("bus", Energy.bus_j chip ~bytes:dram_bytes);
-      ("dram", Energy.dram_j chip ~bytes:dram_bytes);
+      ("dram", Compass_dram.Dram.analytic_energy_j dram_bytes);
       ("static", Energy.static_j chip ~seconds:makespan);
     ]
   in

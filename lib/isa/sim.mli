@@ -7,7 +7,9 @@
     - bus transfers (weight fetches, activation loads/stores, sends) are
       serialized on the shared bus in grant order;
     - external memory behaves as the analytic streaming model during
-      simulation; the emitted bulk trace can be replayed through
+      simulation, in time and energy
+      ([Compass_dram.Dram.analytic_seconds], [analytic_energy_j]); the
+      emitted bulk trace can be replayed through
       [Compass_dram.Dram.simulate] for bank-accurate statistics;
     - [Recv] blocks until the matching [Send] has delivered; [Sync] is a
       counted barrier.
@@ -54,7 +56,8 @@ type result = {
   load_bytes : float;
   store_bytes : float;
   energy_components : (string * float) list;
-      (** Labelled: mvm, vfu, weight_program, bus, dram, static. *)
+      (** Labelled mvm, vfu, weight_write, bus, dram, static: the
+          estimator's six names, in its order. *)
   energy_j : float;
   events : event list;
       (** Per-instruction execution intervals in dispatch order; feeds the

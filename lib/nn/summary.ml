@@ -6,7 +6,6 @@ type t = {
   linear_mb : float;
   total_mb : float;
   weighted_layers : int;
-  total_layers : int;
 }
 
 let of_graph ?(weight_bits = 4) g =
@@ -29,7 +28,6 @@ let of_graph ?(weight_bits = 4) g =
     linear_mb = mb linear_params;
     total_mb = mb (conv_params + linear_params);
     weighted_layers = List.length (Graph.weighted_nodes g);
-    total_layers = Graph.node_count g;
   }
 
 let table2 ?(weight_bits = 4) graphs =

@@ -8,7 +8,6 @@ type t = {
   linear_mb : float;
   total_mb : float;
   weighted_layers : int;
-  total_layers : int;
 }
 
 val of_graph : ?weight_bits:int -> Graph.t -> t

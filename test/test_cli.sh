@@ -158,6 +158,13 @@ if command -v python3 >/dev/null 2>&1; then
     fails=$((fails + 1))
   }
 fi
+for component in mvm vfu weight_write bus dram static total; do
+  rows=$(grep -cE "^$component +\| +[^ |][^|]* \| +[^ |][^|]* \|" "$TMP/out")
+  [ "$rows" -eq 1 ] || {
+    echo "FAIL: --simulate energy table has $rows filled $component rows, expected 1" >&2
+    fails=$((fails + 1))
+  }
+done
 grep -q "ga.generations" "$TMP/out" || {
   echo "FAIL: --metrics did not print the metrics table" >&2
   fails=$((fails + 1))

@@ -176,7 +176,7 @@ let test_sim_energy_components () =
   Alcotest.(check bool) "has all labels" true
     (List.for_all
        (fun l -> List.mem_assoc l r.Sim.energy_components)
-       [ "mvm"; "vfu"; "weight_program"; "bus"; "dram"; "static" ]);
+       [ "mvm"; "vfu"; "weight_write"; "bus"; "dram"; "static" ]);
   Alcotest.(check bool) "positive total" true (r.Sim.energy_j > 0.)
 
 (* Dispatch order.  The programs are listed out of id order, so program
